@@ -6,9 +6,8 @@ of mean/(4R^2) against 1/R over an increasing R schedule.  The absolute
 discrepancy statistic plugs the fitted c back into single-R counts.
 
 Everything is deterministic in (measure, schedule, M, seed): sample i of the
-R_k block uses the counter-based stream k*M + i.  NODAL_THREADS may parallelize
-the sample loop; counts land in preassigned slots, so results do not depend on
-the worker count.
+R_k block uses the counter-based stream k*M + i.  Sample loops run serially:
+a thread pool measured slower than one thread on this per-draw workload.
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,28 +31,6 @@ from .topology import count_components_plane, count_components_torus
 def measure_digest(rho: SpectralMeasure) -> str:
     blob = json.dumps(measure_to_dict(rho), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("NODAL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_streams(fn, streams):
-    """Apply fn over stream indices; slot-indexed so order cannot matter."""
-    out = [None] * len(streams)
-    workers = _worker_count()
-    if workers == 1:
-        for slot, st in enumerate(streams):
-            out[slot] = fn(st)
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, st): slot for slot, st in enumerate(streams)}
-        for fut, slot in futures.items():
-            out[slot] = fut.result()
-    return out
 
 
 @dataclass
@@ -106,15 +81,13 @@ def interior_counts(rho: SpectralMeasure, R: float, M: int,
                     freq_scale: float = 1.0) -> np.ndarray:
     """Interior component counts over M independent samples."""
     domain = SquareDomain(R)
-
-    def one(stream):
-        s = sample(rho, seed, stream, freq_scale=freq_scale)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            grid = evaluate_grid(s, domain, h)
-        return count_components_plane(grid).interior_components
-
-    vals = _map_streams(one, [stream_base + i for i in range(M)])
+    vals = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i in range(M):
+            s = sample(rho, seed, stream_base + i, freq_scale=freq_scale)
+            census = count_components_plane(evaluate_grid(s, domain, h))
+            vals.append(census.interior_components)
     return np.asarray(vals, dtype=float)
 
 
@@ -231,18 +204,14 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
     if h is None:
         h = 1.0 / (16.0 * math.ceil(math.sqrt(n)))
     domain = TorusDomain()
-
-    def one(stream):
-        s = sample_torus_wave(n, seed, stream)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            grid = evaluate_grid(s, domain, h)
-        c = count_components_torus(grid)
-        return c.total_components, c.wrapping_components
-
-    rows = _map_streams(one, list(range(M)))
-    totals = np.array([r[0] for r in rows], dtype=float)
-    wraps = np.array([r[1] for r in rows], dtype=float)
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for stream in range(M):
+            c = count_components_torus(
+                evaluate_grid(sample_torus_wave(n, seed, stream), domain, h))
+            rows.append((c.total_components, c.wrapping_components))
+    totals, wraps = np.array(rows, dtype=float).reshape(-1, 2).T
 
     planar = estimate_cns(rho, planar_schedule, planar_M or M, seed)
     mean_total = float(totals.mean())
@@ -297,16 +266,14 @@ def small_domain_report(rho: SpectralMeasure, R: float, M: int,
         raise DegenerateMeasure("small-domain statistics need a nondegenerate measure")
     deltas = np.asarray(sorted(delta_schedule), dtype=float)
     domain = SquareDomain(R)
-
-    def one(stream):
-        s = sample(rho, seed, stream)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            grid = evaluate_grid(s, domain, h)
-        census = count_components_plane(grid)
-        return [census.small_domains(d) for d in deltas]
-
-    table = np.asarray(_map_streams(one, list(range(M))), dtype=float)
+    table = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for stream in range(M):
+            census = count_components_plane(
+                evaluate_grid(sample(rho, seed, stream), domain, h))
+            table.append([census.small_domains(d) for d in deltas])
+    table = np.asarray(table, dtype=float)
     dens = table.mean(axis=0) / (R * R)
     mask = dens > 0
     if np.count_nonzero(mask) >= 2:

@@ -91,15 +91,6 @@ class FieldSample:
     def amplitudes(self) -> np.ndarray:
         return np.sqrt(self.pair_weights)
 
-    def with_coeffs(self, coeff_a, coeff_b, origin_coeff=None) -> "FieldSample":
-        return FieldSample(
-            measure=self.measure, reps=self.reps, pair_weights=self.pair_weights,
-            coeff_a=np.asarray(coeff_a, dtype=float),
-            coeff_b=np.asarray(coeff_b, dtype=float),
-            origin_weight=self.origin_weight,
-            origin_coeff=self.origin_coeff if origin_coeff is None else float(origin_coeff),
-            seed=None, stream=0, freq_scale=self.freq_scale)
-
 
 @dataclass
 class ScalarGrid:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DegenerateConditioning
-from .measures import CovarianceMatrix, SpectralMeasure, gradient_covariance, moment
+from .measures import SpectralMeasure, moment
 
 CONDITIONING_EPS = 1e-12
 
@@ -172,9 +172,3 @@ def curve_intersection_density(rho: SpectralMeasure, direction) -> float:
                   [moment(rho, 1, 1), moment(rho, 0, 2)]])
     second = float(u @ m @ u)
     return rho.kappa_value / math.pi * math.sqrt(max(0.0, second))
-
-
-def degenerate_gradient(rho: SpectralMeasure, eps: float = CONDITIONING_EPS) -> bool:
-    """True when the gradient covariance is singular at tolerance eps."""
-    cov: CovarianceMatrix = gradient_covariance(rho)
-    return cov.is_degenerate(eps)

@@ -321,23 +321,6 @@ def covariance(rho: SpectralMeasure, x) -> float:
     return float(np.dot(rho.weights, np.cos(phases)))
 
 
-def covariance_gradient(rho: SpectralMeasure, x) -> np.ndarray:
-    """Gradient of the covariance function at x."""
-    x = np.asarray(x, dtype=float)
-    k = rho.kappa_value
-    phases = k * (rho.points @ x)
-    s = rho.weights * np.sin(phases)
-    return -k * (rho.points.T @ s)
-
-
-def covariance_hessian(rho: SpectralMeasure, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    k = rho.kappa_value
-    phases = k * (rho.points @ x)
-    c = rho.weights * np.cos(phases)
-    return -k * k * np.einsum("k,ki,kj->ij", c, rho.points, rho.points)
-
-
 def moment(rho: SpectralMeasure, a: int, b: int) -> float:
     """Raw support moment integral y1^a y2^b drho, needed up to total order 4."""
     if a < 0 or b < 0 or a + b > 4:

@@ -5,7 +5,8 @@ exactly one bounded sign-domain, so on squares we count bounded 4-connected
 same-sign regions that do not touch the grid boundary (robust on lattices,
 valid whenever the gradient does not vanish on the zero set).  On the torus,
 zero-set components are counted directly from the marching-squares crossing
-graph, with homology offsets deciding contractible vs wrapping.
+graph: every port there has degree 2, so components are cycles, and a cycle
+wraps iff it crosses the x-seam or the y-seam an odd number of times.
 
 Node values with |f| < TIE_TOL are treated as positive (measure-zero event,
 deterministic tie rule).
@@ -234,96 +235,61 @@ def edge_ports(eids: np.ndarray, values: np.ndarray, xs, ys, periodic: bool):
     return np.column_stack([x, y])
 
 
-class _OffsetUnionFind:
-    """Union-find whose nodes carry integer 2-vector potentials.
-
-    pot[x] is the displacement of x relative to its parent; a union closing a
-    cycle with nonzero net displacement marks the root as wrapping.
-    """
-
-    def __init__(self, n):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.pot = np.zeros((n, 2), dtype=np.int64)
-        self.wrapping = np.zeros(n, dtype=bool)
-
-    def find(self, x):
-        root = x
-        off = np.zeros(2, dtype=np.int64)
-        while self.parent[root] != root:
-            off += self.pot[root]
-            root = self.parent[root]
-        # path compression
-        node = x
-        carried = off.copy()
-        while self.parent[node] != node:
-            nxt = self.parent[node]
-            step = self.pot[node].copy()
-            self.parent[node] = root
-            self.pot[node] = carried
-            carried = carried - step
-            node = nxt
-        return root, off
-
-    def union(self, a, b, delta):
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            gap = pa + delta - pb
-            if gap[0] != 0 or gap[1] != 0:
-                self.wrapping[ra] = True
-            return
-        # attach rb under ra: pot must satisfy pos_b = pos_a + delta
-        self.parent[rb] = ra
-        self.pot[rb] = pa + delta - pb
-        if self.wrapping[rb]:
-            self.wrapping[ra] = True
-
-
-def _edge_anchor(eids: np.ndarray, ny: int):
-    """Doubled-integer midpoint coordinates of edges (homology bookkeeping)."""
-    typ = eids & 1
-    flat = eids >> 1
-    ii = flat // ny
-    jj = flat % ny
-    return np.column_stack([2 * ii + (typ == 0), 2 * jj + (typ == 1)]).astype(np.int64)
-
-
 def count_components_torus(g: ScalarGrid) -> NodalCensus:
-    """Zero-set components on the torus, split contractible vs wrapping."""
+    """Zero-set components on the torus, split contractible vs wrapping.
+
+    Every crossed edge lies in exactly two cells and each cell uses it once,
+    so every port has degree 2 and the components are the cycles of the
+    segment graph.  Cycles are labeled by their smallest segment index with
+    pointer doubling over half-edges.  A simple closed curve that does not
+    contract has a primitive homology class (p, q), so p or q is odd: a
+    component wraps iff it crosses the x-seam or the y-seam an odd number of
+    times.
+    """
     if g.values is None or g.values.size == 0:
         raise EmptyGrid("no values")
     if not g.periodic:
         raise ValueError("count_components_torus needs a torus grid")
     values = g.values
+    if not np.all(np.isfinite(values)):
+        raise EmptyGrid("grid contains non-finite values")
     nx, ny = values.shape
+    if nx < 3 or ny < 3:
+        # a west-east segment would span half the period: its seam is undefined
+        raise ValueError("torus census needs at least 3 nodes per axis")
     segA, segB = marching_segments(values, periodic=True)
-    if len(segA) == 0:
+    K = len(segA)
+    if K == 0:
         return NodalCensus(domain_descriptor=g.domain.descriptor(), h=g.h,
                            interior_components=0, wrapping_components=0,
                            interior_areas=np.zeros(0), seed=g.seed)
 
-    anchorA = _edge_anchor(segA, ny)
-    anchorB = _edge_anchor(segB, ny)
-    period = np.array([2 * nx, 2 * ny], dtype=np.int64)
-    delta = anchorB - anchorA
-    delta = (delta + period // 2) % period - period // 2  # minimal image
+    # half-edge k runs segA[k] -> segB[k], half-edge K + k runs back; the two
+    # half-edges leaving each port sit next to each other in start order
+    start = np.concatenate([segA, segB])
+    order = np.argsort(start, kind="stable")
+    mate = np.empty(2 * K, dtype=np.int64)
+    mate[order[0::2]] = order[1::2]
+    mate[order[1::2]] = order[0::2]
+    # successor: leave the end port (start of the reverse) along its other segment
+    step = mate[np.roll(np.arange(2 * K), -K)]
+    label = np.arange(2 * K) % K
+    for _ in range((2 * K).bit_length()):
+        label = np.minimum(label, label[step])
+        step = step[step]
+    label = label[:K]
+    roots = np.flatnonzero(label == np.arange(K))
 
-    uf = _OffsetUnionFind(2 * nx * ny)
-    for a, b, d in zip(segA, segB, delta):
-        uf.union(int(a), int(b), d)
-
-    ports = np.unique(np.concatenate([segA, segB]))
-    roots = set()
-    wrap = 0
-    for p in ports:
-        r, _ = uf.find(int(p))
-        if r not in roots:
-            roots.add(r)
-            if uf.wrapping[r]:
-                wrap += 1
-    total = len(roots)
+    # a segment crosses a seam when its ports' node rows (or columns) are
+    # not neighbours; with >= 3 nodes per axis they then differ by n - 1
+    flatA, flatB = segA >> 1, segB >> 1
+    cross_x = np.abs(flatA // ny - flatB // ny) > 1
+    cross_y = np.abs(flatA % ny - flatB % ny) > 1
+    odd = ((np.bincount(label[cross_x], minlength=K) & 1)
+           | (np.bincount(label[cross_y], minlength=K) & 1))
+    wrap = int(np.count_nonzero(odd[roots]))
     return NodalCensus(domain_descriptor=g.domain.descriptor(), h=g.h,
-                       interior_components=total - wrap,
+                       interior_components=len(roots) - wrap,
                        wrapping_components=wrap,
                        interior_areas=np.zeros(0), seed=g.seed)
 
@@ -408,14 +374,3 @@ def count_curve_intersections(s: FieldSample, p0, p1,
     vals = evaluate_batch(s, pts, order=0)
     pos = vals > -TIE_TOL
     return int(np.count_nonzero(pos[1:] != pos[:-1]))
-
-
-def census_with_flips(s: FieldSample, domain: SquareDomain,
-                      h: float | None = None) -> NodalCensus:
-    """Plane census plus S1/S2 flip counts from the same sample."""
-    if h is None:
-        h = default_spacing(s)
-    census = count_components_plane(evaluate_grid(s, domain, h))
-    census.s1_flips = count_flips(s, domain, h, axis=1)
-    census.s2_flips = count_flips(s, domain, h, axis=2)
-    return census

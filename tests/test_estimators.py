@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -59,20 +58,10 @@ def test_estimate_cns_validation():
         estimate_cns(U32, [10.0, 5.0, 20.0], M=10, seed=1)
 
 
-def test_determinism_and_thread_invariance():
+def test_determinism():
     r1 = estimate_mean_count(U32, R=6.0, M=16, seed=9)
     r2 = estimate_mean_count(U32, R=6.0, M=16, seed=9)
     assert r1 == r2
-    old = os.environ.get("NODAL_THREADS")
-    try:
-        os.environ["NODAL_THREADS"] = "4"
-        r4 = estimate_mean_count(U32, R=6.0, M=16, seed=9)
-    finally:
-        if old is None:
-            os.environ.pop("NODAL_THREADS", None)
-        else:
-            os.environ["NODAL_THREADS"] = old
-    assert r1 == r4
 
 
 def test_adding_samples_moves_mean_within_error():

@@ -103,6 +103,15 @@ def test_empty_grid_raises():
                    ys=np.zeros(0), values=np.zeros((0, 0)))
     with pytest.raises(EmptyGrid):
         count_components_plane(g)
+    t = grid_from_callable(lambda X, Y: np.sin(2 * np.pi * X),
+                           TorusDomain(), 1 / 64)
+    for bad in (np.nan, np.inf):
+        t.values[3, 5] = bad
+        with pytest.raises(EmptyGrid):
+            count_components_torus(t)
+    t.values[:] = np.inf
+    with pytest.raises(EmptyGrid):
+        count_components_torus(t)
 
 
 def test_small_domains():
@@ -160,13 +169,42 @@ def test_torus_axis_field_all_wrapping():
         assert 2 <= c.wrapping_components <= 20
 
 
-def test_torus_diagonal_wrapping_classification():
-    # zero set of sin(2 pi (x - y)) is two diagonal circles with winding (1,1)
-    g = grid_from_callable(lambda X, Y: np.sin(2 * np.pi * (X - Y)),
+@pytest.mark.parametrize("p, q", [(1, -1), (1, 2), (3, -2)],
+                         ids=["x-y", "x+2y", "3x-2y"])
+def test_torus_diagonal_wrapping_classification(p, q):
+    # zero set of sin(2 pi (p x + q y)) is two circles of class (q, -p); those
+    # of (1, 2) and (3, -2) cross the x-seam an even number of times, so a
+    # rule reading that seam alone would call them contractible
+    g = grid_from_callable(lambda X, Y: np.sin(2 * np.pi * (p * X + q * Y)),
                            TorusDomain(), 1 / 128)
     c = count_components_torus(g)
     assert c.interior_components == 0
     assert c.wrapping_components == 2
+
+
+def test_torus_census_needs_three_nodes_per_axis():
+    g = ScalarGrid(domain=TorusDomain(), h=0.5, xs=np.array([0.0, 0.5]),
+                   ys=np.array([0.0, 0.5]),
+                   values=np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    with pytest.raises(ValueError):
+        count_components_torus(g)
+
+
+@pytest.mark.parametrize("n, want", [
+    (65, [(10, 2), (12, 2), (8, 2)]),
+    (325, [(66, 2), (34, 2), (70, 2)]),
+    (1105, [(186, 2), (134, 2), (248, 2)]),
+])
+def test_torus_census_seeded_counts(n, want):
+    # (total, wrapping) pinned from the homology-offset union-find census
+    from nodalfields.arithmetic import sample_torus_wave
+    h = 1.0 / (16 * math.ceil(math.sqrt(n)))
+    got = []
+    for stream in range(3):
+        c = count_components_torus(
+            evaluate_grid(sample_torus_wave(n, 77, stream), TorusDomain(), h))
+        got.append((c.total_components, c.wrapping_components))
+    assert got == want
 
 
 def test_flips_of_injected_sum_of_cosines():
