@@ -143,6 +143,8 @@ def cmd_lattice(args) -> int:
 def cmd_flips(args) -> int:
     from .kacrice import diagonal_flip_density, flip_density
 
+    if args.empirical and args.M < 1:
+        raise ValueError("--M must be at least 1")
     rho = _resolve_measure(args)
     payload = {"kind": "flips_report", "seed": args.seed}
     if args.diagonal:

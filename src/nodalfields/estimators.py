@@ -200,6 +200,8 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
     """Mean total component count of degree-n torus waves vs c(mu_n) * n."""
     from .arithmetic import mu_n, sample_torus_wave
 
+    if M < 2:
+        raise ValueError("need M >= 2")
     rho = mu_n(n)
     if h is None:
         h = 1.0 / (16.0 * math.ceil(math.sqrt(n)))

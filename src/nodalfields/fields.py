@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class ScalarGrid:
     d22: np.ndarray | None = None
     seed: int | None = None
     kappa: str = "two_pi"
-    meta: dict = field(default_factory=dict)
 
     @property
     def periodic(self) -> bool:
@@ -267,8 +266,7 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
 
     return ScalarGrid(domain=domain, h=h_eff, xs=xs, ys=ys, values=val,
                       d1=d1, d2=d2, d11=d11, d12=d12, d22=d22,
-                      seed=s.seed, kappa=s.measure.kappa,
-                      meta={"stream": s.stream, "freq_scale": s.freq_scale})
+                      seed=s.seed, kappa=s.measure.kappa)
 
 
 def grid_from_callable(fn, domain, h: float) -> ScalarGrid:

@@ -2,81 +2,64 @@
 
 Zero curves are chained from marching-squares cell segments with linear
 interpolation on cell edges; saddle cells are resolved by the sign of the
-cell-center mean.  The torus census chains the same segments, so torus
-pictures and torus counts agree.  The square census does not: it counts
-4-connected sign domains, which splits both diagonals of every saddle cell,
-so it can count more compact components than the picture shows closed curves
-(about +0.47 per sample for uniform_circle K=64 on R=6 at 16 points per
-wavelength).  Output is byte-stable for identical inputs.
+cell-center mean.  The torus census walks the same half-edge graph
+(``topology.half_edge_successors``), so torus pictures and torus counts
+agree.  The square census does not: it counts 4-connected sign domains,
+which splits both diagonals of every saddle cell, so it can count more
+compact components than the picture shows closed curves (about +0.47 per
+sample for uniform_circle K=64 on R=6 at 16 points per wavelength).  Output
+is byte-stable for identical inputs.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from .fields import ScalarGrid
-from .topology import edge_ports, marching_segments, sign_grid
+from .topology import (edge_ports, half_edge_successors,
+                       marching_segments, sign_grid)
 
 
 def zero_polylines(grid: ScalarGrid):
     """Chained zero curves as (points, closed) pairs.
 
-    Points are (N, 2) coordinate arrays; a chain is closed when it returns to
-    its starting edge.  On the torus, chains are unwrapped while tracing and
-    carry coordinates that may leave [0, 1); the caller re-wraps for display.
+    Points are (N, 2) coordinate arrays of the crossing ports the chain
+    passes; a closed chain ends on its first point.  Open chains come first,
+    each starting at the lower of its two boundary ports, in ascending order
+    of that port; then cycles, each starting at its smallest port and leaving
+    along its lower-numbered segment.  Port coordinates stay within the grid
+    (in [0, 1] on the torus), so a torus chain jumps where it crosses a seam;
+    ``render_svg`` splits it there.
     """
     values = grid.values
-    periodic = grid.periodic
-    segA, segB = marching_segments(values, periodic)
+    segA, segB = marching_segments(values, grid.periodic)
     if len(segA) == 0:
         return []
-    coords = {}
-    pa = edge_ports(segA, values, grid.xs, grid.ys, periodic)
-    pb = edge_ports(segB, values, grid.xs, grid.ys, periodic)
-    for e, p in zip(segA, pa):
-        coords[int(e)] = p
-    for e, p in zip(segB, pb):
-        coords[int(e)] = p
+    step = half_edge_successors(segA, segB)
+    ports = np.column_stack([segA, segB]).ravel()
+    coords = edge_ports(ports, values, grid.xs, grid.ys, grid.periodic)
+    # open chains leave their lower degree-1 port (h leaves one when its
+    # reverse has no successor), cycles their smallest port; both are met in
+    # port order
+    by_port = np.argsort(ports, kind="stable")
+    starts = np.concatenate([by_port[step[by_port ^ 1] < 0], by_port])
 
-    adj = defaultdict(list)
-    for k, (a, b) in enumerate(zip(segA, segB)):
-        adj[int(a)].append((k, int(b)))
-        adj[int(b)].append((k, int(a)))
-
-    used = np.zeros(len(segA), dtype=bool)
+    succ = step.tolist()
+    used = bytearray(len(segA))
     chains = []
-
-    def walk(start):
-        pts = [coords[start]]
-        cur = start
-        closed = False
-        while True:
-            nxt = None
-            for k, other in adj[cur]:
-                if not used[k]:
-                    used[k] = True
-                    nxt = other
-                    break
-            if nxt is None:
-                break
-            pts.append(coords[nxt])
-            cur = nxt
-            if cur == start:
-                closed = True
-                break
-        return np.asarray(pts), closed
-
-    # open chains first (ports of degree 1), then leftover cycles
-    degree_one = sorted(e for e, lst in adj.items() if len(lst) == 1)
-    for e in degree_one:
-        if all(used[k] for k, _ in adj[e]):
+    for h0 in starts.tolist():
+        if used[h0 >> 1]:
             continue
-        chains.append(walk(e))
-    for e in sorted(adj):
-        if any(not used[k] for k, _ in adj[e]):
-            chains.append(walk(e))
+        path = []
+        h = h0
+        while True:
+            used[h >> 1] = 1
+            path.append(h)
+            h = succ[h]
+            if h < 0 or h == h0:
+                break
+        path.append(path[-1] ^ 1)
+        chains.append((coords[path], h == h0))
     return chains
 
 

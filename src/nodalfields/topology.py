@@ -8,6 +8,10 @@ zero-set components are counted directly from the marching-squares crossing
 graph: every port there has degree 2, so components are cycles, and a cycle
 wraps iff it crosses the x-seam or the y-seam an odd number of times.
 
+That graph is the one zero-set graph of the package: ``half_edge_successors``
+pairs the segments meeting at each crossing port, and both the torus census
+and the portraits (``portraits.zero_polylines``) walk its successors.
+
 Node values with |f| < TIE_TOL are treated as positive (measure-zero event,
 deterministic tie rule).
 """
@@ -15,7 +19,7 @@ deterministic tie rule).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -52,10 +56,7 @@ class NodalCensus:
     boundary_components: int = 0
     wrapping_components: int = 0
     interior_areas: np.ndarray | None = None
-    s1_flips: int | None = None
-    s2_flips: int | None = None
     seed: int | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def total_components(self) -> int:
@@ -77,10 +78,6 @@ class NodalCensus:
             "wrapping_components": self.wrapping_components,
             "total_components": self.total_components,
         }
-        if self.s1_flips is not None:
-            d["s1_flips"] = self.s1_flips
-        if self.s2_flips is not None:
-            d["s2_flips"] = self.s2_flips
         if self.seed is not None:
             d["seed"] = self.seed
         return d
@@ -235,6 +232,25 @@ def edge_ports(eids: np.ndarray, values: np.ndarray, xs, ys, periodic: bool):
     return np.column_stack([x, y])
 
 
+def half_edge_successors(segA: np.ndarray, segB: np.ndarray) -> np.ndarray:
+    """Successor of each half-edge in the marching-segment graph.
+
+    Half-edge 2k runs segA[k] -> segB[k] and 2k + 1 runs back, so h ^ 1 is
+    the reverse of h and h >> 1 its segment.  The successor of h leaves the
+    end port of h along the port's other segment; it is -1 where that port
+    has degree 1 (a crossing on the boundary of a square grid).  Every port
+    has degree at most 2: an edge lies in at most two cells, each using it
+    once.
+    """
+    ports = np.column_stack([segA, segB]).ravel()
+    order = np.argsort(ports, kind="stable")
+    pair = np.flatnonzero(ports[order[1:]] == ports[order[:-1]])
+    mate = np.full(len(ports), -1, dtype=np.int64)
+    mate[order[pair]] = order[pair + 1]
+    mate[order[pair + 1]] = order[pair]
+    return mate[np.arange(len(ports)) ^ 1]
+
+
 def count_components_torus(g: ScalarGrid) -> NodalCensus:
     """Zero-set components on the torus, split contractible vs wrapping.
 
@@ -264,20 +280,12 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
                            interior_components=0, wrapping_components=0,
                            interior_areas=np.zeros(0), seed=g.seed)
 
-    # half-edge k runs segA[k] -> segB[k], half-edge K + k runs back; the two
-    # half-edges leaving each port sit next to each other in start order
-    start = np.concatenate([segA, segB])
-    order = np.argsort(start, kind="stable")
-    mate = np.empty(2 * K, dtype=np.int64)
-    mate[order[0::2]] = order[1::2]
-    mate[order[1::2]] = order[0::2]
-    # successor: leave the end port (start of the reverse) along its other segment
-    step = mate[np.roll(np.arange(2 * K), -K)]
-    label = np.arange(2 * K) % K
+    step = half_edge_successors(segA, segB)
+    label = np.arange(2 * K) >> 1
     for _ in range((2 * K).bit_length()):
         label = np.minimum(label, label[step])
         step = step[step]
-    label = label[:K]
+    label = label[0::2]
     roots = np.flatnonzero(label == np.arange(K))
 
     # a segment crosses a seam when its ports' node rows (or columns) are

@@ -63,6 +63,23 @@ def test_portrait_torus_with_ppm(tmp_path):
     assert data.startswith(b"P6\n")
 
 
+@pytest.mark.parametrize("args, digest, paths, closed", [
+    (["--preset", "uniform:64", "--R", "6", "--seed", "3"],
+     "2540f068c25755f1ce5cb97637a8765deffb715823027b00059938993858bcde", 53, 15),
+    (["--section7", "f", "--R", "15"],
+     "5963d555bb50b69d886f2c807052f0523db5dbdfbfa44b499cc978b139bdb765", 59, 40),
+    (["--torus-n", "65", "--seed", "1"],
+     "94427669d85aaef394b6e548d87db47261f4f777e411bb6c845f47e54924b1d6", 39, 11),
+], ids=["uniform64", "section7-f", "torus65"])
+def test_portrait_svg_digests(tmp_path, args, digest, paths, closed):
+    # pinned bytes of the portrait chain order and coordinates
+    out = tmp_path / "p"
+    assert main(["portrait", *args, "--out", str(out)]) == 0
+    svg = Path(str(out) + ".svg").read_text()
+    assert (svg.count("<path"), svg.count(" Z")) == (paths, closed)
+    assert sha(str(out) + ".svg") == digest
+
+
 def test_cns_report_schema_and_determinism(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
@@ -146,6 +163,9 @@ def test_measure_roundtrip(tmp_path):
 def test_exit_codes(tmp_path):
     assert main(["flips", "--preset", "nonsense"]) == 2
     assert main(["cns", "--preset", "uniform:3"]) == 2      # K too small
+    assert main(["flips", "--preset", "uniform:64", "--R", "2", "--axis", "1",
+                 "--empirical", "--M", "0"]) == 2           # no draws
+    assert main(["torus", "--n", "65", "--M", "1"]) == 2     # no stderr
     assert main(["lattice", "--n", "65",
                  "--out", "/nonexistent_dir/x"]) == 3
     assert main(["lattice"]) == 2                           # missing required flag

@@ -104,6 +104,12 @@ def test_torus_count_report_smoke():
     assert d["kind"] == "torus_report"
 
 
+def test_torus_count_report_needs_two_draws():
+    with pytest.raises(ValueError, match="need M >= 2"):
+        torus_count_report(65, 1, planar_M=10,
+                           planar_schedule=(2.0, 4.0, 8.0))
+
+
 def test_torus_report_cilleruelo_type_n1():
     # mu_1 is the axis measure: no contractible components, all wrapping
     from nodalfields.arithmetic import sample_torus_wave

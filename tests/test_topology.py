@@ -20,6 +20,7 @@ from nodalfields.topology import (
     count_curve_intersections,
     count_flips,
     count_small_domains,
+    half_edge_successors,
     sign_grid,
 )
 
@@ -205,6 +206,29 @@ def test_torus_census_seeded_counts(n, want):
             evaluate_grid(sample_torus_wave(n, 77, stream), TorusDomain(), h))
         got.append((c.total_components, c.wrapping_components))
     assert got == want
+
+
+def test_half_edge_successors_of_a_path_and_a_cycle():
+    # path 0 - 2 - 4: half-edge 0 runs 0 -> 2 and continues along 2 -> 4;
+    # ports 0 and 4 have degree 1, so the half-edges ending there have none
+    assert half_edge_successors(np.array([0, 2]),
+                                np.array([2, 4])).tolist() == [2, -1, -1, 1]
+    # triangle 1 - 3 - 5 - 1 in both directions
+    assert half_edge_successors(np.array([1, 3, 5]), np.array([3, 5, 1])
+                                ).tolist() == [2, 5, 4, 1, 0, 3]
+
+
+@pytest.mark.parametrize("stream", [0, 1, 2])
+@pytest.mark.parametrize("n", [65, 325])
+def test_torus_portrait_chains_are_census_components(n, stream):
+    # the portraits and the torus census walk the same zero-set graph
+    from nodalfields.arithmetic import sample_torus_wave
+    from nodalfields.portraits import zero_polylines
+    h = 1.0 / (16 * math.ceil(math.sqrt(n)))
+    g = evaluate_grid(sample_torus_wave(n, 77, stream), TorusDomain(), h)
+    chains = zero_polylines(g)
+    assert all(closed for _, closed in chains)
+    assert len(chains) == count_components_torus(g).total_components
 
 
 def test_flips_of_injected_sum_of_cosines():
