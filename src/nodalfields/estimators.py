@@ -15,9 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -47,13 +46,10 @@ class EstimatorReport:
     cns_stderr: float
     slope: float
     residuals: list
-    dns_estimate: float | None = None
     grid_too_coarse: bool = False
-    wall_clock: float | None = None  # excluded from serialization (byte-stable outputs)
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "kind": "cns_report",
             "measure": self.measure,
             "measure_hash": self.measure_hash,
@@ -69,11 +65,6 @@ class EstimatorReport:
             "residuals": list(self.residuals),
             "grid_too_coarse": self.grid_too_coarse,
         }
-        if self.dns_estimate is not None:
-            d["dns_estimate"] = self.dns_estimate
-        if self.extras:
-            d["extras"] = self.extras
-        return d
 
 
 def interior_counts(rho: SpectralMeasure, R: float, M: int,
@@ -141,7 +132,6 @@ def estimate_cns(rho: SpectralMeasure, R_schedule, M: int = 200,
         raise ScheduleTooShort("schedule needs >= 3 increasing R values")
     if any(b <= a for a, b in zip(R_schedule, R_schedule[1:])):
         raise ScheduleTooShort("schedule must be strictly increasing")
-    t0 = time.perf_counter()
     probe = sample(rho, seed, 0)
     h_eff = h if h is not None else default_spacing(probe)
     lam = probe.min_wavelength()
@@ -158,8 +148,7 @@ def estimate_cns(rho: SpectralMeasure, R_schedule, M: int = 200,
         measure=measure_to_dict(rho), measure_hash=measure_digest(rho),
         schedule=R_schedule, means=means, stderrs=errs, M=M, h_values=hs,
         seed=seed, cns_estimate=c, cns_stderr=c_err, slope=slope,
-        residuals=[float(r) for r in resid], grid_too_coarse=too_coarse,
-        wall_clock=time.perf_counter() - t0)
+        residuals=[float(r) for r in resid], grid_too_coarse=too_coarse)
 
 
 def estimate_dns(rho: SpectralMeasure, R: float, M: int, seed: int,
@@ -168,6 +157,10 @@ def estimate_dns(rho: SpectralMeasure, R: float, M: int, seed: int,
 
     Bias is O(stderr of the plug-in c + 1/R); report alongside c.
     """
+    if M < 1:
+        raise ValueError("need M >= 1")
+    if R < 1:
+        raise ValueError("need R >= 1")
     counts = interior_counts(rho, R, M, h, seed)
     return float(np.mean(np.abs(counts / (4.0 * R * R) - cns_estimate)))
 
@@ -264,6 +257,8 @@ def small_domain_report(rho: SpectralMeasure, R: float, M: int,
                         delta_schedule, seed: int,
                         h: float | None = None):
     """Mean count of area-below-delta domains per R^2, with a log-log slope."""
+    if M < 1:
+        raise ValueError("need M >= 1")
     if gradient_covariance(rho).is_degenerate(1e-12):
         raise DegenerateMeasure("small-domain statistics need a nondegenerate measure")
     deltas = np.asarray(sorted(delta_schedule), dtype=float)

@@ -76,8 +76,7 @@ def _wrap_split(pts: np.ndarray):
     return [p for p in pieces if len(p) >= 2]
 
 
-def render_svg(grid: ScalarGrid, path, size: int = 800,
-               stroke_width: float | None = None) -> int:
+def render_svg(grid: ScalarGrid, path, size: int = 800) -> int:
     """Write the zero-set portrait as SVG; returns the number of chains."""
     chains = zero_polylines(grid)
     x0, x1 = float(grid.xs[0]), float(grid.xs[-1])
@@ -85,8 +84,7 @@ def render_svg(grid: ScalarGrid, path, size: int = 800,
     if grid.periodic:
         x0, x1, y0, y1 = 0.0, 1.0, 0.0, 1.0
     span = max(x1 - x0, y1 - y0)
-    if stroke_width is None:
-        stroke_width = span / size * 1.5
+    stroke_width = span / size * 1.5
 
     def fmt(v):
         return f"{v:.6f}"

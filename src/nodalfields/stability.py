@@ -77,36 +77,40 @@ def c1_distance(s1: FieldSample, s2: FieldSample, domain,
 # ---------------------------------------------------------------------------
 # Coupling
 
-def _pair_distance(p: np.ndarray, q: np.ndarray):
-    """Distance between antipodal pairs and the aligning sign for q."""
-    d_plus = float(np.hypot(p[0] - q[0], p[1] - q[1]))
-    d_minus = float(np.hypot(p[0] + q[0], p[1] + q[1]))
-    return (d_plus, 1.0) if d_plus <= d_minus else (d_minus, -1.0)
-
-
 def _transport_plan(reps0, pw0, reps1, pw1):
-    """Greedy nearest matching with mass splitting between two pair lists."""
-    entries = []
-    cand = []
-    for i in range(len(pw0)):
-        for j in range(len(pw1)):
-            d, sgn = _pair_distance(reps0[i], reps1[j])
-            cand.append((d, i, j, sgn))
-    cand.sort(key=lambda t: (t[0], t[1], t[2]))
-    rem0 = pw0.astype(float).copy()
-    rem1 = pw1.astype(float).copy()
-    for d, i, j, sgn in cand:
+    """Greedy nearest matching with mass splitting between two pair lists.
+
+    Candidates (i, j) are visited by the distance between reps0[i] and the
+    closer of +-reps1[j], ties broken by (i, j): one stable argsort of the
+    flat distance matrix.  A candidate whose two sides both keep more than
+    1e-15 of their mass moves min(rem0[i], rem1[j]).  Returns the matched
+    (i, j, sign, mass) arrays in visit order, sign being the one that aligns
+    reps1[j], and the leftover mass of each side.
+    """
+    px, py = reps0[:, 0, None], reps0[:, 1, None]
+    qx, qy = reps1[None, :, 0], reps1[None, :, 1]
+    d_plus = np.hypot(px - qx, py - qy)
+    d_minus = np.hypot(px + qx, py + qy)
+    order = np.argsort(np.minimum(d_plus, d_minus), axis=None, kind="stable")
+    ii, jj = np.unravel_index(order, d_plus.shape)
+    rem0, rem1 = pw0.tolist(), pw1.tolist()
+    hits, mass = [], []
+    for n, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
         if rem0[i] <= 1e-15 or rem1[j] <= 1e-15:
             continue
         m = min(rem0[i], rem1[j])
-        entries.append((i, j, sgn, m))
+        hits.append(n)
+        mass.append(m)
         rem0[i] -= m
         rem1[j] -= m
-    return entries, rem0, rem1
+    hits = np.array(hits, dtype=np.intp)
+    i, j = ii[hits], jj[hits]
+    sign = np.where(d_plus[i, j] <= d_minus[i, j], 1.0, -1.0)
+    return i, j, sign, np.array(mass, dtype=float), np.array(rem0), np.array(rem1)
 
 
 def coupled_sample(rho0: SpectralMeasure, rho1: SpectralMeasure, seed: int,
-                   stream: int = 0, freq_scale: float = 1.0):
+                   stream: int = 0):
     """Draw (f0, f1) with shared Gaussian coefficients on transported mass.
 
     Antipodal-pair representatives are greedily matched by distance on the
@@ -114,52 +118,50 @@ def coupled_sample(rho0: SpectralMeasure, rho1: SpectralMeasure, seed: int,
     pair in both fields, leftover mass gets independent coefficients, so each
     marginal law is exact while the fields decouple only on unmatched mass.
     Identical measures yield identical samples.
+
+    One Philox stream (seed, stream) gives 2E + 2n0 + 2n1 + 3 standard
+    normals, for E plan entries and n0, n1 antipodal pairs, laid out as:
+    an (a, b) pair per plan entry in plan order; an (a, b) pair per pair of
+    rho0, then per pair of rho1, for their leftover mass (drawn even when
+    there is none); the shared origin normal; the origin normals of f0 and
+    of f1.  Every seeded coupled draw depends on this layout.
     """
     reps0, pw0, w0_0 = antipodal_pairs(rho0)
     reps1, pw1, w0_1 = antipodal_pairs(rho1)
-    entries, left0, left1 = _transport_plan(reps0, pw0, reps1, pw1)
+    i, j, sign, mass, left0, left1 = _transport_plan(reps0, pw0, reps1, pw1)
 
-    n_draw = 2 * len(entries) + 2 * len(pw0) + 2 * len(pw1) + 3
-    z = _philox(seed, stream).standard_normal(n_draw)
-    pos = 0
+    n_e, n0, n1 = len(mass), len(pw0), len(pw1)
+    z = _philox(seed, stream).standard_normal(2 * (n_e + n0 + n1) + 3)
+    ab, own0, own1 = (a.reshape(-1, 2) for a in
+                      np.split(z[:-3], [2 * n_e, 2 * (n_e + n0)]))
+    c_shared, z_o0, z_o1 = z[-3:]
 
-    acc0 = np.zeros((len(pw0), 2))
-    acc1 = np.zeros((len(pw1), 2))
-    for i, j, sgn, m in entries:
-        a, b = z[pos], z[pos + 1]
-        pos += 2
-        acc0[i, 0] += math.sqrt(m) * a
-        acc0[i, 1] += math.sqrt(m) * b
-        acc1[j, 0] += math.sqrt(m) * a
-        acc1[j, 1] += math.sqrt(m) * sgn * b
-    for i in range(len(pw0)):
-        if left0[i] > 1e-15:
-            acc0[i, 0] += math.sqrt(left0[i]) * z[pos]
-            acc0[i, 1] += math.sqrt(left0[i]) * z[pos + 1]
-        pos += 2
-    for j in range(len(pw1)):
-        if left1[j] > 1e-15:
-            acc1[j, 0] += math.sqrt(left1[j]) * z[pos]
-            acc1[j, 1] += math.sqrt(left1[j]) * z[pos + 1]
-        pos += 2
+    # np.add.at adds in entry order, leftovers last, as a sequential sum would
+    root = np.sqrt(mass)[:, None]
+    acc0 = np.zeros((n0, 2))
+    acc1 = np.zeros((n1, 2))
+    np.add.at(acc0, i, root * ab)
+    np.add.at(acc1, j, root * np.column_stack([ab[:, 0], sign * ab[:, 1]]))
+    for acc, left, own in ((acc0, left0, own0), (acc1, left1, own1)):
+        keep = left > 1e-15
+        acc[keep] += np.sqrt(left[keep])[:, None] * own[keep]
 
     # origin channel: shared coefficient on the matched mass
-    c_shared = z[pos]
     o0 = o1 = 0.0
     m_sh = min(w0_0, w0_1)
     if w0_0 > 0:
         o0 = (math.sqrt(m_sh) * c_shared
-              + math.sqrt(w0_0 - m_sh) * z[pos + 1]) / math.sqrt(w0_0)
+              + math.sqrt(w0_0 - m_sh) * z_o0) / math.sqrt(w0_0)
     if w0_1 > 0:
         o1 = (math.sqrt(m_sh) * c_shared
-              + math.sqrt(w0_1 - m_sh) * z[pos + 2]) / math.sqrt(w0_1)
+              + math.sqrt(w0_1 - m_sh) * z_o1) / math.sqrt(w0_1)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         c0 = np.where(pw0[:, None] > 0, acc0 / np.sqrt(pw0)[:, None], 0.0)
         c1 = np.where(pw1[:, None] > 0, acc1 / np.sqrt(pw1)[:, None], 0.0)
 
-    f0 = inject_sample(rho0, c0, origin_coeff=o0, freq_scale=freq_scale)
-    f1 = inject_sample(rho1, c1, origin_coeff=o1, freq_scale=freq_scale)
+    f0 = inject_sample(rho0, c0, origin_coeff=o0)
+    f1 = inject_sample(rho1, c1, origin_coeff=o1)
     return f0, f1
 
 
@@ -205,6 +207,8 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
     disables both filters.  Among filtered draws the perturbed counts at
     R -/+ 1 must bracket the reference count at R.
     """
+    if R < 1:
+        raise ValueError("need R >= 1")
     filtered = violations = 0
     for i in range(M):
         f0, f1 = coupled_sample(rho0, rho1, seed, stream=i)

@@ -166,6 +166,9 @@ def test_exit_codes(tmp_path):
     assert main(["flips", "--preset", "uniform:64", "--R", "2", "--axis", "1",
                  "--empirical", "--M", "0"]) == 2           # no draws
     assert main(["torus", "--n", "65", "--M", "1"]) == 2     # no stderr
+    for bad in (["--M", "0", "--R", "3"], ["--M", "3", "--R", "0"]):
+        assert main(["dns", "--preset", "uniform:64", "--cns", "0.1",
+                     *bad]) == 2                            # NaN otherwise
     assert main(["lattice", "--n", "65",
                  "--out", "/nonexistent_dir/x"]) == 3
     assert main(["lattice"]) == 2                           # missing required flag

@@ -133,6 +133,15 @@ def test_small_domain_report():
                             delta_schedule=[0.1], seed=1)
 
 
+def test_empty_batches_raise():
+    with pytest.raises(ValueError, match="need M >= 1"):
+        small_domain_report(U32, 4.0, 0, [0.1, 0.2], 1)
+    with pytest.raises(ValueError, match="need M >= 1"):
+        estimate_dns(U32, R=3.0, M=0, seed=1, cns_estimate=0.1)
+    with pytest.raises(ValueError, match="need R >= 1"):
+        estimate_dns(U32, R=0.0, M=3, seed=1, cns_estimate=0.1)
+
+
 def test_small_domains_absent_below_faber_krahn_area():
     # monochromatic waves have no nodal domains below the Faber-Krahn bound
     bound = faber_krahn_min_area(2 * math.pi)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,8 +12,9 @@ from nodalfields.fields import (
     inject_sample,
     sample,
 )
-from nodalfields.measures import make_atomic, preset
+from nodalfields.measures import antipodal_pairs, make_atomic, preset
 from nodalfields.stability import (
+    _transport_plan,
     c1_distance,
     coupled_sample,
     sandwich_check,
@@ -95,6 +97,69 @@ def test_coupled_sample_identical_measures():
     assert c1_distance(f0, f1, SquareDomain(8.0)) == 0.0
 
 
+def origin_and_fan_measure():
+    # mass 0.6 at the origin and four pairs of mass 0.1 near the x-axis: the
+    # (1, 0) pair of the axis measure takes all four and keeps 0.1 left over
+    atoms = [((0.0, 0.0), 0.6)]
+    for t in (0.1, 0.2, 0.3, 0.4):
+        atoms += [((math.cos(t), math.sin(t)), 0.05),
+                  ((-math.cos(t), -math.sin(t)), 0.05)]
+    return make_atomic(atoms)
+
+
+COUPLING_PAIRS = {
+    "uniform128-256": lambda: (preset("uniform_circle", K=128),
+                               preset("uniform_circle", K=256)),
+    "axis-rotated": lambda: (preset("cilleruelo", kappa="one"),
+                             rotated_axis_measure(0.01)),
+    "origin-uniform8": lambda: (preset("delta_zero"),
+                                preset("uniform_circle", K=8)),
+    "fan-axis": lambda: (origin_and_fan_measure(), preset("cilleruelo")),
+    "identical": lambda: (preset("uniform_circle", K=32),) * 2,
+    "section7": lambda: (section7_measure("f"),
+                         section7_measure("monochromatic_g")),
+}
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("uniform128-256", "35183f4ab1dd511c"),
+    ("axis-rotated", "22ab339de137fe42"),
+    ("origin-uniform8", "e07acbbb05168929"),  # origin channel, empty plan
+    ("fan-axis", "be931a27237ce991"),  # matched mass summed before leftovers
+])
+def test_coupled_sample_seeded_coefficients(name, digest):
+    # seeded coupled draws are a contract: pin their coefficient bytes
+    rho0, rho1 = COUPLING_PAIRS[name]()
+    h = hashlib.sha256()
+    for stream in range(3):
+        for f in coupled_sample(rho0, rho1, seed=2, stream=stream):
+            h.update(f.coeff_a.tobytes())
+            h.update(f.coeff_b.tobytes())
+            h.update(np.float64(f.origin_coeff).tobytes())
+    assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_PAIRS))
+def test_transport_plan_splits_each_pair_weight(name):
+    rho0, rho1 = COUPLING_PAIRS[name]()
+    reps0, pw0, _ = antipodal_pairs(rho0)
+    reps1, pw1, _ = antipodal_pairs(rho1)
+    i, j, sign, mass, left0, left1 = _transport_plan(reps0, pw0, reps1, pw1)
+    assert np.all(mass > 1e-15)
+    assert set(sign.tolist()) <= {-1.0, 1.0}
+    # matched plus leftover mass is each pair's weight, on both sides
+    np.testing.assert_allclose(
+        np.bincount(i, mass, len(pw0)) + left0, pw0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        np.bincount(j, mass, len(pw1)) + left1, pw1, rtol=0, atol=1e-15)
+    if name == "identical":
+        assert np.array_equal(i, np.arange(len(pw0)))
+        assert np.array_equal(j, i)
+        assert np.all(sign == 1.0)
+        assert np.array_equal(mass, pw0)
+        assert not left0.any() and not left1.any()
+
+
 def test_coupled_sample_marginal_law():
     # matched+leftover combination must keep per-pair coefficients standard
     # normal: check moments over many draws
@@ -159,6 +224,12 @@ def test_sandwich_far_measures_violate_without_filter():
                          R=6.0, M=20, beta=math.inf, seed=2)
     assert rep.filtered == 20
     assert rep.violations > 0
+
+
+def test_sandwich_needs_unit_radius():
+    u = preset("uniform_circle", K=16)
+    with pytest.raises(ValueError, match="need R >= 1"):
+        sandwich_check(u, u, R=0.5, M=2, beta=math.inf, seed=1)
 
 
 def test_section7_fields_formulas_and_counts():
