@@ -331,9 +331,20 @@ def covariance_mc(rho: SpectralMeasure, x, M: int, seed: int):
         return u
 
     U = np.vstack([design(np.zeros(2)), design(x)])
+    # one bit generator, reset per draw to the state _philox(seed, i) starts
+    # in: key (seed, i), counter 0, empty buffer
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     prods = np.empty(M)
     for i in range(M):
-        coeffs = _philox(seed, i).standard_normal(2 * m + 1)
+        key[1] = i & 0xFFFFFFFFFFFFFFFF
+        bitgen.state = state
+        coeffs = gen.standard_normal(2 * m + 1)
         v = U @ coeffs
         prods[i] = v[0] * v[1]
     mean = float(prods.mean())

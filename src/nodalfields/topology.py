@@ -312,37 +312,45 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
     Cells are scanned for a zero segment of f whose endpoints see opposite
     signs of g = d.grad f; each such segment is refined by 10 bisection steps
     and contributes one flip if the refined location lies in the closed
-    domain.  The grid is padded by one cell so boundary flips are caught; the
-    tie rule makes exactly-zero corners deterministic.
+    domain.  A crossing port ends two segments, so each unique port is placed
+    and evaluated once and every segment reads the signs of its two ports.
+    The grid is padded by one cell so boundary flips are caught; the tie rule
+    makes exactly-zero corners deterministic.
     """
     if axis not in (1, 2) and direction is None:
         raise ValueError("axis must be 1 or 2")
     d = np.asarray(direction if direction is not None
                    else ([1.0, 0.0] if axis == 1 else [0.0, 1.0]), dtype=float)
+    if not np.any(d):
+        raise ValueError("direction must be nonzero")
+    R = domain.R
+    if not R > 0:
+        raise ValueError("square half-side R must be positive")
     if h is None:
         h = default_spacing(s)
-    R = domain.R
     pad = SquareDomain(R + 2.0 * h)
     grid = evaluate_grid(s, pad, h, order=0)
     segA, segB = marching_segments(grid.values, periodic=False)
-    if len(segA) == 0:
+    K = len(segA)
+    if K == 0:
         return (0, np.zeros((0, 2))) if return_locations else 0
 
-    pa = edge_ports(segA, grid.values, grid.xs, grid.ys, periodic=False)
-    pb = edge_ports(segB, grid.values, grid.xs, grid.ys, periodic=False)
+    ports, inv = np.unique(np.concatenate([segA, segB]), return_inverse=True)
+    pts = edge_ports(ports, grid.values, grid.xs, grid.ys, periodic=False)
 
-    def gval(pts):
-        _, grads = evaluate_batch(s, pts, order=1)
+    def gval(p):
+        _, grads = evaluate_batch(s, p, order=1)
         return grads @ d
 
-    ga, gb = gval(pa), gval(pb)
-    sga, sgb = ga > -TIE_TOL, gb > -TIE_TOL
-    cand = sga != sgb
+    sg = gval(pts) > -TIE_TOL
+    ia, ib = inv[:K], inv[K:]
+    sga = sg[ia]
+    cand = sga != sg[ib]
     if not np.any(cand):
         return (0, np.zeros((0, 2))) if return_locations else 0
 
-    lo, hi = pa[cand].copy(), pb[cand].copy()
-    slo = sga[cand].copy()
+    lo, hi = pts[ia[cand]], pts[ib[cand]]
+    slo = sga[cand]
     for _ in range(10):
         mid = 0.5 * (lo + hi)
         smid = gval(mid) > -TIE_TOL

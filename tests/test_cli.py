@@ -165,6 +165,9 @@ def test_exit_codes(tmp_path):
     assert main(["cns", "--preset", "uniform:3"]) == 2      # K too small
     assert main(["flips", "--preset", "uniform:64", "--R", "2", "--axis", "1",
                  "--empirical", "--M", "0"]) == 2           # no draws
+    for R in ("0", "-2"):
+        assert main(["flips", "--preset", "uniform:64", "--R", R, "--axis",
+                     "1", "--empirical", "--M", "2"]) == 2  # empty square
     assert main(["torus", "--n", "65", "--M", "1"]) == 2     # no stderr
     for bad in (["--M", "0", "--R", "3"], ["--M", "3", "--R", "0"]):
         assert main(["dns", "--preset", "uniform:64", "--cns", "0.1",

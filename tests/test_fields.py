@@ -147,6 +147,20 @@ def test_covariance_mc():
         covariance_mc(NU0, (0, 0), M=50, seed=1)
 
 
+@pytest.mark.parametrize("rho, x, M, seed, want", [
+    (preset("uniform_circle", K=64), (0.25, -0.75), 1000, 1200,
+     ("-0x1.b118778c353d5p-3", "0x1.09dcf5008d6d0p-5")),
+    (NU0, (0.5, 0.0), 500, 7,
+     ("0x1.ed1e36925509cp-1", "0x1.1070effac8f92p-4")),
+    (preset("delta_zero"), (1.0, 1.0), 200, 3,
+     ("0x1.dfc3fae3ddfc5p-1", "0x1.84591c4100978p-4")),
+], ids=["u64", "cilleruelo", "delta_zero"])
+def test_covariance_mc_seeded_output(rho, x, M, seed, want):
+    # sample i is the (seed, i) Philox stream, exactly as in sample()
+    mean, se = covariance_mc(rho, x, M, seed)
+    assert (mean.hex(), se.hex()) == want
+
+
 def test_stationarity_and_value_gradient_independence():
     # law of (f, grad f) does not depend on the base point; f(x) independent
     # of grad f(x): check first/second empirical moments at two points

@@ -254,6 +254,29 @@ def test_flips_degenerate_and_constant():
     assert count_flips(const, SquareDomain(5.0), h=0.25, axis=2) == 0
 
 
+@pytest.mark.parametrize("rho, seed, R, kw, want", [
+    (preset("uniform_circle", K=64), 2, 10.0, {"axis": 1}, [654, 694, 653]),
+    (preset("uniform_circle", K=64), 5, 6.0, {"axis": 2}, [263, 190, 249]),
+    (preset("uniform_circle", K=64), 7, 6.0, {"direction": (1.0, 1.0)},
+     [204, 228, 220]),
+    (preset("cilleruelo", kappa="one"), 3, 12.0, {"axis": 1}, [0, 0, 56]),
+], ids=["u64-axis1", "u64-axis2", "u64-diagonal", "cilleruelo-axis1"])
+def test_count_flips_seeded_counts(rho, seed, R, kw, want):
+    # pinned from the census that evaluated both ends of every segment
+    got = [count_flips(sample(rho, seed, i), SquareDomain(R), **kw)
+           for i in range(3)]
+    assert got == want
+
+
+def test_count_flips_rejects_empty_square_and_zero_direction():
+    s = sample(preset("uniform_circle", K=64), seed=2)
+    for R in (0.0, -2.0):
+        with pytest.raises(ValueError, match="R must be positive"):
+            count_flips(s, SquareDomain(R), axis=1)
+    with pytest.raises(ValueError, match="direction must be nonzero"):
+        count_flips(s, SquareDomain(3.0), direction=(0.0, 0.0))
+
+
 def test_flip_count_matches_newton_oracle():
     # independent oracle: Newton iteration on (f, d1 f) from dense seeds
     u16 = preset("uniform_circle", K=16)
