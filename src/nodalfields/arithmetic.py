@@ -10,7 +10,7 @@ capped at n <= 10^12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,11 +77,7 @@ def sample_torus_wave(n: int, seed: int, stream: int = 0) -> FieldSample:
 
 def planar_rescale(s: FieldSample) -> FieldSample:
     """The scale-invariant planar version of a torus wave (freq_scale 1)."""
-    return FieldSample(
-        measure=s.measure, reps=s.reps, pair_weights=s.pair_weights,
-        coeff_a=s.coeff_a, coeff_b=s.coeff_b,
-        origin_weight=s.origin_weight, origin_coeff=s.origin_coeff,
-        seed=s.seed, stream=s.stream, freq_scale=1.0)
+    return replace(s, freq_scale=1.0)
 
 
 def cilleruelo_torus_field(m: int, seed: int, stream: int = 0) -> FieldSample:

@@ -166,12 +166,16 @@ def cmd_flips(args) -> int:
             d = (1.0, 1.0) if args.diagonal else None
             counts.append(count_flips(s, dom, args.h, axis=args.axis,
                                       direction=d))
-        mean = sum(counts) / len(counts)
-        var = sum((c - mean) ** 2 for c in counts) / max(1, len(counts) - 1)
+        M = len(counts)
+        mean = sum(counts) / M
+        stderr = None  # one draw gives no uncertainty
+        if M > 1:
+            var = sum((c - mean) ** 2 for c in counts) / (M - 1)
+            stderr = math.sqrt(var / M) / area
         payload["empirical"] = {
             "R": R, "M": args.M,
             "density": mean / area,
-            "density_stderr": math.sqrt(var / len(counts)) / area,
+            "density_stderr": stderr,
         }
     _emit(payload, args.out and args.out + ".json")
     return 0

@@ -68,15 +68,14 @@ class EstimatorReport:
 
 
 def interior_counts(rho: SpectralMeasure, R: float, M: int,
-                    h: float | None, seed: int, stream_base: int = 0,
-                    freq_scale: float = 1.0) -> np.ndarray:
+                    h: float | None, seed: int, stream_base: int = 0) -> np.ndarray:
     """Interior component counts over M independent samples."""
     domain = SquareDomain(R)
     vals = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for i in range(M):
-            s = sample(rho, seed, stream_base + i, freq_scale=freq_scale)
+            s = sample(rho, seed, stream_base + i)
             census = count_components_plane(evaluate_grid(s, domain, h))
             vals.append(census.interior_components)
     return np.asarray(vals, dtype=float)

@@ -7,7 +7,7 @@ measure's covariance function exactly; there is no discretization in the law.
 
 Coefficients come from a counter-based generator (Philox) keyed by
 (seed, stream index), so Monte Carlo batches are reproducible independently of
-evaluation order or worker count.
+evaluation order.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class TorusDomain:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """One realization: frequencies plus drawn Gaussian coefficients.
+    """One realization: a measure plus drawn Gaussian coefficients.
 
     Evaluation formula (kappa the measure's exponent factor, s = freq_scale):
 
@@ -54,24 +54,34 @@ class FieldSample:
              + sum_k sqrt(W_k) * (a_k cos(kappa*s*<xi_k, x>)
                                   + b_k sin(kappa*s*<xi_k, x>))
 
-    with W_k the total mass of the antipodal pair {xi_k, -xi_k} and xi_k the
-    lexicographic-max representative.
+    xi_k (reps), W_k (pair_weights) and w0 (origin_weight) are the measure's
+    antipodal pair table, read from the measure rather than copied; coeff_a
+    and coeff_b hold one entry per pair in that table's order.
     """
 
     measure: SpectralMeasure
-    reps: np.ndarray          # (m, 2) pair representatives
-    pair_weights: np.ndarray  # (m,) total pair masses
     coeff_a: np.ndarray
     coeff_b: np.ndarray
-    origin_weight: float = 0.0
     origin_coeff: float = 0.0
     seed: int | None = None
     stream: int = 0
     freq_scale: float = 1.0
 
     def __post_init__(self):
-        for arr in (self.reps, self.pair_weights, self.coeff_a, self.coeff_b):
-            arr.setflags(write=False)
+        self.coeff_a.setflags(write=False)
+        self.coeff_b.setflags(write=False)
+
+    @property
+    def reps(self) -> np.ndarray:
+        return self.measure.pair_table[0]
+
+    @property
+    def pair_weights(self) -> np.ndarray:
+        return self.measure.pair_table[1]
+
+    @property
+    def origin_weight(self) -> float:
+        return self.measure.pair_table[2]
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -126,13 +136,12 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
 def sample(rho: SpectralMeasure, seed: int, stream: int = 0,
            freq_scale: float = 1.0) -> FieldSample:
     """Draw one field realization; deterministic in (seed, stream)."""
-    reps, pw, w0 = antipodal_pairs(rho)
-    m = len(pw)
+    m = len(antipodal_pairs(rho)[1])
     coeffs = _philox(seed, stream).standard_normal(2 * m + 1)
     return FieldSample(
-        measure=rho, reps=reps, pair_weights=pw,
+        measure=rho,
         coeff_a=coeffs[0:2 * m:2].copy(), coeff_b=coeffs[1:2 * m:2].copy(),
-        origin_weight=w0, origin_coeff=float(coeffs[2 * m]),
+        origin_coeff=float(coeffs[2 * m]),
         seed=seed, stream=stream, freq_scale=freq_scale)
 
 
@@ -143,15 +152,13 @@ def inject_sample(rho: SpectralMeasure, coeffs, origin_coeff: float = 0.0,
     Analysis/test hook: canonical order is lexicographically descending
     representatives (see measures.antipodal_pairs).
     """
-    reps, pw, w0 = antipodal_pairs(rho)
+    m = len(antipodal_pairs(rho)[1])
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (len(pw), 2):
-        raise ValueError(f"expected {(len(pw), 2)} coefficient array, got {coeffs.shape}")
+    if coeffs.shape != (m, 2):
+        raise ValueError(f"expected {(m, 2)} coefficient array, got {coeffs.shape}")
     return FieldSample(
-        measure=rho, reps=reps, pair_weights=pw,
-        coeff_a=coeffs[:, 0].copy(), coeff_b=coeffs[:, 1].copy(),
-        origin_weight=w0, origin_coeff=float(origin_coeff),
-        seed=None, stream=0, freq_scale=freq_scale)
+        measure=rho, coeff_a=coeffs[:, 0].copy(), coeff_b=coeffs[:, 1].copy(),
+        origin_coeff=float(origin_coeff), freq_scale=freq_scale)
 
 
 def evaluate(s: FieldSample, x, order: int = 0):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,6 +92,35 @@ class SpectralMeasure:
         return (_is_invariant_under(self, quarter, tol)
                 and _is_invariant_under(self, conj, tol))
 
+    @cached_property
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The antipodal pair table, built on first use (see antipodal_pairs).
+
+        An atom p away from the origin takes its antipode (the first atom
+        within COORD_TOL of -p) when that atom comes later and no earlier
+        atom took it; otherwise p stands alone.  Origin atoms not taken add,
+        in index order, to the origin weight.
+        """
+        pts, w = self.points, self.weights
+        idx = np.arange(len(w))
+        centre = _at_origin(pts)
+        antipode = _match(pts, -pts, COORD_TOL)
+        claims = ~centre & (antipode > idx)
+        taken, first = np.unique(antipode[claims], return_index=True)
+        pw = w.copy()
+        pw[idx[claims][first]] += w[taken]
+        free = ~np.isin(idx, taken)
+        kept = np.flatnonzero(free & ~centre)
+        p = pts[kept]
+        upper = (p[:, 0] > 0) | ((p[:, 0] == 0) & (p[:, 1] >= 0))
+        reps = np.where(upper[:, None], p, -p)
+        order = np.lexsort((reps[:, 1], reps[:, 0]))[::-1]
+        reps, pw = reps[order], pw[kept][order]
+        reps.setflags(write=False)
+        pw.setflags(write=False)
+        origin = float(np.cumsum(np.append(0.0, w[free & centre]))[-1])
+        return reps, pw, origin
+
     def __repr__(self):
         tag = self.provenance.get("name") if self.provenance else None
         return (f"SpectralMeasure({self.n_atoms} atoms, kappa={self.kappa}"
@@ -141,20 +171,36 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray):
     return pts[order], wts[order]
 
 
-def _find_atom(points: np.ndarray, target: np.ndarray, tol: float) -> int:
-    """Index of the atom matching target within tol (per coordinate), or -1."""
-    close = (np.abs(points[:, 0] - target[0]) <= tol) \
-        & (np.abs(points[:, 1] - target[1]) <= tol)
-    idx = np.nonzero(close)[0]
-    return int(idx[0]) if len(idx) else -1
+def _at_origin(points: np.ndarray) -> np.ndarray:
+    return (np.abs(points[:, 0]) <= COORD_TOL) & (np.abs(points[:, 1]) <= COORD_TOL)
+
+
+def _match(points: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
+    """Per target, the lowest index of an atom within tol of it, or -1.
+
+    An atom matches when |x - tx| <= tol and |y - ty| <= tol.  Only atoms in
+    a searchsorted window of half-width 2 tol on x are tested, so the work is
+    a sort plus a few tests per target for points on a circle, never n x n.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    xs = points[order, 0]
+    lo = np.searchsorted(xs, targets[:, 0] - 2 * tol, side="left")
+    hi = np.searchsorted(xs, targets[:, 0] + 2 * tol, side="right")
+    width = hi - lo
+    owner = np.repeat(np.arange(len(targets)), width)
+    start = np.repeat(lo - np.cumsum(width) + width, width)
+    cand = order[start + np.arange(width.sum())]
+    hit = ((np.abs(points[cand, 0] - targets[owner, 0]) <= tol)
+           & (np.abs(points[cand, 1] - targets[owner, 1]) <= tol))
+    out = np.full(len(targets), len(points))
+    np.minimum.at(out, owner[hit], cand[hit])
+    out[out == len(points)] = -1
+    return out
 
 
 def _is_invariant_under(rho: SpectralMeasure, mapped: np.ndarray, tol: float) -> bool:
-    for q, w in zip(mapped, rho.weights):
-        j = _find_atom(rho.points, q, tol)
-        if j < 0 or abs(rho.weights[j] - w) > tol:
-            return False
-    return True
+    j = _match(rho.points, mapped, tol)
+    return bool(np.all((j >= 0) & (np.abs(rho.weights[j] - rho.weights) <= tol)))
 
 
 def make_atomic(atoms: Iterable[tuple[Sequence[float], float]],
@@ -198,26 +244,32 @@ def make_atomic(atoms: Iterable[tuple[Sequence[float], float]],
 
     points, weights = _merge_atoms(points, weights)
 
-    # pi-rotation invariance: every atom needs its antipode with equal weight.
-    fixed_w = weights.copy()
-    for i, (p, w) in enumerate(zip(points, weights)):
-        if abs(p[0]) <= COORD_TOL and abs(p[1]) <= COORD_TOL:
-            continue  # origin atom is self-paired
-        j = _find_atom(points, -p, COORD_TOL)
-        if j < 0:
-            if not symmetrize:
-                raise NotPiInvariant(f"atom {tuple(p)} has no antipode")
+    # pi-rotation invariance: every atom needs its antipode with equal weight;
+    # an origin atom is self-paired.
+    centre = _at_origin(points)
+    j = _match(points, -points, COORD_TOL)
+    lonely = ~centre & (j < 0)
+    gap = np.where(centre | lonely, 0.0, np.abs(weights - weights[j]))
+    uneven = gap > WEIGHT_TOL
+    bad = np.flatnonzero(lonely | (uneven & (not symmetrize)))
+    if len(bad):
+        i = bad[0]
+        p = points[i]
+        if not lonely[i]:
             raise NotPiInvariant(
-                f"atom {tuple(p)} has no antipode; symmetrize can only average "
-                "weights over existing pairs, not invent atoms")
-        if abs(weights[i] - weights[j]) > WEIGHT_TOL:
-            if not symmetrize:
-                raise NotPiInvariant(
-                    f"weights at {tuple(p)} and antipode differ by "
-                    f"{abs(weights[i] - weights[j]):.3g}")
-            avg = 0.5 * (weights[i] + weights[j])
-            fixed_w[i] = fixed_w[j] = avg
-    weights = fixed_w
+                f"weights at {tuple(p)} and antipode differ by {gap[i]:.3g}")
+        if not symmetrize:
+            raise NotPiInvariant(f"atom {tuple(p)} has no antipode")
+        raise NotPiInvariant(
+            f"atom {tuple(p)} has no antipode; symmetrize can only average "
+            "weights over existing pairs, not invent atoms")
+    # atom i sets both ends of (i, j[i]) to their mean; where several atoms
+    # share an antipode, the highest-indexed writer's mean stands
+    src = np.flatnonzero(uneven)
+    writer = np.full(len(weights), -1)
+    np.maximum.at(writer, np.concatenate([src, j[src]]), np.tile(src, 2))
+    weights = np.where(writer >= 0,
+                       0.5 * (weights[writer] + weights[j[writer]]), weights)
 
     return SpectralMeasure(points=points, weights=weights, kappa=kappa,
                            provenance=provenance)
@@ -397,43 +449,16 @@ def weak_star_distance(r1: SpectralMeasure, r2: SpectralMeasure) -> float:
 
 
 def antipodal_pairs(rho: SpectralMeasure):
-    """Group atoms into antipodal pairs.
+    """(reps, pair_weights, origin_weight): rho's antipodal pair table.
 
-    Returns (reps, pair_weights, origin_weight): one representative per pair
-    {xi, -xi} chosen by the lexicographic-max rule, the total pair mass, and
-    the mass sitting at the origin.  Representatives are sorted
-    lexicographically descending, which fixes the coefficient order used by
-    field samples.
+    Per pair {p, -p}: the representative, the lexicographic max of p and -p
+    (not the stored antipode, which may differ from -p by rounding), and the
+    pair mass w[p] + w[antipode].  Representatives are sorted
+    lexicographically descending, the coefficient order of field samples.
+    Computed once per measure (SpectralMeasure.pair_table); the arrays are
+    shared and read-only.
     """
-    reps, pw = [], []
-    origin = 0.0
-    seen = np.zeros(rho.n_atoms, dtype=bool)
-    for i in range(rho.n_atoms):
-        if seen[i]:
-            continue
-        p, w = rho.points[i], float(rho.weights[i])
-        if abs(p[0]) <= COORD_TOL and abs(p[1]) <= COORD_TOL:
-            origin += w
-            seen[i] = True
-            continue
-        j = _find_atom(rho.points, -p, COORD_TOL)
-        seen[i] = True
-        total = w
-        if j >= 0 and j != i and not seen[j]:
-            total += float(rho.weights[j])
-            seen[j] = True
-        rep = p if tuple(p) >= tuple(-p) else -p
-        reps.append(rep)
-        pw.append(total)
-    if reps:
-        reps = np.asarray(reps)
-        pw = np.asarray(pw)
-        order = np.lexsort((reps[:, 1], reps[:, 0]))[::-1]
-        reps, pw = reps[order], pw[order]
-    else:
-        reps = np.zeros((0, 2))
-        pw = np.zeros(0)
-    return reps, pw, origin
+    return rho.pair_table
 
 
 # ---------------------------------------------------------------------------

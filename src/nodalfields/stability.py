@@ -209,6 +209,8 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
     """
     if R < 1:
         raise ValueError("need R >= 1")
+    if M < 1:
+        raise ValueError("need M >= 1")
     filtered = violations = 0
     for i in range(M):
         f0, f1 = coupled_sample(rho0, rho1, seed, stream=i)

@@ -56,7 +56,6 @@ class NodalCensus:
     boundary_components: int = 0
     wrapping_components: int = 0
     interior_areas: np.ndarray | None = None
-    seed: int | None = None
 
     @property
     def total_components(self) -> int:
@@ -67,20 +66,6 @@ class NodalCensus:
         if self.interior_areas is None:
             raise ValueError("census has no area table")
         return int(np.count_nonzero(self.interior_areas < delta))
-
-    def to_dict(self) -> dict:
-        d = {
-            "kind": "census",
-            "domain": self.domain_descriptor,
-            "h": self.h,
-            "interior_components": self.interior_components,
-            "boundary_components": self.boundary_components,
-            "wrapping_components": self.wrapping_components,
-            "total_components": self.total_components,
-        }
-        if self.seed is not None:
-            d["seed"] = self.seed
-        return d
 
 
 def sign_grid(values: np.ndarray) -> np.ndarray:
@@ -121,11 +106,7 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     return NodalCensus(
         domain_descriptor=g.domain.descriptor(), h=g.h,
         interior_components=n_interior, boundary_components=n_boundary,
-        interior_areas=areas, seed=g.seed)
-
-
-def count_small_domains(g: ScalarGrid, delta: float) -> int:
-    return count_components_plane(g).small_domains(delta)
+        interior_areas=areas)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +259,7 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
     if K == 0:
         return NodalCensus(domain_descriptor=g.domain.descriptor(), h=g.h,
                            interior_components=0, wrapping_components=0,
-                           interior_areas=np.zeros(0), seed=g.seed)
+                           interior_areas=np.zeros(0))
 
     step = half_edge_successors(segA, segB)
     label = np.arange(2 * K) >> 1
@@ -299,7 +280,7 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
     return NodalCensus(domain_descriptor=g.domain.descriptor(), h=g.h,
                        interior_components=len(roots) - wrap,
                        wrapping_components=wrap,
-                       interior_areas=np.zeros(0), seed=g.seed)
+                       interior_areas=np.zeros(0))
 
 
 # ---------------------------------------------------------------------------

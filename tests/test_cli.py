@@ -143,6 +143,20 @@ def test_flips_report(tmp_path):
     assert abs(emp["density"] - want) < 4 * emp["density_stderr"] + 0.02
 
 
+def test_flips_single_draw_has_no_stderr(capsys):
+    argv = ["flips", "--preset", "uniform:64", "--R", "10.0", "--axis", "1",
+            "--empirical", "--seed", "1", "--M"]
+    assert main(argv + ["1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    validate(payload)
+    assert payload["empirical"]["density_stderr"] is None
+    # two draws keep their arithmetic: same bytes as when M = 1 printed 0.0
+    assert main(argv + ["2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a281f457c29bda03bb4547100a46f728e7ee6d440ce07c3b86b69e1f7359f78b")
+
+
 def test_stability_report(tmp_path):
     out = tmp_path / "s"
     assert main(["stability", "--preset", "uniform:32", "--preset2",
@@ -169,6 +183,8 @@ def test_exit_codes(tmp_path):
         assert main(["flips", "--preset", "uniform:64", "--R", R, "--axis",
                      "1", "--empirical", "--M", "2"]) == 2  # empty square
     assert main(["torus", "--n", "65", "--M", "1"]) == 2     # no stderr
+    assert main(["stability", "--preset", "uniform:16", "--preset2",
+                 "uniform:16", "--R", "4", "--M", "0"]) == 2  # no draws
     for bad in (["--M", "0", "--R", "3"], ["--M", "3", "--R", "0"]):
         assert main(["dns", "--preset", "uniform:64", "--cns", "0.1",
                      *bad]) == 2                            # NaN otherwise

@@ -15,7 +15,9 @@ from nodalfields.estimators import (
     small_domain_report,
     torus_count_report,
 )
+from nodalfields.fields import SquareDomain, evaluate_grid, sample
 from nodalfields.measures import preset
+from nodalfields.topology import count_components_plane
 
 U32 = preset("uniform_circle", K=32)
 
@@ -83,10 +85,12 @@ def test_estimate_dns():
 def test_dns_positive_for_three_pair_ensemble():
     # the three-pair measure mixes loop-rich and loop-free samples, so the
     # scaled count keeps fluctuating: plug-in discrepancy stays away from 0
-    from nodalfields.estimators import interior_counts
     rho = preset("section7_three_pair")
     R, M = 15.0, 40
-    counts = interior_counts(rho, R, M, None, seed=7, freq_scale=3.0)
+    counts = np.array([
+        count_components_plane(evaluate_grid(
+            sample(rho, 7, i, freq_scale=3.0), SquareDomain(R))).interior_components
+        for i in range(M)], dtype=float)
     dens = counts / (4 * R * R)
     c_hat = dens.mean()
     dns = np.abs(dens - c_hat).mean()

@@ -13,6 +13,7 @@ from nodalfields.errors import (
     UnknownPreset,
 )
 from nodalfields.measures import (
+    SpectralMeasure,
     antipodal_pairs,
     convolve,
     covariance,
@@ -57,6 +58,17 @@ def test_make_atomic_rejects_asymmetric():
     rho = make_atomic([((1.0, 0.0), 0.7), ((-1.0, 0.0), 0.1), ((0.0, 0.0), 0.2)],
                       symmetrize=True)
     assert np.allclose(sorted(rho.weights), [0.2, 0.4, 0.4])
+
+
+def test_symmetrize_with_a_shared_antipode():
+    # (0.5, 0) and (0.5 + 1.3e-12, 0) stay apart (gap > COORD_TOL) but both
+    # match the antipode of the first atom; atoms are averaged with their
+    # first match in index order, and the last average written stands
+    rho = make_atomic([((-0.5 - 0.6e-12, 0.0), 0.2), ((0.5, 0.0), 0.3),
+                       ((0.5 + 1.3e-12, 0.0), 0.5)], symmetrize=True)
+    assert rho.weights.tolist() == [0.5 * (0.5 + 0.2), 0.5 * (0.2 + 0.3),
+                                    0.5 * (0.5 + 0.2)]
+    _assert_table_is_oracle(rho)
 
 
 def test_make_atomic_merges_duplicates():
@@ -209,6 +221,162 @@ def test_antipodal_pairs():
     assert w0 == 0.0
     reps, pw, w0 = antipodal_pairs(preset("delta_zero"))
     assert len(pw) == 0 and w0 == 1.0
+
+
+# The former per-atom loops, kept as oracles for the vectorized matcher.
+
+def _find_atom_oracle(points, target, tol):
+    close = (np.abs(points[:, 0] - target[0]) <= tol) \
+        & (np.abs(points[:, 1] - target[1]) <= tol)
+    idx = np.nonzero(close)[0]
+    return int(idx[0]) if len(idx) else -1
+
+
+def _pairs_oracle(rho):
+    tol = 1e-12
+    reps, pw = [], []
+    origin = 0.0
+    seen = np.zeros(rho.n_atoms, dtype=bool)
+    for i in range(rho.n_atoms):
+        if seen[i]:
+            continue
+        p, w = rho.points[i], float(rho.weights[i])
+        if abs(p[0]) <= tol and abs(p[1]) <= tol:
+            origin += w
+            seen[i] = True
+            continue
+        j = _find_atom_oracle(rho.points, -p, tol)
+        seen[i] = True
+        total = w
+        if j >= 0 and j != i and not seen[j]:
+            total += float(rho.weights[j])
+            seen[j] = True
+        rep = p if tuple(p) >= tuple(-p) else -p
+        reps.append(rep)
+        pw.append(total)
+    if reps:
+        reps = np.asarray(reps)
+        pw = np.asarray(pw)
+        order = np.lexsort((reps[:, 1], reps[:, 0]))[::-1]
+        reps, pw = reps[order], pw[order]
+    else:
+        reps = np.zeros((0, 2))
+        pw = np.zeros(0)
+    return reps, pw, origin
+
+
+def _torus_symmetries_oracle(rho, tol=1e-12):
+    if not rho.is_monochromatic(tol):
+        return False
+    quarter = np.column_stack([-rho.points[:, 1], rho.points[:, 0]])
+    conj = np.column_stack([rho.points[:, 0], -rho.points[:, 1]])
+    return all(
+        (j := _find_atom_oracle(rho.points, q, tol)) >= 0
+        and abs(rho.weights[j] - w) <= tol
+        for mapped in (quarter, conj) for q, w in zip(mapped, rho.weights))
+
+
+def _assert_table_is_oracle(rho):
+    reps, pw, w0 = antipodal_pairs(rho)
+    want_reps, want_pw, want_w0 = _pairs_oracle(rho)
+    assert reps.shape == want_reps.shape and reps.dtype == want_reps.dtype
+    # bit patterns, so -0.0 and 0.0 count as different
+    assert reps.tobytes() == want_reps.tobytes()
+    assert pw.tobytes() == want_pw.tobytes()
+    assert w0 == want_w0 and type(w0) is float
+
+
+def _random_symmetric_measure(rng, with_origin):
+    """Pairs from rotated circle points, inner points and a coarse grid."""
+    m = int(rng.integers(1, 40))
+    kind = rng.integers(3)
+    if kind == 0:    # antipode at theta + pi: not an exact negative
+        th = rng.uniform(0, np.pi, m)
+        pts = np.column_stack([np.cos(th), np.sin(th)])
+        anti = np.column_stack([np.cos(th + np.pi), np.sin(th + np.pi)])
+    elif kind == 1:
+        pts = rng.uniform(-0.7, 0.7, size=(m, 2))
+        anti = -pts
+    else:            # many atoms share an x coordinate
+        pts = np.unique(rng.integers(-4, 5, size=(m, 2)), axis=0) / 8.0
+        pts = pts[np.any(pts != 0, axis=1)]
+        anti = -pts
+    w = rng.uniform(0.1, 1.0, size=len(pts))
+    atoms = [(p, wi) for p, wi in zip(pts, w)] + \
+            [(q, wi) for q, wi in zip(anti, w)]
+    if with_origin:
+        atoms.append(((0.0, 0.0), float(rng.uniform(0.1, 1.0))))
+    return make_atomic(atoms, normalize=True)
+
+
+def test_pair_table_equals_former_loop_on_presets_and_convolutions():
+    rhos = [preset("uniform_circle", K=K) for K in range(4, 257, 2)]
+    rhos += [preset("arc_nu_a", a=a, K=K)
+             for a in (0.1, 0.3, math.pi / 8, math.pi / 4) for K in (4, 16, 32, 64)]
+    rhos += [preset("two_point", theta=t) for t in (0.0, 0.3, math.pi / 2)]
+    rhos += [preset(name) for name in (
+        "cilleruelo", "tilted_cilleruelo", "delta_zero", "section7_three_pair",
+        "section7_monochromatic_six_point")]
+    rhos += [NU0, preset("cilleruelo", kappa="one")]
+    a, b = preset("cilleruelo"), preset("tilted_cilleruelo")
+    c, u64 = preset("uniform_circle", K=8), preset("uniform_circle", K=64)
+    rhos += [convolve(a, a), convolve(a, b), convolve(b, a), convolve(a, u64),
+             convolve(convolve(a, b), c), convolve(a, convolve(b, c))]
+    for rho in rhos:
+        _assert_table_is_oracle(rho)
+
+
+def test_pair_table_equals_former_loop_on_lattice_measures():
+    from nodalfields.arithmetic import mu_n, r2
+    count = 0
+    for n in range(1, 3001):
+        if r2(n):
+            _assert_table_is_oracle(mu_n(n))
+            count += 1
+    assert count == 899
+
+
+def test_pair_table_equals_former_loop_on_random_measures():
+    rng = np.random.default_rng(20170703)
+    for k in range(240):
+        _assert_table_is_oracle(_random_symmetric_measure(rng, k % 2 == 1))
+    # unmerged clusters within 1.5 COORD_TOL, built without make_atomic:
+    # first antipode matches are not mutual and atoms compete for one partner
+    for _ in range(200):
+        base = rng.uniform(-0.8, 0.8, size=(rng.integers(1, 5), 2))
+        if rng.random() < 0.3:
+            base = np.vstack([base, [[0.0, 0.0]]])
+        pts = np.array([sign * b + rng.uniform(-1.5e-12, 1.5e-12, 2)
+                        * rng.integers(0, 2, 2)
+                        for b in base for sign in (1, -1)
+                        for _ in range(rng.integers(1, 4))])
+        pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        w = rng.uniform(0.1, 1.0, len(pts))
+        _assert_table_is_oracle(SpectralMeasure(points=pts, weights=w / w.sum()))
+
+
+def test_pair_table_is_built_once_and_read_only():
+    rho = preset("uniform_circle", K=16)
+    table = antipodal_pairs(rho)
+    assert antipodal_pairs(rho) is table
+    reps, pw, _ = table
+    with pytest.raises(ValueError):
+        reps[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        pw[0] = 2.0
+
+
+def test_torus_symmetries_equal_former_loop():
+    from nodalfields.arithmetic import mu_n, r2
+    rng = np.random.default_rng(5)
+    rhos = [mu_n(n) for n in range(1, 10001) if r2(n)]
+    rhos += [preset("two_point", theta=0.3), preset("delta_zero"),
+             preset("arc_nu_a", a=0.2, K=16), preset("section7_three_pair"),
+             preset("section7_monochromatic_six_point")]
+    rhos += [_random_symmetric_measure(rng, False) for _ in range(40)]
+    answers = [rho.has_torus_symmetries() for rho in rhos]
+    assert answers == [_torus_symmetries_oracle(rho) for rho in rhos]
+    assert all(answers[:-45]) and not all(answers[-45:])
 
 
 def test_measure_file_roundtrip(tmp_path):

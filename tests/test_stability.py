@@ -232,6 +232,13 @@ def test_sandwich_needs_unit_radius():
         sandwich_check(u, u, R=0.5, M=2, beta=math.inf, seed=1)
 
 
+def test_sandwich_needs_a_draw():
+    u = preset("uniform_circle", K=16)
+    for M in (0, -3):
+        with pytest.raises(ValueError, match="need M >= 1"):
+            sandwich_check(u, u, R=4.0, M=M, beta=math.inf, seed=1)
+
+
 def test_section7_fields_formulas_and_counts():
     f = section7_field("f")
     g = section7_field("g")

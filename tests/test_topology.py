@@ -19,7 +19,6 @@ from nodalfields.topology import (
     count_components_torus,
     count_curve_intersections,
     count_flips,
-    count_small_domains,
     half_edge_successors,
     sign_grid,
 )
@@ -118,11 +117,11 @@ def test_empty_grid_raises():
 def test_small_domains():
     g = grid_from_callable(lambda X, Y: X ** 2 + Y ** 2 - 0.01,
                            SquareDomain(1.0), 0.005)
-    assert count_small_domains(g, 0.05) == 1   # disc area ~ 0.0314
-    assert count_small_domains(g, 0.01) == 0
+    assert count_components_plane(g).small_domains(0.05) == 1   # disc area ~ 0.0314
+    assert count_components_plane(g).small_domains(0.01) == 0
     flat = grid_from_callable(lambda X, Y: np.ones_like(X), SquareDomain(1.0), 0.1)
     for delta in (0.01, 1.0, math.inf):
-        assert count_small_domains(flat, delta) == 0
+        assert count_components_plane(flat).small_domains(delta) == 0
 
 
 def test_small_domains_monotone_and_total():
