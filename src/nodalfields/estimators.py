@@ -21,10 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateMeasure, ScheduleTooShort
-from .fields import SquareDomain, TorusDomain, default_spacing, evaluate_grid, sample
+from .errors import DegenerateMeasure, GridTooCoarse, ScheduleTooShort
+from .fields import (POINTS_PER_WAVELENGTH, SquareDomain, TorusDomain,
+                     default_spacing, evaluate_grid, grid_too_coarse, sample)
 from .measures import SpectralMeasure, gradient_covariance, measure_to_dict
-from .topology import count_components_plane, count_components_torus
+from .topology import (count_components_plane, count_components_torus,
+                       interior_domain_areas)
 
 
 def measure_digest(rho: SpectralMeasure) -> str:
@@ -67,18 +69,24 @@ class EstimatorReport:
         }
 
 
+def _batch(draw, M: int, domain, h: float | None, census) -> list:
+    """census(grid) of draw(i) for i < M.
+
+    Only GridTooCoarse is silenced: it would repeat on every draw, and
+    estimate_cns reports it once as ``grid_too_coarse``.  Every other
+    warning passes through.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridTooCoarse)
+        return [census(evaluate_grid(draw(i), domain, h)) for i in range(M)]
+
+
 def interior_counts(rho: SpectralMeasure, R: float, M: int,
                     h: float | None, seed: int, stream_base: int = 0) -> np.ndarray:
     """Interior component counts over M independent samples."""
-    domain = SquareDomain(R)
-    vals = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for i in range(M):
-            s = sample(rho, seed, stream_base + i)
-            census = count_components_plane(evaluate_grid(s, domain, h))
-            vals.append(census.interior_components)
-    return np.asarray(vals, dtype=float)
+    censuses = _batch(lambda i: sample(rho, seed, stream_base + i), M,
+                      SquareDomain(R), h, count_components_plane)
+    return np.asarray([c.interior_components for c in censuses], dtype=float)
 
 
 def estimate_mean_count(rho: SpectralMeasure, R: float, M: int,
@@ -133,8 +141,7 @@ def estimate_cns(rho: SpectralMeasure, R_schedule, M: int = 200,
         raise ScheduleTooShort("schedule must be strictly increasing")
     probe = sample(rho, seed, 0)
     h_eff = h if h is not None else default_spacing(probe)
-    lam = probe.min_wavelength()
-    too_coarse = math.isfinite(lam) and h_eff > lam / 12 * (1 + 1e-9)
+    too_coarse = grid_too_coarse(probe, h_eff)
 
     means, errs, hs = [], [], []
     for k, R in enumerate(R_schedule):
@@ -196,16 +203,11 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
         raise ValueError("need M >= 2")
     rho = mu_n(n)
     if h is None:
-        h = 1.0 / (16.0 * math.ceil(math.sqrt(n)))
-    domain = TorusDomain()
-    rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for stream in range(M):
-            c = count_components_torus(
-                evaluate_grid(sample_torus_wave(n, seed, stream), domain, h))
-            rows.append((c.total_components, c.wrapping_components))
-    totals, wraps = np.array(rows, dtype=float).reshape(-1, 2).T
+        h = 1.0 / (POINTS_PER_WAVELENGTH * math.ceil(math.sqrt(n)))
+    censuses = _batch(lambda i: sample_torus_wave(n, seed, i), M,
+                      TorusDomain(), h, count_components_torus)
+    totals = np.array([c.total_components for c in censuses], dtype=float)
+    wraps = np.array([c.wrapping_components for c in censuses], dtype=float)
 
     planar = estimate_cns(rho, planar_schedule, planar_M or M, seed)
     mean_total = float(totals.mean())
@@ -261,15 +263,10 @@ def small_domain_report(rho: SpectralMeasure, R: float, M: int,
     if gradient_covariance(rho).is_degenerate(1e-12):
         raise DegenerateMeasure("small-domain statistics need a nondegenerate measure")
     deltas = np.asarray(sorted(delta_schedule), dtype=float)
-    domain = SquareDomain(R)
-    table = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for stream in range(M):
-            census = count_components_plane(
-                evaluate_grid(sample(rho, seed, stream), domain, h))
-            table.append([census.small_domains(d) for d in deltas])
-    table = np.asarray(table, dtype=float)
+    areas = _batch(lambda i: sample(rho, seed, i), M, SquareDomain(R), h,
+                   interior_domain_areas)
+    table = np.array([np.count_nonzero(a[:, None] < deltas, axis=0)
+                      for a in areas], dtype=float)
     dens = table.mean(axis=0) / (R * R)
     mask = dens > 0
     if np.count_nonzero(mask) >= 2:

@@ -64,7 +64,6 @@ class FieldSample:
     coeff_b: np.ndarray
     origin_coeff: float = 0.0
     seed: int | None = None
-    stream: int = 0
     freq_scale: float = 1.0
 
     def __post_init__(self):
@@ -142,7 +141,7 @@ def sample(rho: SpectralMeasure, seed: int, stream: int = 0,
         measure=rho,
         coeff_a=coeffs[0:2 * m:2].copy(), coeff_b=coeffs[1:2 * m:2].copy(),
         origin_coeff=float(coeffs[2 * m]),
-        seed=seed, stream=stream, freq_scale=freq_scale)
+        seed=seed, freq_scale=freq_scale)
 
 
 def inject_sample(rho: SpectralMeasure, coeffs, origin_coeff: float = 0.0,
@@ -209,13 +208,12 @@ def grid_axes(domain, h: float):
     raise TypeError(f"unknown domain {domain!r}")
 
 
-def _check_resolution(s: FieldSample, h: float):
+def grid_too_coarse(s: FieldSample, h: float) -> bool:
+    """Resolution rule: spacing h gives fewer than MIN_POINTS_PER_WAVELENGTH
+    nodes per minimal wavelength."""
     lam = s.min_wavelength()
-    if math.isfinite(lam) and h > lam / MIN_POINTS_PER_WAVELENGTH * (1 + 1e-9):
-        warnings.warn(
-            f"grid spacing {h:.4g} gives fewer than {MIN_POINTS_PER_WAVELENGTH} "
-            f"points per minimal wavelength {lam:.4g}", GridTooCoarse,
-            stacklevel=3)
+    return (math.isfinite(lam)
+            and h > lam / MIN_POINTS_PER_WAVELENGTH * (1 + 1e-9))
 
 
 def default_spacing(s: FieldSample) -> float:
@@ -238,7 +236,12 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
         h = default_spacing(s)
     if h <= 0:
         raise ValueError("h must be positive")
-    _check_resolution(s, h)
+    if grid_too_coarse(s, h):
+        warnings.warn(
+            f"grid spacing {h:.4g} gives fewer than "
+            f"{MIN_POINTS_PER_WAVELENGTH} points per minimal wavelength "
+            f"{s.min_wavelength():.4g}",
+            GridTooCoarse, stacklevel=2)
     xs, ys, h_eff = grid_axes(domain, h)
     C = s.frequencies
     amp = s.amplitudes()

@@ -28,10 +28,6 @@ class JetCovariance:
     """6x6 covariance of (f, f1, f2, f11, f12, f22) at a point."""
 
     matrix: np.ndarray
-    kappa_value: float
-
-    def variance(self, which: int) -> float:
-        return float(self.matrix[which, which])
 
 
 def build_jet_covariance(rho: SpectralMeasure) -> JetCovariance:
@@ -59,7 +55,7 @@ def build_jet_covariance(rho: SpectralMeasure) -> JetCovariance:
     lam = float(np.linalg.eigvalsh(M)[0])
     if lam < -1e-10:
         raise ValueError(f"jet covariance not PSD (lambda_min={lam:.3g})")
-    return JetCovariance(matrix=M, kappa_value=k)
+    return JetCovariance(matrix=M)
 
 
 def abs_product_mean(sigma1: float, sigma2: float, corr: float) -> float:

@@ -74,10 +74,6 @@ class SpectralMeasure:
     def n_atoms(self) -> int:
         return len(self.weights)
 
-    def atoms(self) -> list[tuple[tuple[float, float], float]]:
-        return [((float(p[0]), float(p[1])), float(w))
-                for p, w in zip(self.points, self.weights)]
-
     def is_monochromatic(self, tol: float = CIRCLE_TOL) -> bool:
         """True when every atom sits on the unit circle."""
         norms = np.hypot(self.points[:, 0], self.points[:, 1])

@@ -1,12 +1,15 @@
-"""Nodal censuses on grids: components, small domains, flips, intersections.
+"""Nodal censuses on grids: components, domain areas, flips, intersections.
 
 Counting convention: a compact zero-set component is the outer boundary of
 exactly one bounded sign-domain, so on squares we count bounded 4-connected
 same-sign regions that do not touch the grid boundary (robust on lattices,
-valid whenever the gradient does not vanish on the zero set).  On the torus,
-zero-set components are counted directly from the marching-squares crossing
-graph: every port there has degree 2, so components are cycles, and a cycle
-wraps iff it crosses the x-seam or the y-seam an odd number of times.
+valid whenever the gradient does not vanish on the zero set).
+``count_components_plane`` returns these counts only; ``interior_domain_areas``
+returns the areas of the same domains from the same labeling, for the
+small-domain statistics.  On the torus, zero-set components are counted
+directly from the marching-squares crossing graph: every port there has
+degree 2, so components are cycles, and a cycle wraps iff it crosses the
+x-seam or the y-seam an odd number of times.
 
 That graph is the one zero-set graph of the package: ``half_edge_successors``
 pairs the segments meeting at each crossing port, and both the torus census
@@ -42,30 +45,22 @@ _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 @dataclass
 class NodalCensus:
-    """Counts extracted from one gridded sample.
+    """Component counts of one gridded sample.
 
     On squares: interior_components = compact zero-set components (bounded
     sign-domains away from the boundary); boundary_components = sign-domains
     touching the grid boundary.  On the torus: interior_components =
-    contractible zero-set components, wrapping_components the rest.
+    contractible zero-set components, wrapping_components the rest.  The
+    areas of the bounded square domains come from ``interior_domain_areas``.
     """
 
-    domain_descriptor: str
-    h: float
     interior_components: int
     boundary_components: int = 0
     wrapping_components: int = 0
-    interior_areas: np.ndarray | None = None
 
     @property
     def total_components(self) -> int:
         return self.interior_components + self.wrapping_components
-
-    def small_domains(self, delta: float) -> int:
-        """Bounded interior sign-domains with area < delta."""
-        if self.interior_areas is None:
-            raise ValueError("census has no area table")
-        return int(np.count_nonzero(self.interior_areas < delta))
 
 
 def sign_grid(values: np.ndarray) -> np.ndarray:
@@ -73,40 +68,46 @@ def sign_grid(values: np.ndarray) -> np.ndarray:
     return values > -TIE_TOL
 
 
-def count_components_plane(g: ScalarGrid) -> NodalCensus:
-    """Census of a square-domain grid via two-phase component labeling."""
+def _sign_domains(g: ScalarGrid):
+    """4-connected labels of the positive, then the negative sign-domains.
+
+    Yields (labels, inner) per sign that has a domain: inner[k] is True for
+    label k > 0 iff domain k does not touch the grid border.
+    """
     if g.values is None or g.values.size == 0:
         raise EmptyGrid("no values")
     if not np.all(np.isfinite(g.values)):
         raise EmptyGrid("grid contains non-finite values")
     pos = sign_grid(g.values)
-
-    interior_areas = []
-    n_interior = 0
-    n_boundary = 0
     for mask in (pos, ~pos):
         labels, n = ndimage.label(mask, structure=_FOUR_CONN)
         if n == 0:
             continue
-        border = np.concatenate([labels[0, :], labels[-1, :],
-                                 labels[:, 0], labels[:, -1]])
-        border_ids = np.unique(border)
-        border_ids = border_ids[border_ids > 0]
-        counts = np.bincount(labels.ravel(), minlength=n + 1)
-        touching = np.zeros(n + 1, dtype=bool)
-        touching[border_ids] = True
-        n_boundary += int(np.count_nonzero(touching[1:]))
-        inner = ~touching
+        inner = np.ones(n + 1, dtype=bool)
+        inner[np.concatenate([labels[0, :], labels[-1, :],
+                              labels[:, 0], labels[:, -1]])] = False
         inner[0] = False
-        n_interior += int(np.count_nonzero(inner))
-        interior_areas.append(counts[inner] * g.h * g.h)
+        yield labels, inner
 
-    areas = (np.sort(np.concatenate(interior_areas))
-             if interior_areas else np.zeros(0))
-    return NodalCensus(
-        domain_descriptor=g.domain.descriptor(), h=g.h,
-        interior_components=n_interior, boundary_components=n_boundary,
-        interior_areas=areas)
+
+def count_components_plane(g: ScalarGrid) -> NodalCensus:
+    """Census of a square-domain grid via two-phase component labeling."""
+    n_interior = n_boundary = 0
+    for _, inner in _sign_domains(g):
+        k = int(np.count_nonzero(inner))
+        n_interior += k
+        n_boundary += len(inner) - 1 - k
+    return NodalCensus(interior_components=n_interior,
+                       boundary_components=n_boundary)
+
+
+def interior_domain_areas(g: ScalarGrid) -> np.ndarray:
+    """Sorted areas (cells x h^2) of the sign-domains away from the border."""
+    areas = []
+    for labels, inner in _sign_domains(g):
+        counts = np.bincount(labels.ravel(), minlength=len(inner))
+        areas.append(counts[inner] * g.h * g.h)
+    return np.sort(np.concatenate(areas)) if areas else np.zeros(0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +258,7 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
     segA, segB = marching_segments(values, periodic=True)
     K = len(segA)
     if K == 0:
-        return NodalCensus(domain_descriptor=g.domain.descriptor(), h=g.h,
-                           interior_components=0, wrapping_components=0,
-                           interior_areas=np.zeros(0))
+        return NodalCensus(interior_components=0)
 
     step = half_edge_successors(segA, segB)
     label = np.arange(2 * K) >> 1
@@ -277,10 +276,8 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
     odd = ((np.bincount(label[cross_x], minlength=K) & 1)
            | (np.bincount(label[cross_y], minlength=K) & 1))
     wrap = int(np.count_nonzero(odd[roots]))
-    return NodalCensus(domain_descriptor=g.domain.descriptor(), h=g.h,
-                       interior_components=len(roots) - wrap,
-                       wrapping_components=wrap,
-                       interior_areas=np.zeros(0))
+    return NodalCensus(interior_components=len(roots) - wrap,
+                       wrapping_components=wrap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,30 @@ def test_dns_positive_for_three_pair_ensemble():
     dns = np.abs(dens - c_hat).mean()
     assert dns > 0.005
     assert dens.std() > 0.005
+
+
+def test_grid_too_coarse_flag():
+    lam = sample(U32, seed=1).min_wavelength()
+    coarse = estimate_cns(U32, [1.0, 1.5, 2.0], M=10, seed=1, h=lam / 11)
+    assert coarse.grid_too_coarse
+    assert not estimate_cns(U32, [1.0, 1.5, 2.0], M=10, seed=1).grid_too_coarse
+
+
+def test_batches_silence_only_coarse_grid_warnings(monkeypatch):
+    from nodalfields import estimators
+
+    def noisy_census(g):
+        warnings.warn("census trouble", RuntimeWarning)
+        return count_components_plane(g)
+
+    monkeypatch.setattr(estimators, "count_components_plane", noisy_census)
+    with pytest.warns(RuntimeWarning, match="census trouble"):
+        estimate_mean_count(U32, 2.0, 10, seed=1)
+    monkeypatch.undo()
+    lam = sample(U32, seed=1).min_wavelength()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimate_mean_count(U32, 2.0, 10, h=lam / 11, seed=1)
 
 
 def test_torus_count_report_smoke():

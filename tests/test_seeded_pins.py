@@ -19,7 +19,11 @@ import numpy as np
 import pytest
 
 from nodalfields.arithmetic import mu_n
-from nodalfields.estimators import estimate_cns, torus_count_report
+from nodalfields.estimators import (
+    estimate_cns,
+    small_domain_report,
+    torus_count_report,
+)
 from nodalfields.fields import sample
 from nodalfields.measures import antipodal_pairs, preset
 from nodalfields.stability import sandwich_check
@@ -52,6 +56,14 @@ WORKLOADS = {
 def test_workload_payload_digest(name):
     run, want = WORKLOADS[name]
     assert _payload_digest(run().to_dict()) == want
+
+
+def test_small_domain_report_digest():
+    # derived while the area table was still part of every plane census
+    rep = small_domain_report(_uniform(32), 8.0, 15, [0.125, 0.25, 0.5, 1.0],
+                              13)
+    assert _payload_digest(rep) == (
+        "fe40bc3d96b00b31346a3bef145164e0b70c375e54505900f70c2b3ffa9898ae")
 
 
 def test_pair_tables_and_first_draws_digest():

@@ -20,6 +20,7 @@ from nodalfields.topology import (
     count_curve_intersections,
     count_flips,
     half_edge_successors,
+    interior_domain_areas,
     sign_grid,
 )
 
@@ -31,7 +32,8 @@ def flood_fill_census(values, h):
     pos = sign_grid(values)
     nx, ny = pos.shape
     seen = np.zeros_like(pos, dtype=bool)
-    interior = boundary = 0
+    boundary = 0
+    areas = []
     for i0 in range(nx):
         for j0 in range(ny):
             if seen[i0, j0]:
@@ -54,8 +56,8 @@ def flood_fill_census(values, h):
             if touches:
                 boundary += 1
             else:
-                interior += 1
-    return interior, boundary
+                areas.append(len(cells) * h * h)
+    return len(areas), boundary, sorted(areas)
 
 
 def test_census_matches_flood_fill_on_random_grids():
@@ -68,13 +70,16 @@ def test_census_matches_flood_fill_on_random_grids():
         for _ in range(k):
             raw = 0.25 * (np.roll(raw, 1, 0) + np.roll(raw, -1, 0)
                           + np.roll(raw, 1, 1) + np.roll(raw, -1, 1))
-        g = ScalarGrid(domain=SquareDomain(1.0), h=2.0 / (n - 1),
-                       xs=np.linspace(-1, 1, n), ys=np.linspace(-1, 1, n),
-                       values=raw)
-        census = count_components_plane(g)
-        interior, boundary = flood_fill_census(raw, g.h)
-        assert census.interior_components == interior
-        assert census.boundary_components == boundary
+        # the rounded copy has exact zeros, so it exercises the tie rule
+        for values in (raw, np.round(raw, 1)):
+            g = ScalarGrid(domain=SquareDomain(1.0), h=2.0 / (n - 1),
+                           xs=np.linspace(-1, 1, n), ys=np.linspace(-1, 1, n),
+                           values=values)
+            census = count_components_plane(g)
+            interior, boundary, areas = flood_fill_census(values, g.h)
+            assert census.interior_components == interior
+            assert census.boundary_components == boundary
+            assert np.array_equal(interior_domain_areas(g), areas)
 
 
 def test_unit_circle_is_one_component():
@@ -83,7 +88,7 @@ def test_unit_circle_is_one_component():
     c = count_components_plane(g)
     assert c.interior_components == 1
     # area of the enclosed disc
-    assert c.interior_areas[0] == pytest.approx(math.pi, rel=0.01)
+    assert interior_domain_areas(g)[0] == pytest.approx(math.pi, rel=0.01)
 
 
 def test_nine_loops():
@@ -103,6 +108,16 @@ def test_empty_grid_raises():
                    ys=np.zeros(0), values=np.zeros((0, 0)))
     with pytest.raises(EmptyGrid):
         count_components_plane(g)
+    with pytest.raises(EmptyGrid):
+        interior_domain_areas(g)
+    sq = grid_from_callable(lambda X, Y: X ** 2 + Y ** 2 - 0.25,
+                            SquareDomain(1.0), 0.1)
+    for bad in (np.nan, np.inf, -np.inf):
+        sq.values[3, 5] = bad
+        with pytest.raises(EmptyGrid):
+            count_components_plane(sq)
+        with pytest.raises(EmptyGrid):
+            interior_domain_areas(sq)
     t = grid_from_callable(lambda X, Y: np.sin(2 * np.pi * X),
                            TorusDomain(), 1 / 64)
     for bad in (np.nan, np.inf):
@@ -117,23 +132,29 @@ def test_empty_grid_raises():
 def test_small_domains():
     g = grid_from_callable(lambda X, Y: X ** 2 + Y ** 2 - 0.01,
                            SquareDomain(1.0), 0.005)
-    assert count_components_plane(g).small_domains(0.05) == 1   # disc area ~ 0.0314
-    assert count_components_plane(g).small_domains(0.01) == 0
+    areas = interior_domain_areas(g)
+    assert np.count_nonzero(areas < 0.05) == 1   # disc area ~ 0.0314
+    assert np.count_nonzero(areas < 0.01) == 0
     flat = grid_from_callable(lambda X, Y: np.ones_like(X), SquareDomain(1.0), 0.1)
+    flat_areas = interior_domain_areas(flat)
     for delta in (0.01, 1.0, math.inf):
-        assert count_components_plane(flat).small_domains(delta) == 0
+        assert np.count_nonzero(flat_areas < delta) == 0
 
 
 def test_small_domains_monotone_and_total():
     s = sample(preset("uniform_circle", K=32), seed=6)
-    census = count_components_plane(evaluate_grid(s, SquareDomain(8.0)))
+    g = evaluate_grid(s, SquareDomain(8.0))
+    census = count_components_plane(g)
+    areas = interior_domain_areas(g)
     deltas = [0.1, 0.5, 1.0, math.inf]
-    counts = [census.small_domains(d) for d in deltas]
+    counts = [np.count_nonzero(areas < d) for d in deltas]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     assert counts[-1] == census.interior_components
-    # all sign domains are either interior or touch the boundary
-    assert census.interior_components + census.boundary_components \
-        >= census.interior_components
+    # every sign domain is either interior or touches the boundary
+    interior, boundary, oracle_areas = flood_fill_census(g.values, g.h)
+    assert (census.interior_components, census.boundary_components) \
+        == (interior, boundary)
+    assert np.array_equal(areas, oracle_areas)
 
 
 def test_torus_two_vertical_circles():
