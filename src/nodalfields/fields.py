@@ -8,6 +8,11 @@ measure's covariance function exactly; there is no discretization in the law.
 Coefficients come from a counter-based generator (Philox) keyed by
 (seed, stream index), so Monte Carlo batches are reproducible independently of
 evaluation order.
+
+Grid evaluation is separable: the lattice axes and their 1-D cos/sin tables
+depend on (measure, freq_scale, domain, h) only.  They are kept read-only in
+one slot on the measure, keyed by (freq_scale, domain, h), so a batch of draws
+over one measure and one lattice builds them once; a new key replaces them.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarse
-from .measures import SpectralMeasure, antipodal_pairs, covariance
+from .measures import SpectralMeasure, _slot, antipodal_pairs, covariance
 
 # Resolution rule: at least this many grid nodes per minimal wavelength before
 # sign-based counting is trusted; the default grid uses POINTS_PER_WAVELENGTH.
@@ -105,7 +110,8 @@ class FieldSample:
 class ScalarGrid:
     """Field values (and optional derivative grids) on a regular lattice.
 
-    values[i, j] is the field at (xs[i], ys[j]).
+    values[i, j] is the field at (xs[i], ys[j]).  Grids from evaluate_grid
+    share their read-only axes with every grid of the same lattice.
     """
 
     domain: object
@@ -224,13 +230,36 @@ def default_spacing(s: FieldSample) -> float:
     return lam / POINTS_PER_WAVELENGTH
 
 
+def _axis_tables(s: FieldSample, domain, h: float):
+    """(xs, ys, h_eff, U, cy, sy), read-only, from the measure's table slot.
+
+    U = [cos, sin](xs c1) and cy, sy = cos, sin(ys c2) for the frequency
+    columns c1, c2 of s.
+    """
+    def build():
+        xs, ys, h_eff = grid_axes(domain, h)
+        C = s.frequencies
+        phx = np.outer(xs, C[:, 0])
+        phy = np.outer(ys, C[:, 1])
+        U = np.hstack([np.cos(phx), np.sin(phx)])
+        cy, sy = np.cos(phy), np.sin(phy)
+        for arr in (xs, ys, U, cy, sy):
+            arr.setflags(write=False)
+        return xs, ys, h_eff, U, cy, sy
+
+    return _slot(s.measure, "_axis_tables", (s.freq_scale, domain, h), build)
+
+
 def evaluate_grid(s: FieldSample, domain, h: float | None = None,
                   order: int = 0) -> ScalarGrid:
     """Evaluate on the lattice of a square or torus domain.
 
     order 0 fills values; 1 adds first-derivative grids; 2 adds the three
-    second-derivative grids.  Accumulates per frequency pair, so memory stays
-    at a few lattice-sized buffers.
+    second-derivative grids.  Each jet grid is one matrix product of the 1-D
+    cos/sin tables.  The axes and the tables come from one slot on the
+    measure keyed by (freq_scale, domain, h): built on the first grid of a
+    key, shared read-only (the grid's xs and ys too) until another key
+    replaces them.
     """
     if h is None:
         h = default_spacing(s)
@@ -242,7 +271,7 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
             f"{MIN_POINTS_PER_WAVELENGTH} points per minimal wavelength "
             f"{s.min_wavelength():.4g}",
             GridTooCoarse, stacklevel=2)
-    xs, ys, h_eff = grid_axes(domain, h)
+    xs, ys, h_eff, U, cy, sy = _axis_tables(s, domain, h)
     C = s.frequencies
     amp = s.amplitudes()
     wa, wb = amp * s.coeff_a, amp * s.coeff_b
@@ -250,19 +279,14 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
     # separability: cos(c1 x + c2 y) splits into outer products of the 1-D
     # cos/sin tables, so every jet grid is one matrix product
     # U (nx, 2m) @ V (2m, ny) instead of a per-pair lattice sweep.
-    phx = np.outer(xs, C[:, 0])
-    phy = np.outer(ys, C[:, 1])
-    cx, sx = np.cos(phx), np.sin(phx)
-    cy, sy = np.cos(phy), np.sin(phy)
-    U = np.hstack([cx, sx])
     S1 = (wa * cy + wb * sy).T              # pairs along rows
     S2 = (wb * cy - wa * sy).T
-    base = s.origin_coeff * math.sqrt(s.origin_weight)
 
     def combine(top, bottom):
         return U @ np.vstack([top, bottom])
 
-    val = combine(S1, S2) + base
+    val = combine(S1, S2)
+    val += s.origin_coeff * math.sqrt(s.origin_weight)
     d1 = d2 = d11 = d12 = d22 = None
     c1 = C[:, 0][:, None]
     c2 = C[:, 1][:, None]

@@ -123,6 +123,25 @@ class SpectralMeasure:
                 + (f", preset={tag}" if tag else "") + ")")
 
 
+def _slot(owner, name: str, key, build):
+    """owner's value for key, from the one-entry cache `name`, built on a miss.
+
+    The cache is one (key, value) tuple in the instance __dict__, where
+    cached_property keeps pair_table, so frozen dataclasses take it and no
+    module state is needed.  A miss replaces the tuple in one assignment:
+    another thread reads the old or the new tuple, never one key with
+    another key's value.  Keys compare with ==; an object that must match by
+    identity enters as (id(obj), obj), which the slot keeps alive, so only
+    obj itself matches it.
+    """
+    held = owner.__dict__.get(name)
+    if held is not None and held[0] == key:
+        return held[1]
+    value = build()
+    owner.__dict__[name] = (key, value)
+    return value
+
+
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Gradient covariance C = kappa^2 * [[m20, m11], [m11, m02]]."""
@@ -139,30 +158,26 @@ def _merge_atoms(points: np.ndarray, weights: np.ndarray):
 
     Clusters first along x (chained gaps <= tol), then along y inside each x
     cluster, so coincident atoms merge even when a third atom interleaves the
-    sort order between them.
+    sort order between them.  A group keeps its first atom in that order as
+    its location and the sum of its weights as its weight.
     """
-    out_p, out_w = [], []
+    n = len(weights)
     order = np.argsort(points[:, 0], kind="stable")
-    pts, wts = points[order], weights[order]
-    n = len(wts)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and pts[j, 0] - pts[j - 1, 0] <= COORD_TOL:
-            j += 1
-        sub = np.argsort(pts[i:j, 1], kind="stable") + i
-        k = 0
-        while k < len(sub):
-            m = k + 1
-            while m < len(sub) and pts[sub[m], 1] - pts[sub[m - 1], 1] <= COORD_TOL:
-                m += 1
-            grp = sub[k:m]
-            out_p.append(pts[grp[0]])
-            out_w.append(float(wts[grp].sum()))
-            k = m
-        i = j
-    pts = np.asarray(out_p, dtype=float)
-    wts = np.asarray(out_w, dtype=float)
+    xs = points[order, 0]
+    new = np.ones(n, dtype=bool)            # first atom of its group
+    new[1:] = ~(xs[1:] - xs[:-1] <= COORD_TOL)
+    # stable: inside an x cluster, equal y keep their x order; the cluster
+    # labels are nondecreasing, so the reorder keeps the cluster starts
+    order = order[np.lexsort((points[order, 1], np.cumsum(new)))]
+    ys = points[order, 1]
+    new[1:] |= ~(ys[1:] - ys[:-1] <= COORD_TOL)
+    starts = np.flatnonzero(new)
+    pts = points[order[starts]]
+    # reduceat starts a group's sum from its first weight, ndarray.sum from
+    # 0.0; a leading zero per group makes the two add in the same order
+    padded = np.zeros(n + len(starts))
+    padded[np.arange(n) + np.cumsum(new)] = weights[order]
+    wts = np.add.reduceat(padded, starts + np.arange(len(starts)))
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     return pts[order], wts[order]
 

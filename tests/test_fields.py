@@ -1,9 +1,13 @@
+import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from nodalfields import fields
 from nodalfields.errors import GridTooCoarse
 from nodalfields.fields import (
     SquareDomain,
@@ -18,7 +22,7 @@ from nodalfields.fields import (
     representation_covariance,
     sample,
 )
-from nodalfields.measures import covariance, preset
+from nodalfields.measures import SpectralMeasure, covariance, preset
 
 NU0 = preset("cilleruelo", kappa="one")
 
@@ -193,3 +197,91 @@ def test_degenerate_measure_constant_along_null_direction():
     base = evaluate_batch(s, np.column_stack([xs, np.zeros_like(xs)]))
     shifted = evaluate_batch(s, np.column_stack([xs, 3.7 * np.ones_like(xs)]))
     assert np.allclose(base, shifted, atol=1e-10)
+
+
+# -- axis tables kept on the measure -----------------------------------------
+
+def _on_fresh_measure(s):
+    """The same draw over a newly built equal measure, whose slots are empty."""
+    rho = s.measure
+    fresh = SpectralMeasure(points=rho.points.copy(),
+                            weights=rho.weights.copy(), kappa=rho.kappa)
+    return dataclasses.replace(s, measure=fresh)
+
+
+def _assert_same_grid(g, want):
+    assert g.h == want.h and g.domain == want.domain
+    for name in ("xs", "ys", "values", "d1", "d2", "d11", "d12", "d22"):
+        a, b = getattr(g, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_grid_tables_follow_domain_spacing_and_freq_scale():
+    from nodalfields.arithmetic import planar_rescale, sample_torus_wave
+    torus = sample_torus_wave(65, seed=3)       # freq_scale sqrt(65)
+    planar = planar_rescale(torus)              # same measure, freq_scale 1
+    other = sample(torus.measure, seed=4, freq_scale=torus.freq_scale)
+    keys = [(torus, TorusDomain(), 1 / 128, 1),
+            (planar, SquareDomain(2.0), 1 / 16, 0),
+            (other, TorusDomain(), 1 / 128, 2),
+            (torus, TorusDomain(), 1 / 100, 0),
+            (planar, SquareDomain(2.0), 1 / 13, 2),
+            (planar, SquareDomain(1.5), 1 / 16, 1),
+            # same domain and spacing, two frequency scales
+            (torus, SquareDomain(0.5), 1 / 128, 0),
+            (planar, SquareDomain(0.5), 1 / 128, 1)]
+    for _ in range(2):
+        for s, domain, h, order in keys:
+            g = evaluate_grid(s, domain, h, order)
+            _assert_same_grid(
+                g, evaluate_grid(_on_fresh_measure(s), domain, h, order))
+    # a repeated key reuses the axes and tables of the previous grid
+    g1 = evaluate_grid(torus, TorusDomain(), 1 / 128)
+    g2 = evaluate_grid(other, TorusDomain(), 1 / 128)
+    assert g2.xs is g1.xs and g2.ys is g1.ys
+
+
+def test_grid_axes_and_tables_are_read_only():
+    s = sample(preset("uniform_circle", K=16), seed=2)
+    domain = SquareDomain(1.0)
+    g = evaluate_grid(s, domain, 1 / 16)
+    xs, ys, h_eff, *tables = fields._axis_tables(s, domain, 1 / 16)
+    assert xs is g.xs and ys is g.ys and h_eff == g.h
+    for arr in [g.xs, g.ys] + tables:
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+    # each grid owns its values
+    assert g.values.flags.writeable
+    assert evaluate_grid(s, domain, 1 / 16).values is not g.values
+
+
+def test_threads_sharing_a_measure_get_the_serial_grids():
+    rho = preset("uniform_circle", K=32)
+    jobs = [(sample(rho, seed=k), SquareDomain(0.5 + 0.25 * (k % 2)))
+            for k in range(4)]
+    want = [evaluate_grid(_on_fresh_measure(s), d, 1 / 16, order=1)
+            for s, d in jobs]
+    errors = []
+
+    def work(k):
+        s, d = jobs[k]
+        try:
+            for _ in range(300):
+                _assert_same_grid(evaluate_grid(s, d, 1 / 16, order=1), want[k])
+        except Exception as exc:   # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -12,7 +12,9 @@ from nodalfields.errors import (
     SupportOutsideDisc,
     UnknownPreset,
 )
+from nodalfields import measures
 from nodalfields.measures import (
+    COORD_TOL,
     SpectralMeasure,
     antipodal_pairs,
     convolve,
@@ -309,7 +311,7 @@ def _random_symmetric_measure(rng, with_origin):
     return make_atomic(atoms, normalize=True)
 
 
-def test_pair_table_equals_former_loop_on_presets_and_convolutions():
+def _preset_zoo():
     rhos = [preset("uniform_circle", K=K) for K in range(4, 257, 2)]
     rhos += [preset("arc_nu_a", a=a, K=K)
              for a in (0.1, 0.3, math.pi / 8, math.pi / 4) for K in (4, 16, 32, 64)]
@@ -322,7 +324,11 @@ def test_pair_table_equals_former_loop_on_presets_and_convolutions():
     c, u64 = preset("uniform_circle", K=8), preset("uniform_circle", K=64)
     rhos += [convolve(a, a), convolve(a, b), convolve(b, a), convolve(a, u64),
              convolve(convolve(a, b), c), convolve(a, convolve(b, c))]
-    for rho in rhos:
+    return rhos
+
+
+def test_pair_table_equals_former_loop_on_presets_and_convolutions():
+    for rho in _preset_zoo():
         _assert_table_is_oracle(rho)
 
 
@@ -353,6 +359,86 @@ def test_pair_table_equals_former_loop_on_random_measures():
         pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
         w = rng.uniform(0.1, 1.0, len(pts))
         _assert_table_is_oracle(SpectralMeasure(points=pts, weights=w / w.sum()))
+
+
+def _merge_atoms_oracle(points, weights):
+    """The former clustering loop of measures._merge_atoms."""
+    out_p, out_w = [], []
+    order = np.argsort(points[:, 0], kind="stable")
+    pts, wts = points[order], weights[order]
+    n = len(wts)
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and pts[j, 0] - pts[j - 1, 0] <= COORD_TOL:
+            j += 1
+        sub = np.argsort(pts[i:j, 1], kind="stable") + i
+        k = 0
+        while k < len(sub):
+            m = k + 1
+            while m < len(sub) and pts[sub[m], 1] - pts[sub[m - 1], 1] <= COORD_TOL:
+                m += 1
+            grp = sub[k:m]
+            out_p.append(pts[grp[0]])
+            out_w.append(float(wts[grp].sum()))
+            k = m
+        i = j
+    pts = np.asarray(out_p, dtype=float)
+    wts = np.asarray(out_w, dtype=float)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    return pts[order], wts[order]
+
+
+def _assert_merge_is_oracle(got, points, weights):
+    got_p, got_w = got
+    want_p, want_w = _merge_atoms_oracle(points, weights)
+    assert got_p.shape == want_p.shape and got_w.shape == want_w.shape
+    # bit patterns: the same representatives and the same summation order
+    assert got_p.tobytes() == want_p.tobytes()
+    assert got_w.tobytes() == want_w.tobytes()
+
+
+@pytest.fixture
+def merge_checked(monkeypatch):
+    """Compare every merge make_atomic runs with the former loop."""
+    real = measures._merge_atoms
+    calls = []
+
+    def checked(points, weights):
+        out = real(points, weights)
+        _assert_merge_is_oracle(out, points, weights)
+        calls.append((len(weights), len(out[1])))
+        return out
+
+    monkeypatch.setattr(measures, "_merge_atoms", checked)
+    return calls
+
+
+def test_merge_equals_former_loop_on_presets_and_lattice_measures(merge_checked):
+    from nodalfields.arithmetic import mu_n, r2
+    zoo = _preset_zoo()
+    lattice = [mu_n(n) for n in range(1, 3001) if r2(n)]
+    assert len(lattice) == 899
+    assert len(merge_checked) > len(zoo) + len(lattice)
+    # the convolutions merge coincident atom sums
+    assert any(n_out < n_in for n_in, n_out in merge_checked)
+
+
+def test_merge_equals_former_loop_on_near_tolerance_clusters():
+    rng = np.random.default_rng(20170704)
+    for trial in range(400):
+        base = rng.uniform(-1, 1, size=(rng.integers(1, 10), 2))
+        if rng.random() < 0.3:      # x clusters that interleave in y
+            base[:, 0] = base[0, 0]
+        # some groups above 8 and 128 atoms, where ndarray.sum goes pairwise
+        sizes = rng.integers(1, 300 if trial % 8 == 0 else 12, len(base))
+        pts = np.repeat(base, sizes, axis=0)
+        jitter = rng.uniform(-1.5, 1.5, pts.shape) * COORD_TOL
+        pts = pts + jitter * rng.integers(0, 2, pts.shape)
+        w = rng.uniform(0.0, 1.0, len(pts)) * 10.0 ** rng.uniform(-9, 0, len(pts))
+        perm = rng.permutation(len(pts))
+        pts, w = pts[perm], w[perm]
+        _assert_merge_is_oracle(measures._merge_atoms(pts, w), pts, w)
 
 
 def test_pair_table_is_built_once_and_read_only():

@@ -58,6 +58,17 @@ def test_workload_payload_digest(name):
     assert _payload_digest(run().to_dict()) == want
 
 
+@pytest.mark.parametrize("K1,digest", [
+    # the closeness filter rejects every draw that passes stability
+    (256, "0fd0fcab4a78b3881960cf975f508acf3db20d56a9586ea4b74c21e29b513e5b"),
+    # identical fields: 2 of 10 draws pass both filters
+    (128, "b640728ee54d48f1583ea482964b12e984ae96d84169309da4a35e62f688205b"),
+])
+def test_finite_beta_sandwich_digest(K1, digest):
+    rep = sandwich_check(_uniform(128), _uniform(K1), 8.0, 10, 0.05, 1)
+    assert _payload_digest(rep.to_dict()) == digest
+
+
 def test_small_domain_report_digest():
     # derived while the area table was still part of every plane census
     rep = small_domain_report(_uniform(32), 8.0, 15, [0.125, 0.25, 0.5, 1.0],

@@ -12,7 +12,13 @@ from nodalfields.fields import (
     inject_sample,
     sample,
 )
-from nodalfields.measures import antipodal_pairs, make_atomic, preset
+from nodalfields import stability
+from nodalfields.measures import (
+    SpectralMeasure,
+    antipodal_pairs,
+    make_atomic,
+    preset,
+)
 from nodalfields.stability import (
     _transport_plan,
     c1_distance,
@@ -158,6 +164,46 @@ def test_transport_plan_splits_each_pair_weight(name):
         assert np.all(sign == 1.0)
         assert np.array_equal(mass, pw0)
         assert not left0.any() and not left1.any()
+
+
+def _fresh(rho):
+    """A newly built measure equal to rho, with empty slots."""
+    return SpectralMeasure(points=rho.points.copy(),
+                           weights=rho.weights.copy(), kappa=rho.kappa)
+
+
+def test_transport_plan_is_kept_per_measure_pair():
+    rho0 = preset("uniform_circle", K=16)
+    partners = [preset("uniform_circle", K=24), origin_and_fan_measure(), rho0]
+    for stream in range(6):
+        rho1 = partners[stream % 3]
+        got = coupled_sample(rho0, rho1, seed=7, stream=stream)
+        want = coupled_sample(_fresh(rho0), _fresh(rho1), seed=7, stream=stream)
+        for f, w in zip(got, want):
+            assert f.coeff_a.tobytes() == w.coeff_a.tobytes()
+            assert f.coeff_b.tobytes() == w.coeff_b.tobytes()
+            assert f.origin_coeff == w.origin_coeff
+    # the last pair's plan is reused and read-only
+    _, plan = rho0.__dict__["_transport_plan"]
+    coupled_sample(rho0, rho0, seed=8)
+    assert rho0.__dict__["_transport_plan"][1] is plan
+    for arr in plan:
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("beta,order", [(math.inf, 0), (0.05, 1)])
+def test_sandwich_evaluates_derivatives_only_for_the_filters(monkeypatch, beta,
+                                                             order):
+    orders = []
+
+    def recording(s, domain, h=None, order=0):
+        orders.append(order)
+        return evaluate_grid(s, domain, h, order)
+
+    monkeypatch.setattr(stability, "evaluate_grid", recording)
+    u = preset("uniform_circle", K=16)
+    sandwich_check(u, u, R=2.0, M=3, beta=beta, seed=1)
+    assert orders == [order] * 6
 
 
 def test_coupled_sample_marginal_law():
