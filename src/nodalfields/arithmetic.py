@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotSumOfTwoSquares, TooLarge
-from .fields import FieldSample, sample
+from .fields import FieldSample, _cilleruelo_measure, sample
 from .measures import SpectralMeasure, make_atomic, preset, weak_star_distance
 
 ENUMERATION_CAP = 10 ** 12
@@ -88,7 +88,7 @@ def cilleruelo_torus_field(m: int, seed: int, stream: int = 0) -> FieldSample:
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    return sample(preset("cilleruelo", kappa="two_pi"), seed, stream,
+    return sample(_cilleruelo_measure("two_pi"), seed, stream,
                   freq_scale=float(m))
 
 

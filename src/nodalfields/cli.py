@@ -204,7 +204,7 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _add_measure_args(p, required=False):
+def _add_measure_args(p):
     p.add_argument("--preset", help="preset spec, e.g. uniform:64")
     p.add_argument("--measure", help="measure JSON file")
     p.add_argument("--kappa", choices=["two_pi", "one"],

@@ -17,6 +17,7 @@ over one measure and one lattice builds them once; a new key replaces them.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarse
-from .measures import SpectralMeasure, _slot, antipodal_pairs, covariance
+from .measures import SpectralMeasure, _slot, antipodal_pairs, preset
 
 # Resolution rule: at least this many grid nodes per minimal wavelength before
 # sign-based counting is trusted; the default grid uses POINTS_PER_WAVELENGTH.
@@ -204,6 +205,9 @@ def evaluate_batch(s: FieldSample, pts, order: int = 0):
 def grid_axes(domain, h: float):
     """Lattice axes for a domain; torus spacing is snapped to 1/n."""
     if isinstance(domain, SquareDomain):
+        if not (math.isfinite(domain.R) and domain.R >= 0):
+            raise ValueError(f"square half-side R must be finite and >= 0, "
+                             f"got {domain.R}")
         n = int(math.floor(2.0 * domain.R / h + 1e-9)) + 1
         xs = -domain.R + h * np.arange(n)
         return xs, xs.copy(), h
@@ -317,8 +321,17 @@ def cilleruelo_field(seed: int, stream: int = 0) -> FieldSample:
     The result is (1/sqrt(2)) * (xi1 cos x1 + xi2 sin x1 + xi3 cos x2
     + xi4 sin x2); use cilleruelo_amplitudes for the Rayleigh form.
     """
-    from .measures import preset
-    return sample(preset("cilleruelo", kappa="one"), seed, stream)
+    return sample(_cilleruelo_measure("one"), seed, stream)
+
+
+@functools.cache
+def _cilleruelo_measure(kappa: str) -> SpectralMeasure:
+    """The four-atom axis measure, built once per kappa convention.
+
+    A measure is frozen with read-only arrays, so every Cilleruelo sample can
+    share one (and its pair table and grid tables).
+    """
+    return preset("cilleruelo", kappa=kappa)
 
 
 def cilleruelo_amplitudes(s: FieldSample):

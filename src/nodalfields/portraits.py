@@ -31,13 +31,12 @@ def zero_polylines(grid: ScalarGrid):
     (in [0, 1] on the torus), so a torus chain jumps where it crosses a seam;
     ``render_svg`` splits it there.
     """
-    values = grid.values
-    segA, segB = marching_segments(values, grid.periodic)
+    segA, segB = marching_segments(grid)
     if len(segA) == 0:
         return []
     step = half_edge_successors(segA, segB)
     ports = np.column_stack([segA, segB]).ravel()
-    coords = edge_ports(ports, values, grid.xs, grid.ys, grid.periodic)
+    coords = edge_ports(ports, grid)
     # open chains leave their lower degree-1 port (h leaves one when its
     # reverse has no successor), cycles their smallest port; both are met in
     # port order
@@ -78,6 +77,8 @@ def _wrap_split(pts: np.ndarray):
 
 def render_svg(grid: ScalarGrid, path, size: int = 800) -> int:
     """Write the zero-set portrait as SVG; returns the number of chains."""
+    if size < 1:
+        raise ValueError("portrait size must be at least 1 pixel")
     chains = zero_polylines(grid)
     x0, x1 = float(grid.xs[0]), float(grid.xs[-1])
     y0, y1 = float(grid.ys[0]), float(grid.ys[-1])
@@ -120,12 +121,10 @@ def render_ppm(grid: ScalarGrid, path):
     nx, ny = pos.shape
     img = np.where(pos[:, :, None], np.uint8(235), np.uint8(170))
     img = np.repeat(img, 3, axis=2)
-    edge_x = pos != np.roll(pos, -1, axis=0) if grid.periodic \
-        else np.vstack([pos[:-1] != pos[1:], np.zeros((1, ny), dtype=bool)])
-    edge_y = pos != np.roll(pos, -1, axis=1) if grid.periodic \
-        else np.hstack([pos[:, :-1] != pos[:, 1:], np.zeros((nx, 1), dtype=bool)])
-    black = edge_x | edge_y
-    img[black] = 0
+    # a node is black when its upper x or y neighbour has the other sign; a
+    # square grid's last row and column compare with themselves
+    ext = np.pad(pos, ((0, 1), (0, 1)), mode="wrap" if grid.periodic else "edge")
+    img[(pos != ext[1:, :-1]) | (pos != ext[:-1, 1:])] = 0
     # image rows run top-down: transpose so x is horizontal, flip y
     img = np.transpose(img, (1, 0, 2))[::-1]
     with open(path, "wb") as fh:

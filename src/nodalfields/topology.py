@@ -35,7 +35,6 @@ from .fields import (
     default_spacing,
     evaluate_batch,
     evaluate_grid,
-    grid_axes,
 )
 
 TIE_TOL = 1e-14
@@ -114,85 +113,65 @@ def interior_domain_areas(g: ScalarGrid) -> np.ndarray:
 # Marching squares on the node lattice.
 #
 # Edge ids: the X-edge joining nodes (i, j), (i+1, j) is 2*(i*ny + j); the
-# Y-edge joining (i, j), (i, j+1) is 2*(i*ny + j) + 1.  Each crossing edge
-# carries one zero of f; cells contribute segments joining their crossed
-# edges, with saddle cells split by the sign of the cell-center mean.
+# Y-edge joining (i, j), (i, j+1) is 2*(i*ny + j) + 1, node indices taken mod
+# (nx, ny).  A torus grid is padded by its first row and column, so its
+# cells are those of a square grid and its wrapping edges reduce to the ids
+# of row or column 0.  Each crossing edge carries one zero of f; a cell's
+# case code S | E<<1 | N<<2 | W<<3 marks its crossed sides (0, 2 or 4 of
+# them), and a saddle (15) whose cell-center mean has the sign of its (i, j)
+# corner becomes 16.  Segments come out grouped: _FIRST_GROUP maps a case
+# to its (first) group, a saddle adds the next group too, and _GROUP_SIDES
+# gives the two sides a group joins (0=S, 1=E, 2=N, 3=W).  Within a group,
+# cells run in row-major order.  The portraits' chain order, hence their
+# bytes, depends on this order.
 
-def _cell_edge_ids(ii, jj, nx, ny, periodic):
-    jn = (jj + 1) % ny if periodic else jj + 1
-    ie = (ii + 1) % nx if periodic else ii + 1
-    south = 2 * (ii * ny + jj)
-    north = 2 * (ii * ny + jn)
-    west = 2 * (ii * ny + jj) + 1
-    east = 2 * (ie * ny + jj) + 1
-    return south, east, north, west
+_GROUP_SIDES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3],
+                         [0, 1], [2, 3],     # saddle joining (S,E) + (N,W)
+                         [0, 3], [1, 2]])    # saddle joining (S,W) + (N,E)
+_FIRST_GROUP = np.full(17, -1, dtype=np.int8)
+_FIRST_GROUP[[3, 5, 9, 6, 10, 12, 16, 15]] = [0, 1, 2, 3, 4, 5, 6, 8]
 
 
-def marching_segments(values: np.ndarray, periodic: bool):
+def marching_segments(g: ScalarGrid):
     """Zero-curve segments as paired edge ids: returns (segA, segB) arrays."""
-    nx, ny = values.shape
+    nx, ny = g.values.shape
+    values = (np.pad(g.values, ((0, 1), (0, 1)), mode="wrap") if g.periodic
+              else g.values)
     pos = sign_grid(values)
+    hx = pos[:-1, :] != pos[1:, :]
+    vy = pos[:, :-1] != pos[:, 1:]
+    code = (hx[:, :-1].view(np.uint8) | vy[1:, :].view(np.uint8) << 1
+            | hx[:, 1:].view(np.uint8) << 2 | vy[:-1, :].view(np.uint8) << 3)
+    cells = np.flatnonzero(code)
+    if len(cells) == 0:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    ii, jj = np.divmod(cells, code.shape[1])
+    case = code.ravel()[cells]
 
-    if periodic:
-        hx = pos != np.roll(pos, -1, axis=0)          # (nx, ny) X-edges
-        vy = pos != np.roll(pos, -1, axis=1)          # (nx, ny) Y-edges
-        S = hx
-        N = np.roll(hx, -1, axis=1)
-        W = vy
-        E = np.roll(vy, -1, axis=0)
-        corner = values
-        c10 = np.roll(values, -1, axis=0)
-        c01 = np.roll(values, -1, axis=1)
-        c11 = np.roll(c10, -1, axis=1)
-    else:
-        hx = pos[:-1, :] != pos[1:, :]                # (nx-1, ny)
-        vy = pos[:, :-1] != pos[:, 1:]                # (nx, ny-1)
-        S = hx[:, :-1]
-        N = hx[:, 1:]
-        W = vy[:-1, :]
-        E = vy[1:, :]
-        corner = values[:-1, :-1]
-        c10 = values[1:, :-1]
-        c01 = values[:-1, 1:]
-        c11 = values[1:, 1:]
+    saddle = np.flatnonzero(case == 15)
+    si, sj = ii[saddle], jj[saddle]
+    corner = values[si, sj]
+    center = 0.25 * (corner + values[si + 1, sj] + values[si, sj + 1]
+                     + values[si + 1, sj + 1])
+    case[saddle] += sign_grid(center) == sign_grid(corner)
 
-    segA, segB = [], []
-
-    def emit(mask, side_a, side_b):
-        ii, jj = np.nonzero(mask)
-        if len(ii) == 0:
-            return
-        ids = _cell_edge_ids(ii, jj, nx, ny, periodic)
-        segA.append(ids[side_a])
-        segB.append(ids[side_b])
-
-    ncross = (S.astype(np.int8) + E.astype(np.int8)
-              + N.astype(np.int8) + W.astype(np.int8))
-    two = ncross == 2
-    # sides indexed 0=S, 1=E, 2=N, 3=W
-    emit(two & S & E, 0, 1)
-    emit(two & S & N, 0, 2)
-    emit(two & S & W, 0, 3)
-    emit(two & E & N, 1, 2)
-    emit(two & E & W, 1, 3)
-    emit(two & N & W, 2, 3)
-
-    saddle = ncross == 4
-    if np.any(saddle):
-        center = 0.25 * (corner + c10 + c01 + c11)
-        same = sign_grid(center) == sign_grid(corner)
-        emit(saddle & same, 0, 1)    # (S,E) + (N,W)
-        emit(saddle & same, 2, 3)
-        emit(saddle & ~same, 0, 3)   # (S,W) + (N,E)
-        emit(saddle & ~same, 1, 2)
-
-    if segA:
-        return np.concatenate(segA), np.concatenate(segB)
-    return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    group = _FIRST_GROUP[case]
+    group = np.concatenate([group, group[saddle] + 1])
+    order = np.argsort(group, kind="stable")
+    cell = np.concatenate([np.arange(len(cells)), saddle])[order]
+    ii, jj = ii[cell], jj[cell]
+    sides = _GROUP_SIDES[group[order]].T
+    # side s lies on the edge of type s & 1 at node (i+1, j) for E, (i, j+1)
+    # for N and (i, j) otherwise
+    row = np.where(sides == 1, (ii + 1) % nx, ii)
+    col = np.where(sides == 2, (jj + 1) % ny, jj)
+    segA, segB = 2 * (row * ny + col) + (sides & 1)
+    return segA, segB
 
 
-def edge_ports(eids: np.ndarray, values: np.ndarray, xs, ys, periodic: bool):
+def edge_ports(eids: np.ndarray, g: ScalarGrid):
     """Interpolated zero coordinates for edge ids (linear along the edge)."""
+    values, xs, ys = g.values, g.xs, g.ys
     nx, ny = values.shape
     typ = eids & 1
     flat = eids >> 1
@@ -202,9 +181,9 @@ def edge_ports(eids: np.ndarray, values: np.ndarray, xs, ys, periodic: bool):
     hy = ys[1] - ys[0] if len(ys) > 1 else 1.0
 
     va = values[ii, jj]
-    i2 = (ii + 1) % nx if periodic else np.minimum(ii + 1, nx - 1)
-    j2 = (jj + 1) % ny if periodic else np.minimum(jj + 1, ny - 1)
-    vb = np.where(typ == 0, values[i2, jj], values[ii, j2])
+    # on a square grid only the branch np.where discards reads a wrapped node
+    vb = np.where(typ == 0, values[(ii + 1) % nx, jj],
+                  values[ii, (jj + 1) % ny])
     denom = va - vb
     t = np.where(np.abs(denom) > 0, va / np.where(denom == 0, 1.0, denom), 0.5)
     t = np.clip(t, 0.0, 1.0)
@@ -255,7 +234,7 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
     if nx < 3 or ny < 3:
         # a west-east segment would span half the period: its seam is undefined
         raise ValueError("torus census needs at least 3 nodes per axis")
-    segA, segB = marching_segments(values, periodic=True)
+    segA, segB = marching_segments(g)
     K = len(segA)
     if K == 0:
         return NodalCensus(interior_components=0)
@@ -308,13 +287,13 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
         h = default_spacing(s)
     pad = SquareDomain(R + 2.0 * h)
     grid = evaluate_grid(s, pad, h, order=0)
-    segA, segB = marching_segments(grid.values, periodic=False)
+    segA, segB = marching_segments(grid)
     K = len(segA)
     if K == 0:
         return (0, np.zeros((0, 2))) if return_locations else 0
 
     ports, inv = np.unique(np.concatenate([segA, segB]), return_inverse=True)
-    pts = edge_ports(ports, grid.values, grid.xs, grid.ys, periodic=False)
+    pts = edge_ports(ports, grid)
 
     def gval(p):
         _, grads = evaluate_batch(s, p, order=1)

@@ -63,21 +63,27 @@ def test_portrait_torus_with_ppm(tmp_path):
     assert data.startswith(b"P6\n")
 
 
-@pytest.mark.parametrize("args, digest, paths, closed", [
+@pytest.mark.parametrize("args, digest, paths, closed, ppm_digest", [
     (["--preset", "uniform:64", "--R", "6", "--seed", "3"],
-     "2540f068c25755f1ce5cb97637a8765deffb715823027b00059938993858bcde", 53, 15),
+     "2540f068c25755f1ce5cb97637a8765deffb715823027b00059938993858bcde", 53, 15,
+     "a7e4ba42456d5c516105c6491f9a9eb1d68b38ab367d7b0a6ace29eb0cf5673a"),
     (["--section7", "f", "--R", "15"],
-     "5963d555bb50b69d886f2c807052f0523db5dbdfbfa44b499cc978b139bdb765", 59, 40),
+     "5963d555bb50b69d886f2c807052f0523db5dbdfbfa44b499cc978b139bdb765", 59, 40,
+     "043de9d9aa52bf506ca1781a5feb6766bb90112d494714bdc92dfa97dd6030f4"),
     (["--torus-n", "65", "--seed", "1"],
-     "94427669d85aaef394b6e548d87db47261f4f777e411bb6c845f47e54924b1d6", 39, 11),
+     "94427669d85aaef394b6e548d87db47261f4f777e411bb6c845f47e54924b1d6", 39, 11,
+     "4d1bf84ab1b4ba299c24228e7c20397eeb3161ca108ed8b543eec94da4a173de"),
 ], ids=["uniform64", "section7-f", "torus65"])
-def test_portrait_svg_digests(tmp_path, args, digest, paths, closed):
-    # pinned bytes of the portrait chain order and coordinates
+def test_portrait_svg_digests(tmp_path, args, digest, paths, closed,
+                              ppm_digest):
+    # pinned bytes of the portrait chain order and coordinates, and of the
+    # sign raster with its crossing pixels
     out = tmp_path / "p"
-    assert main(["portrait", *args, "--out", str(out)]) == 0
+    assert main(["portrait", *args, "--ppm", "--out", str(out)]) == 0
     svg = Path(str(out) + ".svg").read_text()
     assert (svg.count("<path"), svg.count(" Z")) == (paths, closed)
     assert sha(str(out) + ".svg") == digest
+    assert sha(str(out) + ".ppm") == ppm_digest
 
 
 def test_cns_report_schema_and_determinism(tmp_path):
@@ -188,6 +194,10 @@ def test_exit_codes(tmp_path):
     for bad in (["--M", "0", "--R", "3"], ["--M", "3", "--R", "0"]):
         assert main(["dns", "--preset", "uniform:64", "--cns", "0.1",
                      *bad]) == 2                            # NaN otherwise
+    portrait = ["portrait", "--preset", "uniform:8", "--out", str(tmp_path / "p")]
+    assert main(portrait + ["--R", "2", "--size", "0"]) == 2  # no pixels
+    for R in ("-1", "inf"):
+        assert main(portrait + ["--R", R]) == 2             # no square lattice
     assert main(["lattice", "--n", "65",
                  "--out", "/nonexistent_dir/x"]) == 3
     assert main(["lattice"]) == 2                           # missing required flag

@@ -18,13 +18,13 @@ import math
 import numpy as np
 import pytest
 
-from nodalfields.arithmetic import mu_n
+from nodalfields.arithmetic import cilleruelo_torus_field, mu_n
 from nodalfields.estimators import (
     estimate_cns,
     small_domain_report,
     torus_count_report,
 )
-from nodalfields.fields import sample
+from nodalfields.fields import cilleruelo_field, sample
 from nodalfields.measures import antipodal_pairs, preset
 from nodalfields.stability import sandwich_check
 
@@ -92,3 +92,22 @@ def test_pair_tables_and_first_draws_digest():
             h.update(np.ascontiguousarray(arr).tobytes())
     assert h.hexdigest() == (
         "cdc4d18bccde4a73890253f70811f03041541aa6985b9b5783edb4ece5a06015")
+
+
+def test_cilleruelo_samples_digest():
+    # coeff_a, coeff_b, origin_coeff and freq_scale of the planar and the
+    # torus Cilleruelo samples, derived while each call built its own measure
+    h = hashlib.sha256()
+    for seed in range(3):
+        for stream in range(3):
+            for s in (cilleruelo_field(seed, stream),
+                      cilleruelo_torus_field(5, seed, stream)):
+                h.update(np.concatenate([s.coeff_a, s.coeff_b,
+                                         [s.origin_coeff, s.freq_scale]])
+                         .tobytes())
+    assert h.hexdigest() == (
+        "b5f9c433558bcf4455b1136279bb22c624bed3f50072526345d50268ccc84012")
+    # one frozen measure per kappa convention serves every call
+    assert cilleruelo_field(1).measure is cilleruelo_field(2, 3).measure
+    assert (cilleruelo_torus_field(5, 1).measure
+            is cilleruelo_torus_field(7, 2).measure)

@@ -19,8 +19,10 @@ from nodalfields.topology import (
     count_components_torus,
     count_curve_intersections,
     count_flips,
+    edge_ports,
     half_edge_successors,
     interior_domain_areas,
+    marching_segments,
     sign_grid,
 )
 
@@ -226,6 +228,153 @@ def test_torus_census_seeded_counts(n, want):
             evaluate_grid(sample_torus_wave(n, 77, stream), TorusDomain(), h))
         got.append((c.total_components, c.wrapping_components))
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# oracle: the ten-mask marching squares with its own periodic branch, as it
+# stood before the case table; the case table must give the same segments in
+# the same order, and the same port coordinates
+
+def _marching_segments_oracle(values, periodic):
+    nx, ny = values.shape
+    pos = sign_grid(values)
+    if periodic:
+        hx = pos != np.roll(pos, -1, axis=0)
+        vy = pos != np.roll(pos, -1, axis=1)
+        S, N = hx, np.roll(hx, -1, axis=1)
+        W, E = vy, np.roll(vy, -1, axis=0)
+        corner = values
+        c10 = np.roll(values, -1, axis=0)
+        c01 = np.roll(values, -1, axis=1)
+        c11 = np.roll(c10, -1, axis=1)
+    else:
+        hx = pos[:-1, :] != pos[1:, :]
+        vy = pos[:, :-1] != pos[:, 1:]
+        S, N = hx[:, :-1], hx[:, 1:]
+        W, E = vy[:-1, :], vy[1:, :]
+        corner = values[:-1, :-1]
+        c10 = values[1:, :-1]
+        c01 = values[:-1, 1:]
+        c11 = values[1:, 1:]
+    segA, segB = [], []
+
+    def emit(mask, side_a, side_b):
+        ii, jj = np.nonzero(mask)
+        if len(ii) == 0:
+            return
+        jn = (jj + 1) % ny if periodic else jj + 1
+        ie = (ii + 1) % nx if periodic else ii + 1
+        ids = (2 * (ii * ny + jj), 2 * (ie * ny + jj) + 1,
+               2 * (ii * ny + jn), 2 * (ii * ny + jj) + 1)
+        segA.append(ids[side_a])
+        segB.append(ids[side_b])
+
+    ncross = (S.astype(np.int8) + E.astype(np.int8)
+              + N.astype(np.int8) + W.astype(np.int8))
+    two = ncross == 2
+    emit(two & S & E, 0, 1)
+    emit(two & S & N, 0, 2)
+    emit(two & S & W, 0, 3)
+    emit(two & E & N, 1, 2)
+    emit(two & E & W, 1, 3)
+    emit(two & N & W, 2, 3)
+    saddle = ncross == 4
+    if np.any(saddle):
+        center = 0.25 * (corner + c10 + c01 + c11)
+        same = sign_grid(center) == sign_grid(corner)
+        emit(saddle & same, 0, 1)
+        emit(saddle & same, 2, 3)
+        emit(saddle & ~same, 0, 3)
+        emit(saddle & ~same, 1, 2)
+    if segA:
+        return np.concatenate(segA), np.concatenate(segB)
+    return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+
+
+def _edge_ports_oracle(eids, values, xs, ys, periodic):
+    nx, ny = values.shape
+    typ = eids & 1
+    flat = eids >> 1
+    ii = flat // ny
+    jj = flat % ny
+    hx = xs[1] - xs[0] if len(xs) > 1 else 1.0
+    hy = ys[1] - ys[0] if len(ys) > 1 else 1.0
+    va = values[ii, jj]
+    i2 = (ii + 1) % nx if periodic else np.minimum(ii + 1, nx - 1)
+    j2 = (jj + 1) % ny if periodic else np.minimum(jj + 1, ny - 1)
+    vb = np.where(typ == 0, values[i2, jj], values[ii, j2])
+    denom = va - vb
+    t = np.where(np.abs(denom) > 0, va / np.where(denom == 0, 1.0, denom), 0.5)
+    t = np.clip(t, 0.0, 1.0)
+    x = xs[ii] + np.where(typ == 0, t * hx, 0.0)
+    y = ys[jj] + np.where(typ == 0, 0.0, t * hy)
+    return np.column_stack([x, y])
+
+
+def _lattice_grid(values, periodic):
+    nx, ny = values.shape
+    if periodic:
+        return ScalarGrid(domain=TorusDomain(), h=1.0 / nx,
+                          xs=np.arange(nx) / nx, ys=np.arange(ny) / ny,
+                          values=values)
+    return ScalarGrid(domain=SquareDomain(1.0), h=2.0 / max(nx - 1, 1),
+                      xs=np.linspace(-1, 1, nx), ys=np.linspace(-1, 1, ny),
+                      values=values)
+
+
+def _assert_marching_matches_oracle(g):
+    segA, segB = marching_segments(g)
+    wantA, wantB = _marching_segments_oracle(g.values, g.periodic)
+    assert segA.dtype == wantA.dtype and segB.dtype == wantB.dtype
+    assert np.array_equal(segA, wantA) and np.array_equal(segB, wantB)
+    ports = np.concatenate([segA, segB])
+    assert np.array_equal(
+        edge_ports(ports, g),
+        _edge_ports_oracle(ports, g.values, g.xs, g.ys, g.periodic))
+    return len(segA)
+
+
+def test_marching_segments_match_ten_mask_oracle_on_random_grids():
+    rng = np.random.default_rng(1010)
+    # every 2 x 2 grid over {-1, 0, 1}: all cases, ties and saddle centers
+    for flat in np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 4)).reshape(4, -1).T:
+        for periodic in (False, True):
+            _assert_marching_matches_oracle(
+                _lattice_grid(flat.reshape(2, 2), periodic))
+    saddles = 0
+    for trial in range(300):
+        nx, ny = (int(v) for v in rng.integers(1, 61, size=2))
+        kind = trial % 3
+        if kind == 0:   # smooth: low-pass filtered noise
+            raw = rng.standard_normal((nx, ny))
+            for _ in range(int(rng.integers(1, 4))):
+                raw = 0.25 * (np.roll(raw, 1, 0) + np.roll(raw, -1, 0)
+                              + np.roll(raw, 1, 1) + np.roll(raw, -1, 1))
+        elif kind == 1:  # saddle-rich: checkerboard signs, random magnitudes
+            i, j = np.indices((nx, ny))
+            raw = (-1.0) ** (i + j) * rng.random((nx, ny)) \
+                + 0.3 * rng.standard_normal((nx, ny))
+        else:            # small integers: exact zeros and tied centers
+            raw = rng.integers(-2, 3, size=(nx, ny)).astype(float)
+        # the rounded copy has exact zeros, so it exercises the tie rule
+        for values in (raw, np.round(raw, 1)):
+            for periodic in (False, True):
+                g = _lattice_grid(values, periodic)
+                _assert_marching_matches_oracle(g)
+            p = sign_grid(values)
+            saddles += int(np.count_nonzero(
+                (p[:-1, :-1] == p[1:, 1:]) & (p[1:, :-1] == p[:-1, 1:])
+                & (p[:-1, :-1] != p[1:, :-1])))
+    assert saddles > 10000
+
+
+def test_marching_segments_match_ten_mask_oracle_on_sampled_fields():
+    from nodalfields.arithmetic import sample_torus_wave
+    torus = evaluate_grid(sample_torus_wave(1105, 5), TorusDomain(), 1 / 544)
+    plane = evaluate_grid(sample(preset("uniform_circle", K=64), 5),
+                          SquareDomain(10.0))
+    assert _assert_marching_matches_oracle(torus) > 1000
+    assert _assert_marching_matches_oracle(plane) > 1000
 
 
 def test_half_edge_successors_of_a_path_and_a_cycle():
