@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 from . import __version__
 from .errors import NodalError
@@ -51,18 +52,11 @@ def _resolve_measure(args) -> SpectralMeasure:
     raise NodalError("need --measure FILE or --preset SPEC")
 
 
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w") as fh:
+def _emit(payload: dict, out: str | None) -> None:
+    """Write payload as sorted-key JSON to out + ".json", or to stdout."""
+    with open(out + ".json", "w") if out else nullcontext(sys.stdout) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _emit(payload: dict, out: str | None) -> None:
-    if out:
-        _write_json(payload, out)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
 
 
 def cmd_portrait(args) -> int:
@@ -93,12 +87,12 @@ def cmd_cns(args) -> int:
     rho = _resolve_measure(args)
     schedule = [float(x) for x in args.schedule.split(",")]
     report = estimate_cns(rho, schedule, args.M, args.seed, args.h)
-    _emit(report.to_dict(), args.out and args.out + ".json")
+    _emit(report.to_dict(), args.out)
     if args.out:
         with open(args.out + ".csv", "w") as fh:
             fh.write("R,mean,stderr,M,h\n")
             for R, m, e, h in zip(report.schedule, report.means,
-                                  report.stderrs, report.h_values):
+                                  report.stderrs, report.h):
                 fh.write(f"{R:.17g},{m:.17g},{e:.17g},{report.M},{h:.17g}\n")
     return 0
 
@@ -114,7 +108,7 @@ def cmd_dns(args) -> int:
         c = estimate_cns(rho, schedule, args.M, args.seed, args.h).cns_estimate
     d = estimate_dns(rho, args.R, args.M, args.seed, c, args.h)
     _emit({"kind": "dns_report", "R": args.R, "M": args.M, "seed": args.seed,
-           "cns_plugin": c, "dns_estimate": d}, args.out and args.out + ".json")
+           "cns_plugin": c, "dns_estimate": d}, args.out)
     return 0
 
 
@@ -123,7 +117,7 @@ def cmd_torus(args) -> int:
 
     rep = torus_count_report(args.n, args.M, args.h, args.seed,
                              planar_M=args.planar_M)
-    _emit(rep.to_dict(), args.out and args.out + ".json")
+    _emit(rep.to_dict(), args.out)
     return 0
 
 
@@ -136,7 +130,7 @@ def cmd_lattice(args) -> int:
     if lat.r2 > 0:
         from .measures import measure_to_dict
         payload["mu_n"] = measure_to_dict(mu_n(args.n))
-    _emit(payload, args.out and args.out + ".json")
+    _emit(payload, args.out)
     return 0
 
 
@@ -177,7 +171,7 @@ def cmd_flips(args) -> int:
             "density": mean / area,
             "density_stderr": stderr,
         }
-    _emit(payload, args.out and args.out + ".json")
+    _emit(payload, args.out)
     return 0
 
 
@@ -194,7 +188,7 @@ def cmd_stability(args) -> int:
         rep = sandwich_check(rho0, rho1, args.R, args.M, args.beta,
                              args.seed, args.h)
         payload["sandwich"] = rep.to_dict()
-    _emit(payload, args.out and args.out + ".json")
+    _emit(payload, args.out)
     return 0
 
 

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special
@@ -36,13 +36,15 @@ def measure_digest(rho: SpectralMeasure) -> str:
 
 @dataclass
 class EstimatorReport:
+    """The ``cns_report`` payload: each field is one key of ``to_dict()``."""
+
     measure: dict
     measure_hash: str
     schedule: list
     means: list
     stderrs: list
     M: int
-    h_values: list
+    h: list
     seed: int
     cns_estimate: float
     cns_stderr: float
@@ -51,22 +53,7 @@ class EstimatorReport:
     grid_too_coarse: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "cns_report",
-            "measure": self.measure,
-            "measure_hash": self.measure_hash,
-            "schedule": list(self.schedule),
-            "means": list(self.means),
-            "stderrs": list(self.stderrs),
-            "M": self.M,
-            "h": list(self.h_values),
-            "seed": self.seed,
-            "cns_estimate": self.cns_estimate,
-            "cns_stderr": self.cns_stderr,
-            "slope": self.slope,
-            "residuals": list(self.residuals),
-            "grid_too_coarse": self.grid_too_coarse,
-        }
+        return {"kind": "cns_report", **asdict(self)}
 
 
 def _batch(draw, M: int, domain, h: float | None, census) -> list:
@@ -152,7 +139,7 @@ def estimate_cns(rho: SpectralMeasure, R_schedule, M: int = 200,
     c, c_err, slope, resid = fit_cns_from_table(R_schedule, means, errs)
     return EstimatorReport(
         measure=measure_to_dict(rho), measure_hash=measure_digest(rho),
-        schedule=R_schedule, means=means, stderrs=errs, M=M, h_values=hs,
+        schedule=R_schedule, means=means, stderrs=errs, M=M, h=hs,
         seed=seed, cns_estimate=c, cns_stderr=c_err, slope=slope,
         residuals=[float(r) for r in resid], grid_too_coarse=too_coarse)
 
@@ -173,6 +160,8 @@ def estimate_dns(rho: SpectralMeasure, R: float, M: int, seed: int,
 
 @dataclass
 class TorusReport:
+    """The ``torus_report`` payload: each field is one key of ``to_dict()``."""
+
     n: int
     M: int
     h: float
@@ -185,12 +174,7 @@ class TorusReport:
     residual_over_sqrt_n: float
 
     def to_dict(self) -> dict:
-        return {"kind": "torus_report", "n": self.n, "M": self.M, "h": self.h,
-                "seed": self.seed, "mean_total": self.mean_total,
-                "stderr_total": self.stderr_total,
-                "mean_wrapping": self.mean_wrapping,
-                "cns_mu_n": self.cns_mu_n, "cns_stderr": self.cns_stderr,
-                "residual_over_sqrt_n": self.residual_over_sqrt_n}
+        return {"kind": "torus_report", **asdict(self)}
 
 
 def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,

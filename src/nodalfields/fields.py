@@ -267,8 +267,8 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
     """
     if h is None:
         h = default_spacing(s)
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h}")
     if grid_too_coarse(s, h):
         warnings.warn(
             f"grid spacing {h:.4g} gives fewer than "

@@ -10,7 +10,7 @@ gauges are grid minima/maxima (an upper estimate of the true min; h recorded).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,29 +30,33 @@ from .topology import count_components_plane
 
 @dataclass(frozen=True)
 class StabilityProfile:
-    """Grid min of max(|f|, |grad f|) plus the grid C^2 norm."""
+    """Grid min of max(|f|, |grad f|) plus the grid C^2 norm.
+
+    The ``stability_profile`` payload: each field is one key of ``to_dict()``.
+    """
 
     minmax: float
     c2_norm: float
     h: float
-    domain_descriptor: str
+    domain: str
 
     def to_dict(self):
-        return {"kind": "stability_profile", "minmax": self.minmax,
-                "c2_norm": self.c2_norm, "h": self.h,
-                "domain": self.domain_descriptor}
+        return {"kind": "stability_profile", **asdict(self)}
+
+
+def _minmax(g: ScalarGrid) -> float:
+    """Grid min of max(|f|, |grad f|), the beta-stability gauge."""
+    return float(np.maximum(np.abs(g.values), np.hypot(g.d1, g.d2)).min())
 
 
 def stability_profile(s: FieldSample, domain, h: float | None = None) -> StabilityProfile:
     if h is None:
         h = default_spacing(s)
     g = evaluate_grid(s, domain, h, order=2)
-    grad = np.hypot(g.d1, g.d2)
-    minmax = float(np.maximum(np.abs(g.values), grad).min())
     c2 = max(float(np.abs(arr).max())
              for arr in (g.values, g.d1, g.d2, g.d11, g.d12, g.d22))
-    return StabilityProfile(minmax=minmax, c2_norm=c2, h=g.h,
-                            domain_descriptor=g.domain.descriptor())
+    return StabilityProfile(minmax=_minmax(g), c2_norm=c2, h=g.h,
+                            domain=g.domain.descriptor())
 
 
 def _c1_distance_grids(g1: ScalarGrid, g2: ScalarGrid) -> float:
@@ -178,6 +182,9 @@ def coupled_sample(rho0: SpectralMeasure, rho1: SpectralMeasure, seed: int,
 
 @dataclass
 class SandwichReport:
+    """The ``stability_report`` payload: each field is one key of
+    ``to_dict()``, which adds the derived ``violation_rate``."""
+
     M: int
     filtered: int
     violations: int
@@ -189,10 +196,8 @@ class SandwichReport:
         return self.violations / self.filtered if self.filtered else 0.0
 
     def to_dict(self):
-        return {"kind": "stability_report", "M": self.M,
-                "filtered": self.filtered, "violations": self.violations,
-                "violation_rate": self.violation_rate,
-                "beta": self.beta, "R": self.R}
+        return {"kind": "stability_report", **asdict(self),
+                "violation_rate": self.violation_rate}
 
 
 def _subcensus(grid: ScalarGrid, R_inner: float) -> int:
@@ -233,9 +238,7 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
         g0 = evaluate_grid(f0, outer, h, order=order)
         g1 = evaluate_grid(f1, outer, h, order=order)
         if math.isfinite(beta):
-            minmax = float(np.maximum(np.abs(g0.values),
-                                      np.hypot(g0.d1, g0.d2)).min())
-            if minmax <= 2.0 * beta:
+            if _minmax(g0) <= 2.0 * beta:
                 continue
             if _c1_distance_grids(g0, g1) >= beta:
                 continue

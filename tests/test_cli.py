@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,7 +9,9 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from nodalfields.cli import main, parse_measure_spec
+from nodalfields.estimators import EstimatorReport, TorusReport
 from nodalfields.measures import load_measure, preset, weak_star_distance
+from nodalfields.stability import SandwichReport, StabilityProfile
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "nodalfields" / "schemas"
@@ -21,6 +24,19 @@ def validate(payload):
 
 def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind, report, derived", [
+    ("cns_report", EstimatorReport, set()),
+    ("torus_report", TorusReport, set()),
+    ("stability_profile", StabilityProfile, set()),
+    ("stability_report", SandwichReport, {"violation_rate"}),
+])
+def test_schema_keys_are_report_fields(kind, report, derived):
+    # to_dict() emits "kind", every field and the derived keys, nothing else
+    fields = {f.name for f in dataclasses.fields(report)}
+    assert set(SCHEMA["definitions"][kind]["properties"]) == (
+        {"kind"} | fields | derived)
 
 
 def test_parse_measure_spec():
@@ -198,6 +214,9 @@ def test_exit_codes(tmp_path):
     assert main(portrait + ["--R", "2", "--size", "0"]) == 2  # no pixels
     for R in ("-1", "inf"):
         assert main(portrait + ["--R", R]) == 2             # no square lattice
+    assert main(portrait + ["--R", "2", "--h", "inf"]) == 2  # a NaN node
+    assert main(["stability", "--preset", "uniform:8", "--R", "2",
+                 "--h", "inf"]) == 2                        # NaN minmax
     assert main(["lattice", "--n", "65",
                  "--out", "/nonexistent_dir/x"]) == 3
     assert main(["lattice"]) == 2                           # missing required flag

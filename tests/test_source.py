@@ -1,12 +1,14 @@
 """Static checks on the package source."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nodalfields"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -24,3 +26,39 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _loads(tree):
+    """Counts of the names and attributes an AST reads."""
+    return Counter(
+        [n.id for n in ast.walk(tree)
+         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+        + [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)])
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level def, class or assignment of _name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_private_names_are_used(path):
+    refs = sum((_loads(ast.parse(p.read_text(), filename=str(p)))
+                for p in SOURCES), Counter())
+    tree = ast.parse(path.read_text(), filename=str(path))
+    dead = sorted(f"{name} (line {node.lineno})"
+                  for name, node in _private_definitions(tree)
+                  if refs[name] - _loads(node)[name] <= 0)
+    assert not dead, f"{path.name} defines private names nothing reads: {dead}"
