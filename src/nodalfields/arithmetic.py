@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotSumOfTwoSquares, TooLarge
-from .fields import FieldSample, _cilleruelo_measure, sample
+from .fields import (POINTS_PER_WAVELENGTH, FieldSample, _cilleruelo_measure,
+                     sample)
 from .measures import SpectralMeasure, make_atomic, preset, weak_star_distance
 
 ENUMERATION_CAP = 10 ** 12
@@ -73,6 +74,11 @@ def sample_torus_wave(n: int, seed: int, stream: int = 0) -> FieldSample:
     measure mu_n is the same sample with freq_scale 1 (see planar_rescale).
     """
     return sample(mu_n(n), seed, stream, freq_scale=math.sqrt(n))
+
+
+def torus_spacing(n: int) -> float:
+    """Default torus spacing: POINTS_PER_WAVELENGTH nodes per 1/ceil(sqrt n)."""
+    return 1.0 / (POINTS_PER_WAVELENGTH * math.ceil(math.sqrt(n)))
 
 
 def planar_rescale(s: FieldSample) -> FieldSample:

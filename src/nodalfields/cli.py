@@ -62,10 +62,13 @@ def _emit(payload: dict, out: str | None) -> None:
 def cmd_portrait(args) -> int:
     from .stability import section7_field
 
+    h = args.h
     if args.torus_n is not None:
-        from .arithmetic import sample_torus_wave
+        from .arithmetic import sample_torus_wave, torus_spacing
         s = sample_torus_wave(args.torus_n, args.seed)
         domain = TorusDomain()
+        if h is None:
+            h = torus_spacing(args.torus_n)
     elif args.section7:
         s = section7_field(args.section7)
         domain = SquareDomain(args.R)
@@ -73,7 +76,7 @@ def cmd_portrait(args) -> int:
         rho = _resolve_measure(args)
         s = sample(rho, args.seed)
         domain = SquareDomain(args.R)
-    grid = evaluate_grid(s, domain, args.h)
+    grid = evaluate_grid(s, domain, h)
     render_svg(grid, args.out + ".svg", size=args.size)
     dump_grid_csv(grid, args.out + ".csv")
     if args.ppm:
@@ -135,7 +138,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_flips(args) -> int:
-    from .kacrice import diagonal_flip_density, flip_density
+    from .kacrice import directional_flip_density
 
     if args.empirical and args.M < 1:
         raise ValueError("--M must be at least 1")
@@ -143,10 +146,11 @@ def cmd_flips(args) -> int:
     payload = {"kind": "flips_report", "seed": args.seed}
     if args.diagonal:
         payload["diagonal"] = True
-        payload["closed_form"] = diagonal_flip_density(rho)
+        direction = (1.0, 1.0)
     else:
-        payload["axis"] = args.axis
-        payload["closed_form"] = flip_density(rho, args.axis)
+        axis = payload["axis"] = args.axis or 1
+        direction = (1.0, 0.0) if axis == 1 else (0.0, 1.0)
+    payload["closed_form"] = directional_flip_density(rho, direction)
     if args.empirical:
         from .fields import sample as draw
         from .topology import count_flips
@@ -154,12 +158,8 @@ def cmd_flips(args) -> int:
         R = args.R
         area = 4.0 * R * R
         dom = SquareDomain(R)
-        counts = []
-        for i in range(args.M):
-            s = draw(rho, args.seed, i)
-            d = (1.0, 1.0) if args.diagonal else None
-            counts.append(count_flips(s, dom, args.h, axis=args.axis,
-                                      direction=d))
+        counts = [count_flips(draw(rho, args.seed, i), dom, args.h, direction)
+                  for i in range(args.M)]
         M = len(counts)
         mean = sum(counts) / M
         stderr = None  # one draw gives no uncertainty
@@ -261,8 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flips", help="flip densities, closed form vs empirical")
     _add_measure_args(p)
-    p.add_argument("--axis", type=int, choices=[1, 2], default=1)
-    p.add_argument("--diagonal", action="store_true")
+    flip = p.add_mutually_exclusive_group()
+    flip.add_argument("--axis", type=int, choices=[1, 2],
+                      help="flips of f and df/dx_axis (default axis 1)")
+    flip.add_argument("--diagonal", action="store_true",
+                      help="flips of f and df/dx_1 + df/dx_2")
     p.add_argument("--empirical", action="store_true")
     p.add_argument("--R", type=float, default=10.0)
     p.add_argument("--M", type=int, default=20)

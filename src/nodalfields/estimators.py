@@ -22,8 +22,8 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateMeasure, GridTooCoarse, ScheduleTooShort
-from .fields import (POINTS_PER_WAVELENGTH, SquareDomain, TorusDomain,
-                     default_spacing, evaluate_grid, grid_too_coarse, sample)
+from .fields import (SquareDomain, TorusDomain, default_spacing, evaluate_grid,
+                     grid_too_coarse, sample)
 from .measures import SpectralMeasure, gradient_covariance, measure_to_dict
 from .topology import (count_components_plane, count_components_torus,
                        interior_domain_areas)
@@ -112,7 +112,7 @@ def fit_cns_from_table(Rs, means, stderrs):
     resid = y - X @ theta
     dof = len(Rs) - 2
     chi2 = float(np.sum(W * resid ** 2))
-    scale = max(1.0, chi2 / dof) if dof > 0 else 1.0
+    scale = max(1.0, chi2 / dof)
     cov = np.linalg.inv(A) * scale
     return (float(theta[0]), float(math.sqrt(max(cov[0, 0], 0.0))),
             float(theta[1]), resid)
@@ -154,6 +154,8 @@ def estimate_dns(rho: SpectralMeasure, R: float, M: int, seed: int,
         raise ValueError("need M >= 1")
     if R < 1:
         raise ValueError("need R >= 1")
+    if not math.isfinite(cns_estimate):
+        raise ValueError(f"plug-in c must be finite, got {cns_estimate}")
     counts = interior_counts(rho, R, M, h, seed)
     return float(np.mean(np.abs(counts / (4.0 * R * R) - cns_estimate)))
 
@@ -181,19 +183,20 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
                        planar_schedule=(10.0, 20.0, 40.0),
                        planar_M: int | None = None) -> TorusReport:
     """Mean total component count of degree-n torus waves vs c(mu_n) * n."""
-    from .arithmetic import mu_n, sample_torus_wave
+    from .arithmetic import mu_n, sample_torus_wave, torus_spacing
 
     if M < 2:
         raise ValueError("need M >= 2")
     rho = mu_n(n)
     if h is None:
-        h = 1.0 / (POINTS_PER_WAVELENGTH * math.ceil(math.sqrt(n)))
+        h = torus_spacing(n)
     censuses = _batch(lambda i: sample_torus_wave(n, seed, i), M,
                       TorusDomain(), h, count_components_torus)
     totals = np.array([c.total_components for c in censuses], dtype=float)
     wraps = np.array([c.wrapping_components for c in censuses], dtype=float)
 
-    planar = estimate_cns(rho, planar_schedule, planar_M or M, seed)
+    planar = estimate_cns(rho, planar_schedule,
+                          M if planar_M is None else planar_M, seed)
     mean_total = float(totals.mean())
     resid = (mean_total - planar.cns_estimate * n) / math.sqrt(n)
     return TorusReport(

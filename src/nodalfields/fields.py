@@ -169,26 +169,14 @@ def inject_sample(rho: SpectralMeasure, coeffs, origin_coeff: float = 0.0,
 
 def evaluate(s: FieldSample, x, order: int = 0):
     """Value / (value, gradient) / (value, gradient, Hessian) at a point."""
-    x = np.asarray(x, dtype=float)
-    C = s.frequencies
-    amp = s.amplitudes()
-    ph = C @ x
-    ca, sa = np.cos(ph), np.sin(ph)
-    wa, wb = amp * s.coeff_a, amp * s.coeff_b
-    val = float(ca @ wa + sa @ wb) + s.origin_coeff * math.sqrt(s.origin_weight)
+    out = evaluate_batch(s, np.reshape(x, (1, 2)), order)
     if order == 0:
-        return val
-    trig = wb * ca - wa * sa          # d/dphase of each pair term
-    grad = C.T @ trig
-    if order == 1:
-        return val, grad
-    curv = -(wa * ca + wb * sa)       # second derivative in phase
-    hess = np.einsum("k,ki,kj->ij", curv, C, C)
-    return val, grad, hess
+        return float(out[0])
+    return (float(out[0][0]), *(a[0] for a in out[1:]))
 
 
 def evaluate_batch(s: FieldSample, pts, order: int = 0):
-    """Vectorized evaluation at an (N, 2) array of points."""
+    """Values (and gradients, Hessians up to order 2) at (N, 2) points."""
     pts = np.asarray(pts, dtype=float)
     C = s.frequencies
     amp = s.amplitudes()
@@ -198,8 +186,11 @@ def evaluate_batch(s: FieldSample, pts, order: int = 0):
     vals = ca @ wa + sa @ wb + s.origin_coeff * math.sqrt(s.origin_weight)
     if order == 0:
         return vals
-    grads = (ca * wb - sa * wa) @ C   # (N, 2)
-    return vals, grads
+    grads = (ca * wb - sa * wa) @ C   # d/dphase of each pair term
+    if order == 1:
+        return vals, grads
+    curv = -(ca * wa + sa * wb)       # second derivative in phase
+    return vals, grads, np.einsum("nk,ki,kj->nij", curv, C, C)
 
 
 def grid_axes(domain, h: float):
@@ -378,19 +369,14 @@ def covariance_mc(rho: SpectralMeasure, x, M: int, seed: int):
         return u
 
     U = np.vstack([design(np.zeros(2)), design(x)])
-    # one bit generator, reset per draw to the state _philox(seed, i) starts
-    # in: key (seed, i), counter 0, empty buffer
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
+    # one generator, reset per draw to the initial state of _philox(seed, i)
+    gen = _philox(seed, 0)
+    state = gen.bit_generator.state
+    key = state["state"]["key"]
     prods = np.empty(M)
     for i in range(M):
-        key[1] = i & 0xFFFFFFFFFFFFFFFF
-        bitgen.state = state
+        key[1] = i
+        gen.bit_generator.state = state
         coeffs = gen.standard_normal(2 * m + 1)
         v = U @ coeffs
         prods[i] = v[0] * v[1]

@@ -4,14 +4,14 @@ Zero curves are chained from marching-squares cell segments with linear
 interpolation on cell edges; saddle cells are resolved by the sign of the
 cell-center mean.  The torus census walks the same half-edge graph
 (``topology.half_edge_successors``), so torus pictures and torus counts
-agree on the same grid.  At their defaults they use different grids:
-``portrait --torus-n n`` takes ``default_spacing`` (129^2 nodes at n = 65,
-532^2 at n = 1105) while ``torus_count_report`` takes 1/(16 ceil(sqrt n))
-(144^2, 544^2).  The square census does not agree even on the same grid: it
-counts 4-connected sign domains, which splits both diagonals of every saddle
-cell, so it can count more compact components than the picture shows closed
-curves (about +0.47 per sample for uniform_circle K=64 on R=6 at 16 points
-per wavelength).  Output is byte-stable for identical inputs.
+agree on the same grid, and at their defaults they draw and count on the
+same one: both ``portrait --torus-n n`` and ``torus_count_report`` take
+``arithmetic.torus_spacing(n)`` (144^2 nodes at n = 65, 544^2 at n = 1105).
+The square census does not agree even on the same grid: it counts
+4-connected sign domains, which splits both diagonals of every saddle cell,
+so it can count more compact components than the picture shows closed curves
+(about +0.47 per sample for uniform_circle K=64 on R=6 at 16 points per
+wavelength).  Output is byte-stable for identical inputs.
 """
 
 from __future__ import annotations

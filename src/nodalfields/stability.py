@@ -227,6 +227,8 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
         raise ValueError("need R >= 1")
     if M < 1:
         raise ValueError("need M >= 1")
+    if not beta > 0:
+        raise ValueError(f"need beta > 0 (inf: no filters), got {beta}")
     # only the filters read derivative grids
     order = 1 if math.isfinite(beta) else 0
     filtered = violations = 0

@@ -15,8 +15,9 @@ That graph is the one zero-set graph of the package: ``half_edge_successors``
 pairs the segments meeting at each crossing port, and both the torus census
 and the portraits (``portraits.zero_polylines``) walk its successors.
 
-Node values with |f| < TIE_TOL are treated as positive (measure-zero event,
-deterministic tie rule).
+Values with |f| < TIE_TOL are treated as positive (measure-zero event,
+deterministic tie rule), through ``sign_grid`` only: at grid nodes, and at the
+ports, bisection midpoints and line samples of flips and intersections.
 """
 
 from __future__ import annotations
@@ -263,21 +264,19 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
 # Flips: simultaneous zeros of (f, directional derivative of f).
 
 def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
-                axis: int = 1, direction=None, return_locations: bool = False):
+                direction=(1.0, 0.0), return_locations: bool = False):
     """Count points of the closed square where f and d.grad f both vanish.
 
-    Cells are scanned for a zero segment of f whose endpoints see opposite
-    signs of g = d.grad f; each such segment is refined by 10 bisection steps
-    and contributes one flip if the refined location lies in the closed
-    domain.  A crossing port ends two segments, so each unique port is placed
-    and evaluated once and every segment reads the signs of its two ports.
-    The grid is padded by one cell so boundary flips are caught; the tie rule
+    d = ``direction`` (nonzero; the default counts axis-1 flips).  Cells are
+    scanned for a zero segment of f whose endpoints see opposite signs of
+    g = d.grad f; each such segment is refined by 10 bisection steps and
+    contributes one flip if the refined location lies in the closed domain.
+    A crossing port ends two segments, so each unique port is placed and
+    evaluated once and every segment reads the signs of its two ports.  The
+    grid is padded by one cell so boundary flips are caught; the tie rule
     makes exactly-zero corners deterministic.
     """
-    if axis not in (1, 2) and direction is None:
-        raise ValueError("axis must be 1 or 2")
-    d = np.asarray(direction if direction is not None
-                   else ([1.0, 0.0] if axis == 1 else [0.0, 1.0]), dtype=float)
+    d = np.asarray(direction, dtype=float)
     if not np.any(d):
         raise ValueError("direction must be nonzero")
     R = domain.R
@@ -299,7 +298,7 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
         _, grads = evaluate_batch(s, p, order=1)
         return grads @ d
 
-    sg = gval(pts) > -TIE_TOL
+    sg = sign_grid(gval(pts))
     ia, ib = inv[:K], inv[K:]
     sga = sg[ia]
     cand = sga != sg[ib]
@@ -310,7 +309,7 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
     slo = sga[cand]
     for _ in range(10):
         mid = 0.5 * (lo + hi)
-        smid = gval(mid) > -TIE_TOL
+        smid = sign_grid(gval(mid))
         take_lo = smid == slo            # sign change sits in [mid, hi]
         lo[take_lo] = mid[take_lo]
         hi[~take_lo] = mid[~take_lo]
@@ -344,6 +343,5 @@ def count_curve_intersections(s: FieldSample, p0, p1,
     n = max(2, int(math.ceil(length / h)) + 1)
     ts = np.linspace(0.0, 1.0, n)
     pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
-    vals = evaluate_batch(s, pts, order=0)
-    pos = vals > -TIE_TOL
+    pos = sign_grid(evaluate_batch(s, pts, order=0))
     return int(np.count_nonzero(pos[1:] != pos[:-1]))

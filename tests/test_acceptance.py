@@ -153,7 +153,8 @@ def test_criterion_05_flip_density_vs_empirical():
     for rho, tag in ((U64, "uniform64"), (NU0_ONE, "axis4")):
         dens = flip_density(rho, 1)
         counts = np.array([count_flips(sample(rho, 1300, i), SquareDomain(R),
-                                       axis=1) for i in range(M)])
+                                       direction=(1.0, 0.0))
+                           for i in range(M)])
         mean = counts.mean() / area
         se = counts.std(ddof=1) / math.sqrt(M) / area
         z = abs(mean - dens) / se

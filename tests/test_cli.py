@@ -9,7 +9,8 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from nodalfields.cli import main, parse_measure_spec
-from nodalfields.estimators import EstimatorReport, TorusReport
+from nodalfields.estimators import (EstimatorReport, TorusReport,
+                                    torus_count_report)
 from nodalfields.measures import load_measure, preset, weak_star_distance
 from nodalfields.stability import SandwichReport, StabilityProfile
 
@@ -79,23 +80,26 @@ def test_portrait_torus_with_ppm(tmp_path):
     assert data.startswith(b"P6\n")
 
 
-@pytest.mark.parametrize("args, digest, paths, closed, ppm_digest", [
-    (["--preset", "uniform:64", "--R", "6", "--seed", "3"],
+@pytest.mark.parametrize("args, nodes, digest, paths, closed, ppm_digest", [
+    (["--preset", "uniform:64", "--R", "6", "--seed", "3"], 193,
      "2540f068c25755f1ce5cb97637a8765deffb715823027b00059938993858bcde", 53, 15,
      "a7e4ba42456d5c516105c6491f9a9eb1d68b38ab367d7b0a6ace29eb0cf5673a"),
-    (["--section7", "f", "--R", "15"],
+    (["--section7", "f", "--R", "15"], 230,
      "5963d555bb50b69d886f2c807052f0523db5dbdfbfa44b499cc978b139bdb765", 59, 40,
      "043de9d9aa52bf506ca1781a5feb6766bb90112d494714bdc92dfa97dd6030f4"),
-    (["--torus-n", "65", "--seed", "1"],
-     "94427669d85aaef394b6e548d87db47261f4f777e411bb6c845f47e54924b1d6", 39, 11,
-     "4d1bf84ab1b4ba299c24228e7c20397eeb3161ca108ed8b543eec94da4a173de"),
+    # the torus grid of torus_count_report: torus_spacing(65) = 1/144
+    (["--torus-n", "65", "--seed", "1"], 144,
+     "cfd3c8c9e9003440ac8bf6c6726b8229b3ab1f52335b68caf935da0dbb4f99c7", 41, 11,
+     "2939a22d8993c7c3a5d1d31cdd8d8feda253185431a9c1c838ea91a34803453b"),
 ], ids=["uniform64", "section7-f", "torus65"])
-def test_portrait_svg_digests(tmp_path, args, digest, paths, closed,
+def test_portrait_svg_digests(tmp_path, args, nodes, digest, paths, closed,
                               ppm_digest):
     # pinned bytes of the portrait chain order and coordinates, and of the
-    # sign raster with its crossing pixels
+    # sign raster with its crossing pixels, on a pinned nodes x nodes grid
     out = tmp_path / "p"
     assert main(["portrait", *args, "--ppm", "--out", str(out)]) == 0
+    rows = Path(str(out) + ".csv").read_text().splitlines()[1:]
+    assert (len(rows), len(rows[0].split(","))) == (nodes, nodes)
     svg = Path(str(out) + ".svg").read_text()
     assert (svg.count("<path"), svg.count(" Z")) == (paths, closed)
     assert sha(str(out) + ".svg") == digest
@@ -124,6 +128,12 @@ def test_dns_report(tmp_path):
     payload = json.loads(Path(str(out) + ".json").read_text())
     validate(payload)
     assert payload["dns_estimate"] == 0.0
+
+
+def test_torus_planar_m_zero_fails():
+    with pytest.raises(ValueError, match="M >= 10"):
+        torus_count_report(65, 2, seed=1, planar_M=0)
+    assert main(["torus", "--n", "65", "--M", "2", "--planar-M", "0"]) == 2
 
 
 def test_torus_report(tmp_path):
@@ -210,6 +220,15 @@ def test_exit_codes(tmp_path):
     for bad in (["--M", "0", "--R", "3"], ["--M", "3", "--R", "0"]):
         assert main(["dns", "--preset", "uniform:64", "--cns", "0.1",
                      *bad]) == 2                            # NaN otherwise
+    for beta in ("0", "-1", "nan"):                         # no usable filter
+        assert main(["stability", "--preset", "uniform:16", "--preset2",
+                     "uniform:16", "--R", "3", "--M", "2",
+                     "--beta", beta]) == 2
+    for c in ("nan", "inf"):                                # non-finite plug-in
+        assert main(["dns", "--preset", "uniform:8", "--R", "3", "--M", "2",
+                     "--cns", c]) == 2
+    for flags in (["--diagonal", "--axis", "2"], ["--axis", "1", "--diagonal"]):
+        assert main(["flips", "--preset", "uniform:64", *flags]) == 2
     portrait = ["portrait", "--preset", "uniform:8", "--out", str(tmp_path / "p")]
     assert main(portrait + ["--R", "2", "--size", "0"]) == 2  # no pixels
     for R in ("-1", "inf"):

@@ -126,7 +126,8 @@ def test_diagonal_flip_density_vanishes_for_axis_measures():
 def test_flip_density_matches_monte_carlo():
     dens = flip_density(NU0_ONE, 1)
     R, M = 12.0, 60
-    counts = [count_flips(sample(NU0_ONE, 700, i), SquareDomain(R), axis=1)
+    counts = [count_flips(sample(NU0_ONE, 700, i), SquareDomain(R),
+                          direction=(1.0, 0.0))
               for i in range(M)]
     area = 4 * R * R
     mean = np.mean(counts) / area

@@ -62,3 +62,20 @@ def test_private_names_are_used(path):
                   for name, node in _private_definitions(tree)
                   if refs[name] - _loads(node)[name] <= 0)
     assert not dead, f"{path.name} defines private names nothing reads: {dead}"
+
+
+def _readers(name):
+    """(module, top-level definition) pairs whose code reads ``name``."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if _loads(node)[name]:
+                yield path.stem, getattr(node, "name", None)
+
+
+@pytest.mark.parametrize("name, owner", [
+    ("TIE_TOL", ("topology", "sign_grid")),     # the tie rule
+    ("Philox", ("fields", "_philox")),          # the (seed, stream) key
+])
+def test_rule_has_one_reader(name, owner):
+    assert sorted(set(_readers(name))) == [owner]

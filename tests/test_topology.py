@@ -391,10 +391,10 @@ def test_half_edge_successors_of_a_path_and_a_cycle():
 @pytest.mark.parametrize("n", [65, 325])
 def test_torus_portrait_chains_are_census_components(n, stream):
     # the portraits and the torus census walk the same zero-set graph
-    from nodalfields.arithmetic import sample_torus_wave
+    from nodalfields.arithmetic import sample_torus_wave, torus_spacing
     from nodalfields.portraits import zero_polylines
-    h = 1.0 / (16 * math.ceil(math.sqrt(n)))
-    g = evaluate_grid(sample_torus_wave(n, 77, stream), TorusDomain(), h)
+    g = evaluate_grid(sample_torus_wave(n, 77, stream), TorusDomain(),
+                      torus_spacing(n))
     chains = zero_polylines(g)
     assert all(closed for _, closed in chains)
     assert len(chains) == count_components_torus(g).total_components
@@ -405,8 +405,8 @@ def test_flips_of_injected_sum_of_cosines():
     # (f, d1 f) in the closed square D_pi sit at (+-pi, 0), (0, +-pi)
     inj = inject_sample(preset("cilleruelo", kappa="one"),
                         [(1.0, 0.0), (1.0, 0.0)])
-    n, locs = count_flips(inj, SquareDomain(math.pi), h=math.pi / 40, axis=1,
-                          return_locations=True)
+    n, locs = count_flips(inj, SquareDomain(math.pi), h=math.pi / 40,
+                          direction=(1.0, 0.0), return_locations=True)
     assert n == 4
     want = {(-1, 0), (1, 0), (0, -1), (0, 1)}
     got = {(round(x / math.pi), round(y / math.pi)) for x, y in locs}
@@ -417,22 +417,22 @@ def test_flips_degenerate_and_constant():
     tp = preset("two_point", theta=0.0, kappa="one")
     s = sample(tp, seed=3)
     # field depends only on x1, so f = d2 f = 0 has no isolated solutions
-    assert count_flips(s, SquareDomain(10.0), axis=2) == 0
+    assert count_flips(s, SquareDomain(10.0), direction=(0.0, 1.0)) == 0
     const = sample(preset("delta_zero"), seed=1)
-    assert count_flips(const, SquareDomain(5.0), h=0.25, axis=1) == 0
-    assert count_flips(const, SquareDomain(5.0), h=0.25, axis=2) == 0
+    for d in ((1.0, 0.0), (0.0, 1.0)):
+        assert count_flips(const, SquareDomain(5.0), h=0.25, direction=d) == 0
 
 
-@pytest.mark.parametrize("rho, seed, R, kw, want", [
-    (preset("uniform_circle", K=64), 2, 10.0, {"axis": 1}, [654, 694, 653]),
-    (preset("uniform_circle", K=64), 5, 6.0, {"axis": 2}, [263, 190, 249]),
-    (preset("uniform_circle", K=64), 7, 6.0, {"direction": (1.0, 1.0)},
-     [204, 228, 220]),
-    (preset("cilleruelo", kappa="one"), 3, 12.0, {"axis": 1}, [0, 0, 56]),
+@pytest.mark.parametrize("rho, seed, R, direction, want", [
+    (preset("uniform_circle", K=64), 2, 10.0, (1.0, 0.0), [654, 694, 653]),
+    (preset("uniform_circle", K=64), 5, 6.0, (0.0, 1.0), [263, 190, 249]),
+    (preset("uniform_circle", K=64), 7, 6.0, (1.0, 1.0), [204, 228, 220]),
+    (preset("cilleruelo", kappa="one"), 3, 12.0, (1.0, 0.0), [0, 0, 56]),
 ], ids=["u64-axis1", "u64-axis2", "u64-diagonal", "cilleruelo-axis1"])
-def test_count_flips_seeded_counts(rho, seed, R, kw, want):
+def test_count_flips_seeded_counts(rho, seed, R, direction, want):
     # pinned from the census that evaluated both ends of every segment
-    got = [count_flips(sample(rho, seed, i), SquareDomain(R), **kw)
+    got = [count_flips(sample(rho, seed, i), SquareDomain(R),
+                       direction=direction)
            for i in range(3)]
     assert got == want
 
@@ -441,7 +441,7 @@ def test_count_flips_rejects_empty_square_and_zero_direction():
     s = sample(preset("uniform_circle", K=64), seed=2)
     for R in (0.0, -2.0):
         with pytest.raises(ValueError, match="R must be positive"):
-            count_flips(s, SquareDomain(R), axis=1)
+            count_flips(s, SquareDomain(R))
     with pytest.raises(ValueError, match="direction must be nonzero"):
         count_flips(s, SquareDomain(3.0), direction=(0.0, 0.0))
 
@@ -487,7 +487,7 @@ def test_flip_count_matches_newton_oracle():
         if gi not in seen:
             n_oracle += 1
             seen.update(grp)
-    n_port = count_flips(s, SquareDomain(R), h=1 / 32, axis=1)
+    n_port = count_flips(s, SquareDomain(R), h=1 / 32, direction=(1.0, 0.0))
     assert n_port == n_oracle
 
 
