@@ -187,6 +187,11 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
 
     if M < 2:
         raise ValueError("need M >= 2")
+    if planar_M is None:
+        planar_M = M
+    if planar_M < 10:
+        # estimate_cns would fail only after the whole torus batch
+        raise ValueError(f"need planar_M >= 10 (default: M), got {planar_M}")
     rho = mu_n(n)
     if h is None:
         h = torus_spacing(n)
@@ -195,8 +200,7 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
     totals = np.array([c.total_components for c in censuses], dtype=float)
     wraps = np.array([c.wrapping_components for c in censuses], dtype=float)
 
-    planar = estimate_cns(rho, planar_schedule,
-                          M if planar_M is None else planar_M, seed)
+    planar = estimate_cns(rho, planar_schedule, planar_M, seed)
     mean_total = float(totals.mean())
     resid = (mean_total - planar.cns_estimate * n) / math.sqrt(n)
     return TorusReport(

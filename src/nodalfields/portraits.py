@@ -7,11 +7,8 @@ cell-center mean.  The torus census walks the same half-edge graph
 agree on the same grid, and at their defaults they draw and count on the
 same one: both ``portrait --torus-n n`` and ``torus_count_report`` take
 ``arithmetic.torus_spacing(n)`` (144^2 nodes at n = 65, 544^2 at n = 1105).
-The square census does not agree even on the same grid: it counts
-4-connected sign domains, which splits both diagonals of every saddle cell,
-so it can count more compact components than the picture shows closed curves
-(about +0.47 per sample for uniform_circle K=64 on R=6 at 16 points per
-wavelength).  Output is byte-stable for identical inputs.
+The square census counts the closed chains of the same graph.  Output is
+byte-stable for identical inputs.
 """
 
 from __future__ import annotations

@@ -1,15 +1,21 @@
 """Nodal censuses on grids: components, domain areas, flips, intersections.
 
 Counting convention: a compact zero-set component is the outer boundary of
-exactly one bounded sign-domain, so on squares we count bounded 4-connected
-same-sign regions that do not touch the grid boundary (robust on lattices,
-valid whenever the gradient does not vanish on the zero set).
-``count_components_plane`` returns these counts only; ``interior_domain_areas``
-returns the areas of the same domains from the same labeling, for the
-small-domain statistics.  On the torus, zero-set components are counted
-directly from the marching-squares crossing graph: every port there has
-degree 2, so components are cycles, and a cycle wraps iff it crosses the
-x-seam or the y-seam an odd number of times.
+exactly one bounded sign-domain.  On squares a sign-domain is a 4-connected
+set of same-sign nodes together with the saddle diagonals the zero set
+leaves joined: in a saddle cell (all four sides crossed) the diagonal whose
+sign is that of the cell-centre mean is joined, the rule the marching
+segments use, so the domains away from the border are exactly the closed
+cycles of the segment graph.  ``count_components_plane`` labels the
+positive set once, merges the labels of the joined positive diagonals,
+counts the negative interior domains as the holes of that set from one
+Euler sum, and reads the border domains off the signs around the border
+ring.  ``interior_domain_areas`` labels both signs, merges them the same
+way and returns the areas of the interior domains, for the small-domain
+statistics.  On the torus, zero-set components are counted directly from
+the marching-squares crossing graph: every port there has degree 2, so
+components are cycles, and a cycle wraps iff it crosses the x-seam or the
+y-seam an odd number of times.
 
 That graph is the one zero-set graph of the package: ``half_edge_successors``
 pairs the segments meeting at each crossing port, and both the torus census
@@ -47,11 +53,13 @@ _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 class NodalCensus:
     """Component counts of one gridded sample.
 
-    On squares: interior_components = compact zero-set components (bounded
-    sign-domains away from the boundary); boundary_components = sign-domains
-    touching the grid boundary.  On the torus: interior_components =
-    contractible zero-set components, wrapping_components the rest.  The
-    areas of the bounded square domains come from ``interior_domain_areas``.
+    On squares: interior_components = compact zero-set components, i.e.
+    sign-domains away from the border, a domain being 4-connected plus the
+    joined saddle diagonals (see the module docstring); boundary_components
+    = sign-domains touching the grid border.  On the torus:
+    interior_components = contractible zero-set components,
+    wrapping_components the rest.  The areas of the bounded square domains
+    come from ``interior_domain_areas``.
     """
 
     interior_components: int
@@ -68,46 +76,139 @@ def sign_grid(values: np.ndarray) -> np.ndarray:
     return values > -TIE_TOL
 
 
-def _sign_domains(g: ScalarGrid):
-    """4-connected labels of the positive, then the negative sign-domains.
-
-    Yields (labels, inner) per sign that has a domain: inner[k] is True for
-    label k > 0 iff domain k does not touch the grid border.
-    """
+def _square_values(g: ScalarGrid) -> np.ndarray:
+    """The values of a square-domain grid, or a loud failure."""
     if g.values is None or g.values.size == 0:
         raise EmptyGrid("no values")
+    if g.periodic:
+        raise ValueError("the plane census needs a square grid; "
+                         "count torus grids with count_components_torus")
     if not np.all(np.isfinite(g.values)):
         raise EmptyGrid("grid contains non-finite values")
-    pos = sign_grid(g.values)
-    for mask in (pos, ~pos):
-        labels, n = ndimage.label(mask, structure=_FOUR_CONN)
-        if n == 0:
-            continue
-        inner = np.ones(n + 1, dtype=bool)
-        inner[np.concatenate([labels[0, :], labels[-1, :],
-                              labels[:, 0], labels[:, -1]])] = False
-        inner[0] = False
-        yield labels, inner
+    return g.values
+
+
+def _joins_main_diagonal(values: np.ndarray, i: np.ndarray,
+                         j: np.ndarray) -> np.ndarray:
+    """The saddle rule: which diagonal of saddle cell (i, j) is joined.
+
+    True where the (i, j)-(i+1, j+1) diagonal is joined, i.e. where the
+    cell-centre mean has the sign of the (i, j) corner; elsewhere the
+    (i+1, j)-(i, j+1) diagonal is.  The marching segments and both square
+    censuses read this rule, so they agree on every grid.
+    """
+    corner = values[i, j]
+    center = 0.25 * (corner + values[i + 1, j] + values[i, j + 1]
+                     + values[i + 1, j + 1])
+    return sign_grid(center) == sign_grid(corner)
+
+
+def _saddle_joins(values: np.ndarray, pos: np.ndarray):
+    """(i, j, main, up) of every saddle cell, whose four sides are crossed.
+
+    main is the saddle rule; up is True where the joined diagonal is
+    positive.  A cell whose S, N and W sides are crossed has its E side
+    crossed too, so one full-grid test of S and N finds the candidates.
+    """
+    hx = pos[:-1, :] != pos[1:, :]
+    i, j = np.divmod(np.flatnonzero(hx[:, :-1] & hx[:, 1:]),
+                     pos.shape[1] - 1)
+    keep = pos[i, j] != pos[i, j + 1]
+    i, j = i[keep], j[keep]
+    main = _joins_main_diagonal(values, i, j)
+    return i, j, main, main == pos[i, j]
+
+
+def _merged_domains(labels: np.ndarray, n: int, i, j, main):
+    """Merge 4-connected labels 1..n across joined saddle diagonals.
+
+    (i, j, main) are saddle cells whose joined diagonal joins two labelled
+    nodes.  Returns (rep, inner): rep[k] is the smallest label merged with k,
+    and inner[k] is True iff k > 0 is such a representative and no part of
+    its merged domain touches the grid border.  The union-find runs over the
+    labels the joins touch only.
+    """
+    rep = np.arange(n + 1)
+    a = labels[i, j + ~main]
+    b = labels[i + 1, j + main]
+    if len(a):
+        nodes, pair = np.unique(np.concatenate([a, b]), return_inverse=True)
+        parent = list(range(len(nodes)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for x, y in zip(pair[:len(a)].tolist(), pair[len(a):].tolist()):
+            x, y = find(x), find(y)
+            parent[max(x, y)] = min(x, y)
+        rep[nodes] = nodes[[find(x) for x in range(len(nodes))]]
+    inner = rep == np.arange(n + 1)
+    inner[rep[np.concatenate([labels[0, :], labels[-1, :],
+                              labels[:, 0], labels[:, -1]])]] = False
+    inner[0] = False
+    return rep, inner
+
+
+def _border_domains(pos: np.ndarray) -> int:
+    """Sign-domains touching the border, from the signs around it.
+
+    Each open zero curve runs between two sign changes of the border ring
+    and splits the square in two, so m open curves leave m + 1 border
+    domains.  A grid one node wide is all border: its domains are its runs.
+    """
+    if min(pos.shape) == 1:
+        line = pos.ravel()
+        return int(np.count_nonzero(line[1:] != line[:-1])) + 1
+    ring = np.concatenate([pos[0, :], pos[1:, -1], pos[-1, -2::-1],
+                           pos[-2::-1, 0]])
+    return int(np.count_nonzero(ring[1:] != ring[:-1])) // 2 + 1
 
 
 def count_components_plane(g: ScalarGrid) -> NodalCensus:
-    """Census of a square-domain grid via two-phase component labeling."""
-    n_interior = n_boundary = 0
-    for _, inner in _sign_domains(g):
-        k = int(np.count_nonzero(inner))
-        n_interior += k
-        n_boundary += len(inner) - 1 - k
-    return NodalCensus(interior_components=n_interior,
-                       boundary_components=n_boundary)
+    """Census of a square-domain grid from one labeling of the positive set.
+
+    P is the positive nodes with their 4-neighbour edges, the joined positive
+    saddle diagonals and the all-positive cells.  Interior positive domains
+    are the merged components of P away from the border.  Every interior
+    negative domain is a hole of P, and holes = components - Euler number,
+    with chi(P) = nodes - edges - joins + cells (S. B. Gray, IEEE Trans.
+    Computers C-20 (1971) 551-561).
+    """
+    values = _square_values(g)
+    pos = sign_grid(values)
+    labels, n = ndimage.label(pos, structure=_FOUR_CONN)
+    i, j, main, up = _saddle_joins(values, pos)
+    rep, inner = _merged_domains(labels, n, i[up], j[up], main[up])
+    components = int(np.count_nonzero(rep == np.arange(n + 1))) - 1
+
+    hp = pos[:-1, :] & pos[1:, :]
+    edges = np.count_nonzero(hp) + np.count_nonzero(pos[:, :-1] & pos[:, 1:])
+    cells = np.count_nonzero(hp[:, :-1] & hp[:, 1:])
+    euler = int(np.count_nonzero(pos) - edges - np.count_nonzero(up) + cells)
+    return NodalCensus(
+        interior_components=int(np.count_nonzero(inner)) + components - euler,
+        boundary_components=_border_domains(pos))
 
 
 def interior_domain_areas(g: ScalarGrid) -> np.ndarray:
-    """Sorted areas (cells x h^2) of the sign-domains away from the border."""
+    """Sorted areas (nodes x h^2) of the sign-domains away from the border.
+
+    Labels each sign, merges the parts a joined saddle diagonal connects and
+    sums their areas: the domains ``count_components_plane`` counts.
+    """
+    values = _square_values(g)
+    pos = sign_grid(values)
+    i, j, main, up = _saddle_joins(values, pos)
     areas = []
-    for labels, inner in _sign_domains(g):
-        counts = np.bincount(labels.ravel(), minlength=len(inner))
-        areas.append(counts[inner] * g.h * g.h)
-    return np.sort(np.concatenate(areas)) if areas else np.zeros(0)
+    for mask, joined in ((pos, up), (~pos, ~up)):
+        labels, n = ndimage.label(mask, structure=_FOUR_CONN)
+        rep, inner = _merged_domains(labels, n, i[joined], j[joined],
+                                     main[joined])
+        sizes = np.bincount(rep, np.bincount(labels.ravel()), n + 1)
+        areas.append(sizes[inner] * g.h * g.h)
+    return np.sort(np.concatenate(areas))
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +251,7 @@ def marching_segments(g: ScalarGrid):
     case = code.ravel()[cells]
 
     saddle = np.flatnonzero(case == 15)
-    si, sj = ii[saddle], jj[saddle]
-    corner = values[si, sj]
-    center = 0.25 * (corner + values[si + 1, sj] + values[si, sj + 1]
-                     + values[si + 1, sj + 1])
-    case[saddle] += sign_grid(center) == sign_grid(corner)
+    case[saddle] += _joins_main_diagonal(values, ii[saddle], jj[saddle])
 
     group = _FIRST_GROUP[case]
     group = np.concatenate([group, group[saddle] + 1])

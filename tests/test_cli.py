@@ -130,8 +130,15 @@ def test_dns_report(tmp_path):
     assert payload["dns_estimate"] == 0.0
 
 
-def test_torus_planar_m_zero_fails():
-    with pytest.raises(ValueError, match="M >= 10"):
+def test_torus_planar_m_zero_fails(monkeypatch):
+    # planar_M is checked before any torus draw is made
+    import nodalfields.arithmetic as arithmetic
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sample_torus_wave was called")
+
+    monkeypatch.setattr(arithmetic, "sample_torus_wave", no_draw)
+    with pytest.raises(ValueError, match="planar_M >= 10"):
         torus_count_report(65, 2, seed=1, planar_M=0)
     assert main(["torus", "--n", "65", "--M", "2", "--planar-M", "0"]) == 2
 

@@ -28,6 +28,19 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_no_sparse_import(path):
+    # scipy.sparse (csgraph included) adds about 10 MB of resident memory
+    # when imported, a tenth of a workload's peak; ndimage does the labeling
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module
+              for alias in node.names]
+    assert not [n for n in names if n.startswith("scipy.sparse")], names
+
+
 def _loads(tree):
     """Counts of the names and attributes an AST reads."""
     return Counter(

@@ -28,11 +28,29 @@ from nodalfields.topology import (
 
 
 # ---------------------------------------------------------------------------
-# independent oracle: recursive (stack-based) flood fill census
+# independent oracles: a saddle-aware flood fill census, and the closed
+# cycles of the marching-segment graph
 
 def flood_fill_census(values, h):
+    """(interior count, boundary count, sorted interior areas) by flood fill.
+
+    A domain steps to the same-sign 4-neighbours and, in a saddle cell (its
+    diagonals carry opposite signs), along the diagonal whose sign is that of
+    the cell-centre mean.
+    """
     pos = sign_grid(values)
     nx, ny = pos.shape
+    across = {}
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            ends = ((i, j), (i + 1, j + 1)), ((i + 1, j), (i, j + 1))
+            (a, b), (c, d) = ends
+            if pos[a] != pos[b] or pos[c] != pos[d] or pos[a] == pos[c]:
+                continue
+            mean = (values[a] + values[c] + values[d] + values[b]) / 4.0
+            p, q = ends[0] if sign_grid(mean) == pos[a] else ends[1]
+            across.setdefault(p, []).append(q)
+            across.setdefault(q, []).append(p)
     seen = np.zeros_like(pos, dtype=bool)
     boundary = 0
     areas = []
@@ -50,7 +68,8 @@ def flood_fill_census(values, h):
                 cells.append((i, j))
                 if i in (0, nx - 1) or j in (0, ny - 1):
                     touches = True
-                for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                for a, b in [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1),
+                             *across.get((i, j), ())]:
                     if 0 <= a < nx and 0 <= b < ny and not seen[a, b] \
                             and pos[a, b] == want:
                         seen[a, b] = True
@@ -62,26 +81,72 @@ def flood_fill_census(values, h):
     return len(areas), boundary, sorted(areas)
 
 
+def closed_cycles(g):
+    """Closed cycles of the marching-segment graph; open chains excluded."""
+    step = half_edge_successors(*marching_segments(g))
+    seen = np.zeros(len(step) // 2, dtype=bool)
+    closed = 0
+    for start in range(0, len(step), 2):
+        if seen[start >> 1]:
+            continue
+        h = start
+        while h >= 0 and not seen[h >> 1]:
+            seen[h >> 1] = True
+            h = step[h]
+        closed += h == start
+    return closed
+
+
+def _assert_census_matches_oracles(g):
+    census = count_components_plane(g)
+    interior, boundary, areas = flood_fill_census(g.values, g.h)
+    assert census.interior_components == interior == closed_cycles(g)
+    assert census.boundary_components == boundary
+    assert np.array_equal(interior_domain_areas(g), areas)
+    return census
+
+
 def test_census_matches_flood_fill_on_random_grids():
     rng = np.random.default_rng(42)
-    for trial in range(100):
-        n = int(rng.integers(4, 65))
+    shapes = [(nx, ny) for nx in (1, 2, 3) for ny in (1, 2, 3)] * 3 \
+        + [tuple(int(v) for v in rng.integers(4, 65, size=2))
+           for _ in range(100)]
+    interior = 0
+    for nx, ny in shapes:
         # smooth-ish random fields: low-pass filtered noise
-        raw = rng.standard_normal((n, n))
-        k = int(rng.integers(1, 4))
-        for _ in range(k):
+        raw = rng.standard_normal((nx, ny))
+        for _ in range(int(rng.integers(1, 4))):
             raw = 0.25 * (np.roll(raw, 1, 0) + np.roll(raw, -1, 0)
                           + np.roll(raw, 1, 1) + np.roll(raw, -1, 1))
-        # the rounded copy has exact zeros, so it exercises the tie rule
-        for values in (raw, np.round(raw, 1)):
-            g = ScalarGrid(domain=SquareDomain(1.0), h=2.0 / (n - 1),
-                           xs=np.linspace(-1, 1, n), ys=np.linspace(-1, 1, n),
-                           values=values)
-            census = count_components_plane(g)
-            interior, boundary, areas = flood_fill_census(values, g.h)
-            assert census.interior_components == interior
-            assert census.boundary_components == boundary
-            assert np.array_equal(interior_domain_areas(g), areas)
+        # the rounded copies have exact zeros and saddles with tied centres
+        for values in (raw, np.round(raw, 1), np.round(4 * raw)):
+            interior += _assert_census_matches_oracles(
+                _lattice_grid(values, periodic=False)).interior_components
+    assert interior > 1000
+
+
+def test_census_counts_closed_portrait_chains():
+    from nodalfields.portraits import zero_polylines
+    u64 = preset("uniform_circle", K=64)
+    for seed in range(4):
+        g = evaluate_grid(sample(u64, seed=seed), SquareDomain(6.0))
+        census = _assert_census_matches_oracles(g)
+        closed = sum(closed for _, closed in zero_polylines(g))
+        assert census.interior_components == closed \
+            == len(interior_domain_areas(g)) > 10
+
+
+def test_plane_census_rejects_torus_grid():
+    # the square census of a torus grid would count its wrap as a border
+    # (0 interior, 5 border domains here, against 1 torus component)
+    t = grid_from_callable(
+        lambda X, Y: np.cos(2 * np.pi * X) + np.cos(2 * np.pi * Y) - 0.5,
+        TorusDomain(), 1 / 64)
+    assert count_components_torus(t).total_components == 1
+    with pytest.raises(ValueError, match="square grid"):
+        count_components_plane(t)
+    with pytest.raises(ValueError, match="square grid"):
+        interior_domain_areas(t)
 
 
 def test_unit_circle_is_one_component():
@@ -146,17 +211,12 @@ def test_small_domains():
 def test_small_domains_monotone_and_total():
     s = sample(preset("uniform_circle", K=32), seed=6)
     g = evaluate_grid(s, SquareDomain(8.0))
-    census = count_components_plane(g)
+    census = _assert_census_matches_oracles(g)
     areas = interior_domain_areas(g)
     deltas = [0.1, 0.5, 1.0, math.inf]
     counts = [np.count_nonzero(areas < d) for d in deltas]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     assert counts[-1] == census.interior_components
-    # every sign domain is either interior or touches the boundary
-    interior, boundary, oracle_areas = flood_fill_census(g.values, g.h)
-    assert (census.interior_components, census.boundary_components) \
-        == (interior, boundary)
-    assert np.array_equal(areas, oracle_areas)
 
 
 def test_torus_two_vertical_circles():
@@ -548,8 +608,11 @@ def test_resolution_stability():
 
     # Gaussian samples may carry nodal-line near-tangencies below any fixed
     # grid scale, so halving h may shift counts by a few units; the drift
-    # stays within 5% per sample on 20 uniform-measure draws at R = 10
+    # stays within 5% per sample on 20 uniform-measure draws at R = 10, and
+    # the counts show no bias from the spacing: the mean paired drift is
+    # -0.10 per draw (+0.75 for a census that splits every saddle cell)
     u64 = preset("uniform_circle", K=64)
+    drift = []
     for seed in range(20):
         s = sample(u64, seed=400 + seed)
         c1 = count_components_plane(
@@ -557,3 +620,5 @@ def test_resolution_stability():
         c2 = count_components_plane(
             evaluate_grid(s, SquareDomain(10.0), 1 / 32)).interior_components
         assert abs(c1 - c2) <= max(3, 0.05 * c1)
+        drift.append(c1 - c2)
+    assert abs(np.mean(drift)) <= 0.3
