@@ -118,14 +118,21 @@ def fit_cns_from_table(Rs, means, stderrs):
             float(theta[1]), resid)
 
 
-def estimate_cns(rho: SpectralMeasure, R_schedule, M: int = 200,
-                 seed: int = 0, h: float | None = None) -> EstimatorReport:
-    """Fit the leading nodal-count coefficient over an R schedule."""
+def _checked_schedule(R_schedule) -> list:
+    """The R schedule as a list, or ScheduleTooShort unless it has at least
+    three strictly increasing values."""
     R_schedule = list(R_schedule)
     if len(R_schedule) < 3:
         raise ScheduleTooShort("schedule needs >= 3 increasing R values")
     if any(b <= a for a, b in zip(R_schedule, R_schedule[1:])):
         raise ScheduleTooShort("schedule must be strictly increasing")
+    return R_schedule
+
+
+def estimate_cns(rho: SpectralMeasure, R_schedule, M: int = 200,
+                 seed: int = 0, h: float | None = None) -> EstimatorReport:
+    """Fit the leading nodal-count coefficient over an R schedule."""
+    R_schedule = _checked_schedule(R_schedule)
     probe = sample(rho, seed, 0)
     h_eff = h if h is not None else default_spacing(probe)
     too_coarse = grid_too_coarse(probe, h_eff)
@@ -192,6 +199,7 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
     if planar_M < 10:
         # estimate_cns would fail only after the whole torus batch
         raise ValueError(f"need planar_M >= 10 (default: M), got {planar_M}")
+    planar_schedule = _checked_schedule(planar_schedule)
     rho = mu_n(n)
     if h is None:
         h = torus_spacing(n)

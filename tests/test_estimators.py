@@ -61,6 +61,20 @@ def test_estimate_cns_validation():
         estimate_cns(U32, [10.0, 5.0, 20.0], M=10, seed=1)
 
 
+def test_torus_planar_schedule_checked_before_any_draw(monkeypatch):
+    import nodalfields.arithmetic as arithmetic
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("mu_n or sample_torus_wave was called")
+
+    monkeypatch.setattr(arithmetic, "mu_n", no_call)
+    monkeypatch.setattr(arithmetic, "sample_torus_wave", no_call)
+    for schedule in ((10.0,), (10.0, 20.0, 20.0)):
+        with pytest.raises(ScheduleTooShort):
+            torus_count_report(65, 2, seed=1, planar_schedule=schedule,
+                               planar_M=10)
+
+
 def test_determinism():
     r1 = estimate_mean_count(U32, R=6.0, M=16, seed=9)
     r2 = estimate_mean_count(U32, R=6.0, M=16, seed=9)

@@ -1,13 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from nodalfields import topology
 from nodalfields.errors import EmptyGrid
 from nodalfields.fields import (
     ScalarGrid,
     SquareDomain,
     TorusDomain,
+    default_spacing,
+    evaluate_batch,
     evaluate_grid,
     grid_from_callable,
     inject_sample,
@@ -15,6 +19,7 @@ from nodalfields.fields import (
 )
 from nodalfields.measures import preset
 from nodalfields.topology import (
+    _port_slopes,
     count_components_plane,
     count_components_torus,
     count_curve_intersections,
@@ -504,6 +509,103 @@ def test_count_flips_rejects_empty_square_and_zero_direction():
             count_flips(s, SquareDomain(R))
     with pytest.raises(ValueError, match="direction must be nonzero"):
         count_flips(s, SquareDomain(3.0), direction=(0.0, 0.0))
+    for d in ((math.nan, 0.0), (math.inf, 1.0), (1.0, -math.inf), (1.0,),
+              (1.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="finite 2-vector"):
+            count_flips(s, SquareDomain(3.0), direction=d)
+
+
+def test_count_flips_scales_direction_to_unit_length():
+    u16 = preset("uniform_circle", K=16)
+    s = sample(u16, 1, 0)
+    want = count_flips(s, SquareDomain(3.0), direction=(1.0, 0.0))
+    assert want == 57
+    # an absolute tie rule on an unscaled d would count none here
+    assert count_flips(s, SquareDomain(3.0), direction=(1e-300, 0.0)) == want
+    for i in range(3):
+        s = sample(u16, 4, i)
+        a = count_flips(s, SquareDomain(4.0), direction=(1.0, 1.0),
+                        return_locations=True)
+        b = count_flips(s, SquareDomain(4.0), direction=(3.0, 3.0),
+                        return_locations=True)
+        assert a[0] == b[0]
+        assert np.array_equal(a[1], b[1])
+
+
+U64 = preset("uniform_circle", K=64)
+
+
+def test_count_flips_locations_digest():
+    # sha256 of (count, locations) over three draws and three directions,
+    # derived while every port was evaluated exactly
+    digest = hashlib.sha256()
+    for d in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+        for i in range(3):
+            n, locs = count_flips(sample(U64, 2, i), SquareDomain(6.0),
+                                  direction=d, return_locations=True)
+            digest.update(np.int64(n).tobytes())
+            digest.update(np.ascontiguousarray(locs).tobytes())
+    assert digest.hexdigest() == (
+        "91ae55cfee8d5a513938e73f8e3da6f79c5a0b94993cc0c37aee78c93ba13c10")
+
+
+@pytest.mark.parametrize("rho, seed, R, h, direction", [
+    (U64, 2, 6.0, None, (1.0, 0.0)),
+    (U64, 5, 6.0, None, (0.0, 1.0)),
+    (U64, 7, 6.0, None, (1.0, 1.0)),
+    (preset("cilleruelo", kappa="one"), 3, 12.0, None, (1.0, 0.0)),
+    (U64, 9, 3.0, 1 / 64, (1.0, 2.0)),
+], ids=["u64-axis1", "u64-axis2", "u64-diagonal", "cilleruelo-axis1",
+        "u64-small-h"])
+def test_port_slope_signs_match_exact_evaluation(rho, seed, R, h, direction):
+    # every port the interpolated slope signs gets the sign an exact
+    # evaluation gives, and the interpolation error stays within
+    # (h^2/8) sum_k w_k c_kj^2, w_k = sqrt(W_k) |(a_k, b_k)| |d.c_k|, computed
+    # here, plus 1e-12 sum_k w_k for rounding (the code's margin is at least
+    # 1e-9 sum_k w_k; edges along which g is constant need the allowance)
+    d = np.asarray(direction) / math.hypot(*direction)
+    for i in range(3):
+        s = sample(rho, seed, i)
+        step = h if h is not None else default_spacing(s)
+        grid = evaluate_grid(s, SquareDomain(R + 2 * step), step, order=1)
+        ports = np.unique(np.concatenate(marching_segments(grid)))
+        pts, slope, bound = _port_slopes(s, grid, d, ports)
+        assert np.array_equal(pts, edge_ports(ports, grid))
+        exact = evaluate_batch(s, pts, order=1)[1] @ d
+
+        C = s.frequencies
+        w = (np.sqrt(s.pair_weights) * np.hypot(s.coeff_a, s.coeff_b)
+             * np.abs(C @ d))
+        curvature = step ** 2 / 8 * np.array([w @ C[:, 0] ** 2,
+                                              w @ C[:, 1] ** 2])
+        assert np.all(np.abs(exact - slope)
+                      <= curvature[ports & 1] + 1e-12 * w.sum())
+
+        signed = sign_grid(slope - bound) == sign_grid(slope + bound)
+        assert np.mean(signed) > 0.9
+        assert np.array_equal(sign_grid(slope[signed]),
+                              sign_grid(exact[signed]))
+
+
+def test_count_flips_evaluates_few_ports(monkeypatch):
+    # the port pass evaluates only the ports the slope bound leaves unsigned
+    s = sample(U64, 2, 0)
+    h = default_spacing(s)
+    grid = evaluate_grid(s, SquareDomain(10.0 + 2 * h), h)
+    n_ports = len(np.unique(np.concatenate(marching_segments(grid))))
+    calls = []
+
+    def counted(s, pts, order=0):
+        calls.append(len(pts))
+        return evaluate_batch(s, pts, order)
+
+    monkeypatch.setattr(topology, "evaluate_batch", counted)
+    assert count_flips(s, SquareDomain(10.0)) == 654
+    # the first call signs the ports; ten bisection steps follow
+    assert len(calls) == 11
+    assert n_ports > 15000
+    assert calls[0] <= 0.05 * n_ports
+    assert sum(calls) <= 0.5 * n_ports
 
 
 def test_flip_count_matches_newton_oracle():
@@ -563,6 +665,11 @@ def test_curve_intersections_sine():
     assert count_curve_intersections(sin_field, (0.5, 0.0), (2.5, 0.0)) == 0
     with pytest.raises(ValueError):
         count_curve_intersections(sin_field, (1.0, 1.0), (1.0, 1.0))
+    for p1 in ((math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="endpoints must be finite"):
+            count_curve_intersections(sin_field, (0.0, 0.0), p1)
+        with pytest.raises(ValueError, match="endpoints must be finite"):
+            count_curve_intersections(sin_field, p1, (0.0, 0.0))
 
 
 def test_tiling_inequality():
