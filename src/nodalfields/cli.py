@@ -212,54 +212,53 @@ def build_parser() -> argparse.ArgumentParser:
                     "portraits, censuses, and nodal-count estimators.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--h", type=float, default=None)
+    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path prefix")
 
-    p = sub.add_parser("portrait", help="render the zero set as SVG (+ grid dump)")
+    p = sub.add_parser("portrait", parents=[run],
+                       help="render the zero set as SVG (+ grid dump)")
     _add_measure_args(p)
     p.add_argument("--torus-n", type=int, default=None)
     p.add_argument("--section7", choices=["f", "g", "monochromatic_g"])
     p.add_argument("--R", type=float, default=10.0)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--size", type=int, default=800)
     p.add_argument("--ppm", action="store_true")
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_portrait)
 
-    p = sub.add_parser("cns", help="estimate the nodal-count coefficient")
+    p = sub.add_parser("cns", parents=[run, out],
+                       help="estimate the nodal-count coefficient")
     _add_measure_args(p)
     p.add_argument("--schedule", default="10,20,40")
     p.add_argument("--M", type=int, default=200)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None, help="output path prefix")
     p.set_defaults(func=cmd_cns)
 
-    p = sub.add_parser("dns", help="estimate the absolute discrepancy")
+    p = sub.add_parser("dns", parents=[run, out],
+                       help="estimate the absolute discrepancy")
     _add_measure_args(p)
     p.add_argument("--R", type=float, default=20.0)
     p.add_argument("--M", type=int, default=100)
-    p.add_argument("--h", type=float, default=None)
     p.add_argument("--cns", type=float, default=None,
                    help="plug-in coefficient (estimated when omitted)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dns)
 
-    p = sub.add_parser("torus", help="torus wave census batches")
+    p = sub.add_parser("torus", parents=[run, out],
+                       help="torus wave census batches")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--M", type=int, default=50)
     p.add_argument("--planar-M", type=int, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_torus)
 
-    p = sub.add_parser("lattice", help="lattice points on x^2+y^2=n and mu_n")
+    p = sub.add_parser("lattice", parents=[out],
+                       help="lattice points on x^2+y^2=n and mu_n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("flips", help="flip densities, closed form vs empirical")
+    p = sub.add_parser("flips", parents=[run, out],
+                       help="flip densities, closed form vs empirical")
     _add_measure_args(p)
     flip = p.add_mutually_exclusive_group()
     flip.add_argument("--axis", type=int, choices=[1, 2],
@@ -269,21 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--empirical", action="store_true")
     p.add_argument("--R", type=float, default=10.0)
     p.add_argument("--M", type=int, default=20)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_flips)
 
-    p = sub.add_parser("stability", help="stability profile and sandwich check")
+    p = sub.add_parser("stability", parents=[run, out],
+                       help="stability profile and sandwich check")
     p.add_argument("--preset", required=True)
     p.add_argument("--preset2", default=None)
     p.add_argument("--kappa", choices=["two_pi", "one"])
     p.add_argument("--R", type=float, default=10.0)
     p.add_argument("--M", type=int, default=50)
     p.add_argument("--beta", type=float, default=0.05)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("measure", help="write a preset measure to a JSON file")

@@ -15,13 +15,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateMeasure, GridTooCoarse, ScheduleTooShort
+from .errors import DegenerateMeasure, ScheduleTooShort
 from .fields import (SquareDomain, TorusDomain, default_spacing, evaluate_grid,
                      grid_too_coarse, sample)
 from .measures import SpectralMeasure, gradient_covariance, measure_to_dict
@@ -59,13 +58,11 @@ class EstimatorReport:
 def _batch(draw, M: int, domain, h: float | None, census) -> list:
     """census(grid) of draw(i) for i < M.
 
-    Only GridTooCoarse is silenced: it would repeat on every draw, and
-    estimate_cns reports it once as ``grid_too_coarse``.  Every other
-    warning passes through.
+    Warnings pass through, ``evaluate_grid``'s GridTooCoarse included: the
+    default filter shows a warning once per message and call site, not once
+    per draw.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GridTooCoarse)
-        return [census(evaluate_grid(draw(i), domain, h)) for i in range(M)]
+    return [census(evaluate_grid(draw(i), domain, h)) for i in range(M)]
 
 
 def interior_counts(rho: SpectralMeasure, R: float, M: int,

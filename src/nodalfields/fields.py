@@ -193,6 +193,17 @@ def evaluate_batch(s: FieldSample, pts, order: int = 0):
     return vals, grads, np.einsum("nk,ki,kj->nij", curv, C, C)
 
 
+def unit_direction(direction) -> np.ndarray:
+    """A finite nonzero 2-vector scaled to unit length, or a ValueError."""
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (2,) or not np.all(np.isfinite(d)):
+        raise ValueError(
+            f"direction must be a finite 2-vector, got {direction!r}")
+    if not np.any(d):
+        raise ValueError("direction must be nonzero")
+    return d / math.hypot(*d)
+
+
 def grid_axes(domain, h: float):
     """Lattice axes for a domain; torus spacing is snapped to 1/n."""
     if isinstance(domain, SquareDomain):

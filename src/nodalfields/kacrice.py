@@ -15,6 +15,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DegenerateConditioning
+from .fields import unit_direction
 from .measures import SpectralMeasure, moment
 
 CONDITIONING_EPS = 1e-12
@@ -101,14 +102,10 @@ def _conditioned_pair(rho: SpectralMeasure, direction):
     T is the gradient component orthogonal to d; Q = d^T Hessian d.  With d a
     unit vector, the Jacobian determinant of the map (f, d.grad f) equals
     -T * Q on {d.grad f = 0}, so its conditional |mean| is an abs-product
-    moment of this pair.  The density is invariant under rescaling d, so the
-    direction is normalized on entry.
+    moment of this pair.  The density is invariant under rescaling d, so
+    d = ``unit_direction(direction)``.
     """
-    d = np.asarray(direction, dtype=float)
-    nd = float(np.hypot(d[0], d[1]))
-    if nd == 0:
-        raise ValueError("direction must be nonzero")
-    d = d / nd
+    d = unit_direction(direction)
     jet = build_jet_covariance(rho).matrix
     # rows: conditioning functionals C = (f, d.grad f); observables W = (T, Q)
     L = np.zeros((4, 6))
@@ -156,14 +153,11 @@ def diagonal_flip_density(rho: SpectralMeasure) -> float:
 def curve_intersection_density(rho: SpectralMeasure, direction) -> float:
     """Expected zeros per unit length along a straight line in `direction`.
 
-    Equals (kappa/pi) * sqrt(second moment of the support along the
-    direction); at most kappa/pi for any measure on the unit disc.
+    Equals (kappa/pi) * sqrt(second moment of the support along
+    u = ``unit_direction(direction)``); at most kappa/pi for any measure on
+    the unit disc.
     """
-    u = np.asarray(direction, dtype=float)
-    norm = float(np.hypot(u[0], u[1]))
-    if norm == 0:
-        raise ValueError("direction must be nonzero")
-    u = u / norm
+    u = unit_direction(direction)
     m = np.array([[moment(rho, 2, 0), moment(rho, 1, 1)],
                   [moment(rho, 1, 1), moment(rho, 0, 2)]])
     second = float(u @ m @ u)

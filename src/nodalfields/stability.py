@@ -50,8 +50,6 @@ def _minmax(g: ScalarGrid) -> float:
 
 
 def stability_profile(s: FieldSample, domain, h: float | None = None) -> StabilityProfile:
-    if h is None:
-        h = default_spacing(s)
     g = evaluate_grid(s, domain, h, order=2)
     c2 = max(float(np.abs(arr).max())
              for arr in (g.values, g.d1, g.d2, g.d11, g.d12, g.d22))

@@ -51,6 +51,7 @@ from .fields import (
     default_spacing,
     evaluate_batch,
     evaluate_grid,
+    unit_direction,
 )
 
 TIE_TOL = 1e-14
@@ -85,12 +86,14 @@ def sign_grid(values: np.ndarray) -> np.ndarray:
     return values > -TIE_TOL
 
 
-def _square_values(g: ScalarGrid) -> np.ndarray:
-    """The values of a square-domain grid, or a loud failure."""
+def _census_values(g: ScalarGrid, periodic: bool) -> np.ndarray:
+    """The values of a torus (periodic) or square grid, or a loud failure."""
     if g.values is None or g.values.size == 0:
         raise EmptyGrid("no values")
-    if g.periodic:
-        raise ValueError("the plane census needs a square grid; "
+    if g.periodic != periodic:
+        raise ValueError("count_components_torus needs a torus grid"
+                         if periodic else
+                         "the plane census needs a square grid; "
                          "count torus grids with count_components_torus")
     if not np.all(np.isfinite(g.values)):
         raise EmptyGrid("grid contains non-finite values")
@@ -185,7 +188,7 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     with chi(P) = nodes - edges - joins + cells (S. B. Gray, IEEE Trans.
     Computers C-20 (1971) 551-561).
     """
-    values = _square_values(g)
+    values = _census_values(g, periodic=False)
     pos = sign_grid(values)
     labels, n = ndimage.label(pos, structure=_FOUR_CONN)
     i, j, main, up = _saddle_joins(values, pos)
@@ -207,7 +210,7 @@ def interior_domain_areas(g: ScalarGrid) -> np.ndarray:
     Labels each sign, merges the parts a joined saddle diagonal connects and
     sums their areas: the domains ``count_components_plane`` counts.
     """
-    values = _square_values(g)
+    values = _census_values(g, periodic=False)
     pos = sign_grid(values)
     i, j, main, up = _saddle_joins(values, pos)
     areas = []
@@ -339,13 +342,7 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
     component wraps iff it crosses the x-seam or the y-seam an odd number of
     times.
     """
-    if g.values is None or g.values.size == 0:
-        raise EmptyGrid("no values")
-    if not g.periodic:
-        raise ValueError("count_components_torus needs a torus grid")
-    values = g.values
-    if not np.all(np.isfinite(values)):
-        raise EmptyGrid("grid contains non-finite values")
+    values = _census_values(g, periodic=True)
     nx, ny = values.shape
     if nx < 3 or ny < 3:
         # a west-east segment would span half the period: its seam is undefined
@@ -413,9 +410,9 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
                 direction=(1.0, 0.0), return_locations: bool = False):
     """Count points of the closed square where f and d.grad f both vanish.
 
-    d = ``direction`` (finite and nonzero, scaled to unit length; the default
-    counts axis-1 flips).  Cells are scanned for a zero segment of f whose
-    endpoints see opposite signs of g = d.grad f; each such segment is
+    d = ``unit_direction(direction)`` (the default counts axis-1 flips).
+    Cells are scanned for a zero segment of f whose endpoints see opposite
+    signs of g = d.grad f; each such segment is
     refined by 10 bisection steps and contributes one flip if the refined
     location lies in the closed domain.  A crossing port ends two segments,
     so each unique port is signed once and every segment reads the signs of
@@ -427,13 +424,7 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
     every port gives.  The grid is padded by one cell so boundary flips are
     caught; the tie rule makes exactly-zero corners deterministic.
     """
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (2,) or not np.all(np.isfinite(d)):
-        raise ValueError(
-            f"direction must be a finite 2-vector, got {direction!r}")
-    if not np.any(d):
-        raise ValueError("direction must be nonzero")
-    d = d / math.hypot(*d)
+    d = unit_direction(direction)
     R = domain.R
     if not R > 0:
         raise ValueError("square half-side R must be positive")

@@ -196,6 +196,21 @@ def test_flips_single_draw_has_no_stderr(capsys):
         "a281f457c29bda03bb4547100a46f728e7ee6d440ce07c3b86b69e1f7359f78b")
 
 
+@pytest.mark.parametrize("flip, digest", [
+    (["--axis", "1"],
+     "7f33619caca904d05509dd92a481c6754a5eade90287e3862a707286ae6c9a6d"),
+    (["--axis", "2"],
+     "e5116060b8b8896bb244ef73c369fcc85a15fa52cf19ca5f6248a91008fee7ed"),
+    (["--diagonal"],
+     "d8dbe6edcadbcd03872895adb4cd24ab585bc374119ed01781c009baca7916de"),
+], ids=["axis1", "axis2", "diagonal"])
+def test_flips_payload_digests(capsys, flip, digest):
+    assert main(["flips", "--preset", "uniform:16", "--R", "3", "--empirical",
+                 "--M", "3", *flip]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_stability_report(tmp_path):
     out = tmp_path / "s"
     assert main(["stability", "--preset", "uniform:32", "--preset2",

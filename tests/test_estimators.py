@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nodalfields.errors import DegenerateMeasure, ScheduleTooShort
+from nodalfields.errors import (DegenerateMeasure, GridTooCoarse,
+                               ScheduleTooShort)
 from nodalfields.estimators import (
     estimate_cns,
     estimate_dns,
@@ -120,7 +121,7 @@ def test_grid_too_coarse_flag():
     assert not estimate_cns(U32, [1.0, 1.5, 2.0], M=10, seed=1).grid_too_coarse
 
 
-def test_batches_silence_only_coarse_grid_warnings(monkeypatch):
+def test_batches_pass_warnings_through(monkeypatch):
     from nodalfields import estimators
 
     def noisy_census(g):
@@ -131,10 +132,24 @@ def test_batches_silence_only_coarse_grid_warnings(monkeypatch):
     with pytest.warns(RuntimeWarning, match="census trouble"):
         estimate_mean_count(U32, 2.0, 10, seed=1)
     monkeypatch.undo()
-    lam = sample(U32, seed=1).min_wavelength()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        estimate_mean_count(U32, 2.0, 10, h=lam / 11, seed=1)
+    coarse = sample(U32, seed=1).min_wavelength() / 11
+    runs = [
+        lambda: estimate_mean_count(U32, 2.0, 10, h=coarse, seed=1),
+        lambda: estimate_dns(U32, 2.0, 3, 1, 0.05, h=coarse),
+        lambda: small_domain_report(U32, 2.0, 3, [0.1, 0.5], 1, h=coarse),
+        lambda: torus_count_report(65, 5, h=1 / 40, planar_M=10,
+                                   planar_schedule=(2.0, 4.0, 8.0)),
+    ]
+    for run in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridTooCoarse):
+                run()
+    # the default filter shows a coarse batch's warning once, not per draw
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        estimate_mean_count(U32, 2.0, 10, h=coarse, seed=1)
+    assert [w.category for w in caught] == [GridTooCoarse]
 
 
 def test_torus_count_report_smoke():

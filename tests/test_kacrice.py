@@ -109,6 +109,17 @@ def test_flip_density_degenerate_cases():
         flip_density(preset("delta_zero"), 1)
 
 
+@pytest.mark.parametrize("density", [directional_flip_density,
+                                     curve_intersection_density])
+def test_densities_reject_bad_directions(density):
+    rho = preset("uniform_circle", K=16)
+    for d in ((math.nan, 1.0), (math.inf, 0.0), (1.0, 2.0, 3.0)):
+        with pytest.raises(ValueError, match="finite 2-vector"):
+            density(rho, d)
+    with pytest.raises(ValueError, match="direction must be nonzero"):
+        density(rho, (0.0, 0.0))
+
+
 def test_flip_density_cilleruelo_closed_form():
     # oracle: product structure gives density (1/pi^2) P(a2 > a1) = 1/(2 pi^2)
     assert flip_density(NU0_ONE, 1) == pytest.approx(1 / (2 * math.pi ** 2), abs=1e-12)

@@ -92,3 +92,19 @@ def _readers(name):
 ])
 def test_rule_has_one_reader(name, owner):
     assert sorted(set(_readers(name))) == [owner]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_no_warning_is_silenced(path):
+    # a warning the package raises reaches the caller; recording one with
+    # catch_warnings(record=True) stays allowed
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and getattr(n.func, "attr", getattr(n.func, "id", None))
+             in ("simplefilter", "filterwarnings")]
+    actions = [(n.lineno, a) for n in calls
+               for a in [*n.args[:1],
+                         *(k.value for k in n.keywords if k.arg == "action")]]
+    silenced = [line for line, a in actions
+                if isinstance(a, ast.Constant) and a.value == "ignore"]
+    assert not silenced, f"{path.name} silences warnings at lines {silenced}"
