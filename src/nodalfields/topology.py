@@ -28,11 +28,14 @@ ports, bisection midpoints and line samples of flips and intersections.
 Flips sign g = d.grad f at each crossing port from the order-1 grid: g is
 interpolated linearly along the port's edge, and the interpolation error is
 at most (h^2/8) sum_k sqrt(W_k) |(a_k, b_k)| |d.c_k| c_kj^2 (j the edge's
-axis), inflated by 1e-6 and widened by a rounding margin (``_port_slopes``).
-Where both ends of that interval around the interpolant get one sign, so
-does the exact value; the few other ports are evaluated with
-``evaluate_batch``.  So every flip count and location equals the one an
-exact evaluation at every port gives.
+axis), inflated by 1e-6 and widened by a rounding margin (``_slope_weights``).
+Each segment whose ports get opposite signs is bisected ten times; g at a
+midpoint is read off a phase table exp(i c_k.x) rotated along the segment
+(``_bisect``), good to the same margin.  Where both ends of the interval
+around an estimate get one sign, so does the exact value; the few other
+ports and midpoints are evaluated with ``evaluate_batch``
+(``_certified_signs``).  So every flip count and location equals the one
+an exact evaluation at every port and midpoint gives.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ from .fields import (
 )
 
 TIE_TOL = 1e-14
+# relative rounding margin of a certified sign of d.grad f (_slope_weights)
+ROUNDING_MARGIN = 1e-9
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -375,6 +380,37 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
 # ---------------------------------------------------------------------------
 # Flips: simultaneous zeros of (f, directional derivative of f).
 
+def _slope_weights(s: FieldSample, grid: ScalarGrid, d: np.ndarray):
+    """(w, margin): the weights and rounding margin of signs of g = d.grad f.
+
+    w_k = sqrt(W_k) |(a_k, b_k)| |d.c_k|, so sum_k w_k bounds |g|, and
+    margin = ROUNDING_MARGIN sum_k w_k (1 + |c_k| X), X the largest
+    coordinate of the grid: cos and sin of a phase c.x are good to about
+    eps |c.x|, in the grid tables, in ``evaluate_batch``, at a placed port
+    and in the rotated phase tables of ``_bisect`` alike.
+    """
+    C = s.frequencies
+    w = s.amplitudes() * np.hypot(s.coeff_a, s.coeff_b) * np.abs(C @ d)
+    reach = max(np.abs(grid.xs).max(), np.abs(grid.ys).max())
+    spread = 1.0 + reach * np.hypot(C[:, 0], C[:, 1])
+    return w, ROUNDING_MARGIN * (w @ spread)
+
+
+def _certified_signs(s: FieldSample, d: np.ndarray, pts: np.ndarray,
+                     g: np.ndarray, bound) -> np.ndarray:
+    """sign_grid of d.grad f at pts, given estimates g within bound of it.
+
+    sign_grid is monotone: where both ends of g +- bound get one sign, so
+    does every value within bound, the one ``evaluate_batch`` gives
+    included; only the other points are evaluated.
+    """
+    sg = sign_grid(g + bound)
+    unsure = np.flatnonzero(sg != sign_grid(g - bound))
+    _, grads = evaluate_batch(s, pts[unsure], order=1)
+    sg[unsure] = sign_grid(grads @ d)
+    return sg
+
+
 def _port_slopes(s: FieldSample, grid: ScalarGrid, d: np.ndarray,
                  eids: np.ndarray):
     """Ports of edges eids, d.grad f interpolated there, and its error bound.
@@ -383,13 +419,9 @@ def _port_slopes(s: FieldSample, grid: ScalarGrid, d: np.ndarray,
     order-1 grid linearly between the two nodes of the edge, at the port's
     edge parameter.  Along an X-edge (y fixed)
     g = sum_k sqrt(W_k) (d.c_k) (b_k cos phi_k - a_k sin phi_k), so
-    |g''| <= B_x = sum_k sqrt(W_k) |(a_k, b_k)| |d.c_k| c_k1^2 and
-    |g - slope| <= (h^2 / 8) B_x; Y-edges take c_k2^2.  bound is that,
-    inflated by (1 + 1e-6), plus a rounding margin
-    1e-9 sum_k sqrt(W_k) |(a_k, b_k)| |d.c_k| (1 + |c_k| X), X the largest
-    coordinate of the grid: cos and sin of a phase c.x are good to about
-    eps |c.x|, in the grid tables, in ``evaluate_batch`` and at the placed
-    port alike, and sum_k sqrt(W_k) |(a_k, b_k)| |d.c_k| bounds |g|.
+    |g''| <= B_x = sum_k w_k c_k1^2 and |g - slope| <= (h^2 / 8) B_x;
+    Y-edges take c_k2^2.  bound is that, inflated by (1 + 1e-6), plus the
+    rounding margin of ``_slope_weights``.
     """
     pts, typ, a, b, t = _edge_zeros(eids, grid)
 
@@ -399,11 +431,65 @@ def _port_slopes(s: FieldSample, grid: ScalarGrid, d: np.ndarray,
     ga = node_slope(a)
     slope = ga + t * (node_slope(b) - ga)
     C = s.frequencies
-    w = s.amplitudes() * np.hypot(s.coeff_a, s.coeff_b) * np.abs(C @ d)
-    reach = max(np.abs(grid.xs).max(), np.abs(grid.ys).max())
+    w, margin = _slope_weights(s, grid, d)
     curvature = grid.h * grid.h / 8.0 * (w @ (C * C))     # X-edge, Y-edge
-    margin = 1e-9 * (w @ (1.0 + reach * np.hypot(C[:, 0], C[:, 1])))
     return pts, slope, curvature[typ] * (1.0 + 1e-6) + margin
+
+
+def _sign_changes(s: FieldSample, grid: ScalarGrid, d: np.ndarray):
+    """(lo, hi, slo, margin) of the zero segments whose ports differ in sign.
+
+    Each unique port of the marching segments is signed once, from its
+    interpolated slope where ``_port_slopes`` certifies it; lo and hi are
+    the ports of the segments whose two ports get opposite signs of
+    g = d.grad f, slo the sign at lo and margin the rounding margin of
+    ``_slope_weights`` on this grid.
+    """
+    segA, segB = marching_segments(grid)
+    K = len(segA)
+    ports, inv = np.unique(np.concatenate([segA, segB]), return_inverse=True)
+    pts, slope, bound = _port_slopes(s, grid, d, ports)
+    sg = _certified_signs(s, d, pts, slope, bound)
+    ia, ib = inv[:K], inv[K:]
+    cand = sg[ia] != sg[ib]
+    ia, ib = ia[cand], ib[cand]
+    return pts[ia], pts[ib], sg[ia], _slope_weights(s, grid, d)[1]
+
+
+def _bisect(s: FieldSample, d: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            slo: np.ndarray, margin: float) -> np.ndarray:
+    """Midpoints of [lo, hi] after ten bisection steps on the sign of g.
+
+    slo is the sign of g = d.grad f at lo, the opposite one at hi.  Each
+    step signs the float midpoint 0.5 (lo + hi) with ``_certified_signs``
+    and keeps the half where the sign changes.  The estimate of g comes from
+    a rotated phase table.  z_k = exp(i c_k.lo) and the step ratios
+    r_j = exp(i c_k.(hi - lo) / 2^(j+1)) cost two complex exponentials per
+    candidate: r_9 is computed and r_8, ..., r_0 are its repeated squares,
+    which are right at any phase step (a half-angle recursion by square
+    roots takes the wrong branch once a step passes pi).  The midpoint of
+    step j has the table z r_j and g = Re(sum_k z_k r_jk q_k),
+    q_k = (d.c_k) sqrt(W_k) (b_k + i a_k); z moves there when the midpoint
+    becomes lo.  The rotations' rounding stays below
+    1e-12 sum_k w_k (1 + |c_k| X), far inside margin, so every sign and
+    midpoint is the one exact evaluation at every step gives.
+    """
+    C = s.frequencies
+    q = (C @ d) * s.amplitudes() * (s.coeff_b + 1j * s.coeff_a)
+    z = np.exp(1j * (lo @ C.T))
+    rot = [np.exp((1j / 1024.0) * ((hi - lo) @ C.T))]
+    for _ in range(9):
+        rot.append(rot[-1] * rot[-1])
+    for r in reversed(rot):
+        mid = 0.5 * (lo + hi)
+        zmid = z * r
+        # where mid has lo's sign, the sign change sits in [mid, hi]
+        up = (_certified_signs(s, d, mid, (zmid @ q).real, margin)
+              == slo)[:, None]
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+        z = np.where(up, zmid, z)
+    return 0.5 * (lo + hi)
 
 
 def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
@@ -412,17 +498,19 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
 
     d = ``unit_direction(direction)`` (the default counts axis-1 flips).
     Cells are scanned for a zero segment of f whose endpoints see opposite
-    signs of g = d.grad f; each such segment is
-    refined by 10 bisection steps and contributes one flip if the refined
-    location lies in the closed domain.  A crossing port ends two segments,
-    so each unique port is signed once and every segment reads the signs of
-    its two ports.  A port's sign comes from g interpolated along its edge
-    from the order-1 grid wherever the interpolation bound of
-    ``_port_slopes`` gives every value g can take one sign; only the other
-    ports (2-3% of them at 16 points per wavelength) are evaluated exactly,
-    so every sign, count and location is the one an exact evaluation at
-    every port gives.  The grid is padded by one cell so boundary flips are
-    caught; the tie rule makes exactly-zero corners deterministic.
+    signs of g = d.grad f; each such segment is refined by 10 bisection
+    steps (``_bisect``) and contributes one flip if the refined location
+    lies in the closed domain.  A crossing port ends two segments, so each
+    unique port is signed once and every segment reads the signs of its two
+    ports.  A port's sign comes from g interpolated along its edge from the
+    order-1 grid wherever the interpolation bound of ``_port_slopes`` gives
+    every value g can take one sign; a midpoint's from g rotated along its
+    segment wherever the rounding margin does.  Only the other points (2-3%
+    of the ports at 16 points per wavelength, about one midpoint in 3,000)
+    are evaluated exactly, so every sign, count and location is the one an
+    exact evaluation at every port and midpoint gives.  The grid is padded
+    by one cell so boundary flips are caught; the tie rule makes
+    exactly-zero corners deterministic.
     """
     d = unit_direction(direction)
     R = domain.R
@@ -430,40 +518,12 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
         raise ValueError("square half-side R must be positive")
     if h is None:
         h = default_spacing(s)
-    pad = SquareDomain(R + 2.0 * h)
-    grid = evaluate_grid(s, pad, h, order=1)
-    segA, segB = marching_segments(grid)
-    K = len(segA)
-    if K == 0:
+    # the grid dies with _sign_changes, before the phase tables are built
+    lo, hi, slo, margin = _sign_changes(
+        s, evaluate_grid(s, SquareDomain(R + 2.0 * h), h, order=1), d)
+    if len(lo) == 0:
         return (0, np.zeros((0, 2))) if return_locations else 0
-
-    ports, inv = np.unique(np.concatenate([segA, segB]), return_inverse=True)
-    pts, slope, bound = _port_slopes(s, grid, d, ports)
-
-    def gval(p):
-        _, grads = evaluate_batch(s, p, order=1)
-        return grads @ d
-
-    # sign_grid is monotone: where both ends of slope +- bound get one sign,
-    # so does every value g can take
-    sg = sign_grid(slope + bound)
-    unsure = np.flatnonzero(sg != sign_grid(slope - bound))
-    sg[unsure] = sign_grid(gval(pts[unsure]))
-    ia, ib = inv[:K], inv[K:]
-    sga = sg[ia]
-    cand = sga != sg[ib]
-    if not np.any(cand):
-        return (0, np.zeros((0, 2))) if return_locations else 0
-
-    lo, hi = pts[ia[cand]], pts[ib[cand]]
-    slo = sga[cand]
-    for _ in range(10):
-        mid = 0.5 * (lo + hi)
-        smid = sign_grid(gval(mid))
-        take_lo = smid == slo            # sign change sits in [mid, hi]
-        lo[take_lo] = mid[take_lo]
-        hi[~take_lo] = mid[~take_lo]
-    locs = 0.5 * (lo + hi)
+    locs = _bisect(s, d, lo, hi, slo, margin)
 
     # closed-domain filter at the bisection resolution (boundary flips are
     # approached from either side, so an exact-R cut would drop them)

@@ -89,6 +89,7 @@ def _readers(name):
 @pytest.mark.parametrize("name, owner", [
     ("TIE_TOL", ("topology", "sign_grid")),     # the tie rule
     ("Philox", ("fields", "_philox")),          # the (seed, stream) key
+    ("ROUNDING_MARGIN", ("topology", "_slope_weights")),  # flip-sign margin
 ])
 def test_rule_has_one_reader(name, owner):
     assert sorted(set(_readers(name))) == [owner]

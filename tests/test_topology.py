@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nodalfields import topology
-from nodalfields.errors import EmptyGrid
+from nodalfields.errors import EmptyGrid, GridTooCoarse
 from nodalfields.fields import (
     ScalarGrid,
     SquareDomain,
@@ -19,6 +19,7 @@ from nodalfields.fields import (
 )
 from nodalfields.measures import preset
 from nodalfields.topology import (
+    _certified_signs,
     _port_slopes,
     count_components_plane,
     count_components_torus,
@@ -549,7 +550,8 @@ def test_count_flips_locations_digest():
         "91ae55cfee8d5a513938e73f8e3da6f79c5a0b94993cc0c37aee78c93ba13c10")
 
 
-@pytest.mark.parametrize("rho, seed, R, h, direction", [
+# (rho, seed, R, h, direction) of the flip-sign checks below
+FLIP_CASES = pytest.mark.parametrize("rho, seed, R, h, direction", [
     (U64, 2, 6.0, None, (1.0, 0.0)),
     (U64, 5, 6.0, None, (0.0, 1.0)),
     (U64, 7, 6.0, None, (1.0, 1.0)),
@@ -557,6 +559,9 @@ def test_count_flips_locations_digest():
     (U64, 9, 3.0, 1 / 64, (1.0, 2.0)),
 ], ids=["u64-axis1", "u64-axis2", "u64-diagonal", "cilleruelo-axis1",
         "u64-small-h"])
+
+
+@FLIP_CASES
 def test_port_slope_signs_match_exact_evaluation(rho, seed, R, h, direction):
     # every port the interpolated slope signs gets the sign an exact
     # evaluation gives, and the interpolation error stays within
@@ -588,7 +593,8 @@ def test_port_slope_signs_match_exact_evaluation(rho, seed, R, h, direction):
 
 
 def test_count_flips_evaluates_few_ports(monkeypatch):
-    # the port pass evaluates only the ports the slope bound leaves unsigned
+    # the port pass evaluates only the ports the slope bound leaves unsigned,
+    # the bisection only the midpoints the rounding margin leaves unsigned
     s = sample(U64, 2, 0)
     h = default_spacing(s)
     grid = evaluate_grid(s, SquareDomain(10.0 + 2 * h), h)
@@ -601,11 +607,120 @@ def test_count_flips_evaluates_few_ports(monkeypatch):
 
     monkeypatch.setattr(topology, "evaluate_batch", counted)
     assert count_flips(s, SquareDomain(10.0)) == 654
-    # the first call signs the ports; ten bisection steps follow
-    assert len(calls) == 11
     assert n_ports > 15000
-    assert calls[0] <= 0.05 * n_ports
-    assert sum(calls) <= 0.5 * n_ports
+    assert sum(calls) <= 0.05 * n_ports
+
+
+# oracle: the bisection as it was before the rotated phase tables, every
+# midpoint evaluated exactly
+def _exact_bisection(s, d, lo, hi, slo, margin):
+    for _ in range(10):
+        mid = 0.5 * (lo + hi)
+        take_lo = sign_grid(evaluate_batch(s, mid, order=1)[1] @ d) == slo
+        lo[take_lo] = mid[take_lo]
+        hi[~take_lo] = mid[~take_lo]
+    return 0.5 * (lo + hi)
+
+
+def _assert_bisection_matches_oracle(monkeypatch, s, R, h, direction):
+    """Byte-equal (count, locations) with the exact bisection; returns the
+    number of points evaluated after the port pass."""
+    calls = []
+
+    def counted(s, pts, order=0):
+        calls.append(len(pts))
+        return evaluate_batch(s, pts, order)
+
+    with monkeypatch.context() as m:
+        m.setattr(topology, "evaluate_batch", counted)
+        n, locs = count_flips(s, SquareDomain(R), h=h, direction=direction,
+                              return_locations=True)
+    with monkeypatch.context() as m:
+        m.setattr(topology, "_bisect", _exact_bisection)
+        want_n, want_locs = count_flips(s, SquareDomain(R), h=h,
+                                        direction=direction,
+                                        return_locations=True)
+    assert n == want_n
+    assert np.ascontiguousarray(locs).tobytes() == \
+        np.ascontiguousarray(want_locs).tobytes()
+    return sum(calls[1:])
+
+
+@FLIP_CASES
+def test_bisection_matches_exact_oracle(monkeypatch, rho, seed, R, h,
+                                        direction):
+    for i in range(3):
+        _assert_bisection_matches_oracle(monkeypatch, sample(rho, seed, i), R,
+                                         h, direction)
+
+
+@FLIP_CASES
+def test_bisection_slope_signs_match_exact_evaluation(monkeypatch, rho, seed,
+                                                      R, h, direction):
+    # at every bisection midpoint the rotated g stays within
+    # 1e-12 sum_k w_k (1 + |c_k| X) of the exact one, X the padded grid's
+    # reach, far inside the margin it is signed with, and every sign equals
+    # the one an exact evaluation gives
+    d = np.asarray(direction) / math.hypot(*direction)
+    seen = []
+
+    def recorded(s, d, pts, g, bound):
+        signs = _certified_signs(s, d, pts, g, bound)
+        seen.append((pts.copy(), g.copy(), bound, signs))
+        return signs
+
+    monkeypatch.setattr(topology, "_certified_signs", recorded)
+    checked = 0
+    for i in range(3):
+        s = sample(rho, seed, i)
+        step = h if h is not None else default_spacing(s)
+        seen.clear()
+        count_flips(s, SquareDomain(R), h=step, direction=direction)
+        C = s.frequencies
+        w = (np.sqrt(s.pair_weights) * np.hypot(s.coeff_a, s.coeff_b)
+             * np.abs(C @ d))
+        tol = 1e-12 * (w @ (1 + (R + 2 * step) * np.hypot(C[:, 0], C[:, 1])))
+        assert len(seen) in (1, 11)   # the port pass, then ten steps if any
+        for pts, g, bound, signs in seen[1:]:
+            checked += len(pts)
+            exact = evaluate_batch(s, pts, order=1)[1] @ d
+            assert np.all(np.abs(g - exact) <= tol)
+            assert bound >= 100 * tol
+            assert np.array_equal(signs, sign_grid(exact))
+    assert checked > 0
+
+
+@pytest.mark.parametrize("cells_per_wavelength", [4.0, 1.0])
+def test_bisection_matches_exact_oracle_on_coarse_grids(
+        monkeypatch, cells_per_wavelength):
+    # a candidate's phase step c_k.(hi - lo) is up to |c| h sqrt(2), 2.2 rad
+    # at 4 cells per wavelength; at 1 cell the first half step passes pi on
+    # segments longer than a wavelength, where a half-angle (square-root)
+    # recursion takes the wrong branch and squaring does not
+    for i in range(3):
+        s = sample(U64, 4, i)
+        h = s.min_wavelength() / cells_per_wavelength
+        with pytest.warns(GridTooCoarse):
+            _assert_bisection_matches_oracle(monkeypatch, s, 6.0, h,
+                                             (1.0, 0.0))
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-11])
+def test_bisection_evaluates_midpoints_the_margin_cannot_sign(monkeypatch,
+                                                              delta):
+    # f = (cos(x1 - delta) / 2 + sin x2) / sqrt(2) flips where x1 = delta
+    # (mod pi) and its zero line crosses a cell whose centre is at x1 = 0
+    # (mod pi): the first midpoint sits there, within the margin of g = 0
+    # (|g| ~ 1e-16 for delta = 0, a tie; ~ -3.5e-12 otherwise), so only an
+    # exact evaluation signs it like the oracle does; one such midpoint for
+    # each of the six flips
+    inj = inject_sample(preset("cilleruelo", kappa="one"),
+                        [(0.5 * math.cos(delta), 0.5 * math.sin(delta)),
+                         (0.0, 1.0)])
+    h = math.pi / 40
+    evaluated = _assert_bisection_matches_oracle(monkeypatch, inj, 40.5 * h,
+                                                 h, (1.0, 0.0))
+    assert evaluated == 6
 
 
 def test_flip_count_matches_newton_oracle():
