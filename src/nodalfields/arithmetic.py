@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotSumOfTwoSquares, TooLarge
 from .fields import (POINTS_PER_WAVELENGTH, FieldSample, _cilleruelo_measure,
                      sample)
-from .measures import SpectralMeasure, make_atomic, preset, weak_star_distance
+from .measures import SpectralMeasure, make_atomic
 
 ENUMERATION_CAP = 10 ** 12
 
@@ -97,36 +97,3 @@ def cilleruelo_torus_field(m: int, seed: int, stream: int = 0) -> FieldSample:
     return sample(_cilleruelo_measure("two_pi"), seed, stream,
                   freq_scale=float(m))
 
-
-def cilleruelo_candidates(limit: int) -> list[int]:
-    """All n = a^2 + 1 <= limit whose lattice circle has exactly 8 points."""
-    if limit > ENUMERATION_CAP:
-        raise TooLarge(f"limit exceeds {ENUMERATION_CAP}")
-    out = []
-    a = 1
-    while a * a + 1 <= limit:
-        n = a * a + 1
-        if r2(n) == 8:
-            out.append(n)
-        a += 1
-    return out
-
-
-def angular_discrepancy(n: int) -> float:
-    """Weak-* distance from mu_n to the four-point axis measure."""
-    return weak_star_distance(mu_n(n), preset("cilleruelo", kappa="two_pi"))
-
-
-def r2_divisor_oracle(n: int) -> int:
-    """Independent cross-check: r2(n) = 4 (d_1(n) - d_3(n)) via divisor classes."""
-    d1 = d3 = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            for q in {d, n // d}:
-                if q % 4 == 1:
-                    d1 += 1
-                elif q % 4 == 3:
-                    d3 += 1
-        d += 1
-    return 4 * (d1 - d3)

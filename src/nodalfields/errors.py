@@ -45,10 +45,6 @@ class DegenerateConditioning(NodalError):
     """Conditioning variance below threshold; use the degenerate classification."""
 
 
-class DegenerateMeasure(NodalError):
-    """Operation requires a nondegenerate gradient covariance."""
-
-
 class DomainMismatch(NodalError):
     """Two grids/samples do not share a domain."""
 

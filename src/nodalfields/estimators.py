@@ -18,14 +18,12 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
-from .errors import DegenerateMeasure, ScheduleTooShort
+from .errors import ScheduleTooShort
 from .fields import (SquareDomain, TorusDomain, default_spacing, evaluate_grid,
                      grid_too_coarse, sample)
-from .measures import SpectralMeasure, gradient_covariance, measure_to_dict
-from .topology import (count_components_plane, count_components_torus,
-                       interior_domain_areas)
+from .measures import SpectralMeasure, measure_to_dict
+from .topology import count_components_plane, count_components_torus
 
 
 def measure_digest(rho: SpectralMeasure) -> str:
@@ -215,58 +213,3 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
         cns_mu_n=planar.cns_estimate, cns_stderr=planar.cns_stderr,
         residual_over_sqrt_n=float(resid))
 
-
-def continuity_experiment(measure_path, R: float, M: int, seed: int,
-                          h: float | None = None):
-    """c estimates along a measure path, keyed by distance to the endpoint.
-
-    Returns a list of row dicts and the tail modulus
-    max_{k >= j} |c_k - c_end|; the schedule (R/4, R/2, R) is derived from R.
-    """
-    measures = list(measure_path)
-    if len(measures) < 3:
-        raise ScheduleTooShort("path needs >= 3 measures")
-    schedule = [R / 4.0, R / 2.0, R]
-    from .measures import weak_star_distance
-
-    reports = [estimate_cns(rho, schedule, M, seed, h) for rho in measures]
-    end = measures[-1]
-    rows = []
-    for rho, rep in zip(measures, reports):
-        rows.append({
-            "distance_to_end": weak_star_distance(rho, end),
-            "cns_estimate": rep.cns_estimate,
-            "cns_stderr": rep.cns_stderr,
-        })
-    c_end = reports[-1].cns_estimate
-    tail = [max(abs(r["cns_estimate"] - c_end) for r in rows[j:])
-            for j in range(len(rows))]
-    return rows, tail
-
-
-def faber_krahn_min_area(kappa_value: float) -> float:
-    """Least possible nodal-domain area for a wave with Delta f + k^2 f = 0."""
-    j0 = float(special.jn_zeros(0, 1)[0])
-    return math.pi * j0 * j0 / (kappa_value ** 2)
-
-
-def small_domain_report(rho: SpectralMeasure, R: float, M: int,
-                        delta_schedule, seed: int,
-                        h: float | None = None):
-    """Mean count of area-below-delta domains per R^2, with a log-log slope."""
-    if M < 1:
-        raise ValueError("need M >= 1")
-    if gradient_covariance(rho).is_degenerate(1e-12):
-        raise DegenerateMeasure("small-domain statistics need a nondegenerate measure")
-    deltas = np.asarray(sorted(delta_schedule), dtype=float)
-    areas = _batch(lambda i: sample(rho, seed, i), M, SquareDomain(R), h,
-                   interior_domain_areas)
-    table = np.array([np.count_nonzero(a[:, None] < deltas, axis=0)
-                      for a in areas], dtype=float)
-    dens = table.mean(axis=0) / (R * R)
-    mask = dens > 0
-    if np.count_nonzero(mask) >= 2:
-        slope = float(np.polyfit(np.log(deltas[mask]), np.log(dens[mask]), 1)[0])
-    else:
-        slope = float("nan")
-    return {"deltas": deltas.tolist(), "density": dens.tolist(), "slope": slope}

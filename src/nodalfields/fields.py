@@ -309,14 +309,6 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
                       seed=s.seed, kappa=s.measure.kappa)
 
 
-def grid_from_callable(fn, domain, h: float) -> ScalarGrid:
-    """Grid of an arbitrary function fn(X, Y) (vectorized); analysis hook."""
-    xs, ys, h_eff = grid_axes(domain, h)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return ScalarGrid(domain=domain, h=h_eff, xs=xs, ys=ys,
-                      values=np.asarray(fn(X, Y), dtype=float))
-
-
 def cilleruelo_field(seed: int, stream: int = 0) -> FieldSample:
     """Sample of the four-atom axis measure with kappa = 1.
 
@@ -343,54 +335,3 @@ def cilleruelo_amplitudes(s: FieldSample):
     eta1 = math.atan2(-s.coeff_b[0], s.coeff_a[0])
     eta2 = math.atan2(-s.coeff_b[1], s.coeff_a[1])
     return a1, eta1, a2, eta2
-
-
-def representation_covariance(s: FieldSample, x, y) -> float:
-    """E[f(x) f(y)] computed symbolically from the coefficient structure.
-
-    Independent of the drawn coefficients; equals covariance(rho, x - y) when
-    freq_scale is 1.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    ph = s.frequencies @ (x - y)
-    return float(np.dot(s.pair_weights, np.cos(ph))) + s.origin_weight
-
-
-def covariance_mc(rho: SpectralMeasure, x, M: int, seed: int):
-    """Monte Carlo validation of the sampler against the analytic covariance.
-
-    Returns (mean, stderr) of f(0) * f(x) over M independent samples, sample i
-    drawn from the (seed, i) stream.
-    """
-    if M < 100:
-        raise ValueError("need M >= 100")
-    reps, pw, w0 = antipodal_pairs(rho)
-    m = len(pw)
-    amp = np.sqrt(pw)
-    C = rho.kappa_value * reps
-    x = np.asarray(x, dtype=float)
-
-    def design(pt):
-        ph = C @ pt
-        u = np.empty(2 * m + 1)
-        u[0:2 * m:2] = amp * np.cos(ph)
-        u[1:2 * m:2] = amp * np.sin(ph)
-        u[2 * m] = math.sqrt(w0)
-        return u
-
-    U = np.vstack([design(np.zeros(2)), design(x)])
-    # one generator, reset per draw to the initial state of _philox(seed, i)
-    gen = _philox(seed, 0)
-    state = gen.bit_generator.state
-    key = state["state"]["key"]
-    prods = np.empty(M)
-    for i in range(M):
-        key[1] = i
-        gen.bit_generator.state = state
-        coeffs = gen.standard_normal(2 * m + 1)
-        v = U @ coeffs
-        prods[i] = v[0] * v[1]
-    mean = float(prods.mean())
-    stderr = float(prods.std(ddof=1) / math.sqrt(M))
-    return mean, stderr

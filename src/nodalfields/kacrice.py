@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DegenerateConditioning
 from .fields import unit_direction
@@ -62,38 +61,15 @@ def build_jet_covariance(rho: SpectralMeasure) -> JetCovariance:
 def abs_product_mean(sigma1: float, sigma2: float, corr: float) -> float:
     """E[|X Y|] for centered jointly Gaussian X, Y.
 
-    Closed form (2 s1 s2 / pi) * (sqrt(1 - r^2) + r asin r); see
-    abs_product_mean_quad for the quadrature cross-check.
+    Closed form (2 s1 s2 / pi) * (sqrt(1 - r^2) + r asin r); the test
+    oracle ``abs_product_mean_quad`` in tests/oracles.py checks it by
+    quadrature.
     """
     if sigma1 <= 0.0 or sigma2 <= 0.0:
         return 0.0
     r = min(1.0, max(-1.0, corr))
     return (2.0 * sigma1 * sigma2 / math.pi) \
         * (math.sqrt(max(0.0, 1.0 - r * r)) + r * math.asin(r))
-
-
-def abs_product_mean_quad(sigma1: float, sigma2: float, corr: float,
-                          tol: float = 1e-10) -> float:
-    """Adaptive-quadrature evaluation of E[|X Y|] (numeric fallback)."""
-    if sigma1 <= 0.0 or sigma2 <= 0.0:
-        return 0.0
-    r = min(1.0, max(-1.0, corr))
-    s_cond = sigma2 * math.sqrt(max(0.0, 1.0 - r * r))
-
-    def integrand(x):
-        m = r * sigma2 / sigma1 * x
-        if s_cond == 0.0:
-            e_abs_y = abs(m)
-        else:
-            z = m / s_cond
-            e_abs_y = s_cond * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z) \
-                + m * math.erf(z / math.sqrt(2.0))
-        return abs(x) * e_abs_y * math.exp(-0.5 * (x / sigma1) ** 2) \
-            / (sigma1 * math.sqrt(2.0 * math.pi))
-
-    val, _ = integrate.quad(integrand, -10.0 * sigma1, 10.0 * sigma1,
-                            epsabs=tol, limit=200)
-    return val
 
 
 def _conditioned_pair(rho: SpectralMeasure, direction):

@@ -149,9 +149,6 @@ class CovarianceMatrix:
     matrix: np.ndarray
     lambda_min: float
 
-    def is_degenerate(self, eps: float) -> bool:
-        return self.lambda_min < eps
-
 
 def _merge_atoms(points: np.ndarray, weights: np.ndarray):
     """Merge coincident atoms (coordinates within COORD_TOL), sorted output.

@@ -57,23 +57,17 @@ def stability_profile(s: FieldSample, domain, h: float | None = None) -> Stabili
                             domain=g.domain.descriptor())
 
 
-def _c1_distance_grids(g1: ScalarGrid, g2: ScalarGrid) -> float:
+def c1_distance(g1: ScalarGrid, g2: ScalarGrid) -> float:
+    """Grid C^1 distance: max over |f1-f2|, |d1 f1-d1 f2|, |d2 f1-d2 f2|.
+
+    g1 and g2 are order-1 grids of one domain and spacing.
+    """
     if g1.values.shape != g2.values.shape or abs(g1.h - g2.h) > 1e-12 \
             or g1.domain.descriptor() != g2.domain.descriptor():
         raise DomainMismatch("grids do not share a domain")
     return max(float(np.abs(g1.values - g2.values).max()),
                float(np.abs(g1.d1 - g2.d1).max()),
                float(np.abs(g1.d2 - g2.d2).max()))
-
-
-def c1_distance(s1: FieldSample, s2: FieldSample, domain,
-                h: float | None = None) -> float:
-    """Grid C^1 distance: max over |f1-f2|, |d1 f1-d1 f2|, |d2 f1-d2 f2|."""
-    if h is None:
-        h = min(default_spacing(s1), default_spacing(s2))
-    g1 = evaluate_grid(s1, domain, h, order=1)
-    g2 = evaluate_grid(s2, domain, h, order=1)
-    return _c1_distance_grids(g1, g2)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +182,7 @@ class SandwichReport:
     violations: int
     beta: float
     R: float
+    seed: int
 
     @property
     def violation_rate(self) -> float:
@@ -240,7 +235,7 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
         if math.isfinite(beta):
             if _minmax(g0) <= 2.0 * beta:
                 continue
-            if _c1_distance_grids(g0, g1) >= beta:
+            if c1_distance(g0, g1) >= beta:
                 continue
         filtered += 1
         n0_R = _subcensus(g0, R)
@@ -249,7 +244,7 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
         if not (n1_lo <= n0_R <= n1_hi):
             violations += 1
     return SandwichReport(M=M, filtered=filtered, violations=violations,
-                          beta=beta, R=R)
+                          beta=beta, R=R, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Nodal censuses on grids: components, domain areas, flips, intersections.
+"""Nodal censuses on grids: components, flips, intersections.
 
 Counting convention: a compact zero-set component is the outer boundary of
 exactly one bounded sign-domain.  On squares a sign-domain is a 4-connected
@@ -7,12 +7,9 @@ leaves joined: in a saddle cell (all four sides crossed) the diagonal whose
 sign is that of the cell-centre mean is joined, the rule the marching
 segments use, so the domains away from the border are exactly the closed
 cycles of the segment graph.  ``count_components_plane`` labels the
-positive set once, merges the labels of the joined positive diagonals,
+positive set once, merges the labels of the joined positive diagonals and
 counts the negative interior domains as the holes of that set from one
-Euler sum, and reads the border domains off the signs around the border
-ring.  ``interior_domain_areas`` labels both signs, merges them the same
-way and returns the areas of the interior domains, for the small-domain
-statistics.  On the torus, zero-set components are counted directly from
+Euler sum.  On the torus, zero-set components are counted directly from
 the marching-squares crossing graph: every port there has degree 2, so
 components are cycles, and a cycle wraps iff it crosses the x-seam or the
 y-seam an odd number of times.
@@ -70,15 +67,12 @@ class NodalCensus:
 
     On squares: interior_components = compact zero-set components, i.e.
     sign-domains away from the border, a domain being 4-connected plus the
-    joined saddle diagonals (see the module docstring); boundary_components
-    = sign-domains touching the grid border.  On the torus:
+    joined saddle diagonals (see the module docstring).  On the torus:
     interior_components = contractible zero-set components,
-    wrapping_components the rest.  The areas of the bounded square domains
-    come from ``interior_domain_areas``.
+    wrapping_components the rest.
     """
 
     interior_components: int
-    boundary_components: int = 0
     wrapping_components: int = 0
 
     @property
@@ -111,8 +105,8 @@ def _joins_main_diagonal(values: np.ndarray, i: np.ndarray,
 
     True where the (i, j)-(i+1, j+1) diagonal is joined, i.e. where the
     cell-centre mean has the sign of the (i, j) corner; elsewhere the
-    (i+1, j)-(i, j+1) diagonal is.  The marching segments and both square
-    censuses read this rule, so they agree on every grid.
+    (i+1, j)-(i, j+1) diagonal is.  The marching segments and the plane
+    census read this rule, so they agree on every grid.
     """
     corner = values[i, j]
     center = 0.25 * (corner + values[i + 1, j] + values[i, j + 1]
@@ -120,12 +114,12 @@ def _joins_main_diagonal(values: np.ndarray, i: np.ndarray,
     return sign_grid(center) == sign_grid(corner)
 
 
-def _saddle_joins(values: np.ndarray, pos: np.ndarray):
-    """(i, j, main, up) of every saddle cell, whose four sides are crossed.
+def _positive_joins(values: np.ndarray, pos: np.ndarray):
+    """(i, j, main) of the saddle cells whose joined diagonal is positive.
 
-    main is the saddle rule; up is True where the joined diagonal is
-    positive.  A cell whose S, N and W sides are crossed has its E side
-    crossed too, so one full-grid test of S and N finds the candidates.
+    A saddle cell has all four sides crossed; main is the saddle rule.  A
+    cell whose S, N and W sides are crossed has its E side crossed too, so
+    one full-grid test of S and N finds the candidates.
     """
     hx = pos[:-1, :] != pos[1:, :]
     i, j = np.divmod(np.flatnonzero(hx[:, :-1] & hx[:, 1:]),
@@ -133,7 +127,8 @@ def _saddle_joins(values: np.ndarray, pos: np.ndarray):
     keep = pos[i, j] != pos[i, j + 1]
     i, j = i[keep], j[keep]
     main = _joins_main_diagonal(values, i, j)
-    return i, j, main, main == pos[i, j]
+    up = main == pos[i, j]
+    return i[up], j[up], main[up]
 
 
 def _merged_domains(labels: np.ndarray, n: int, i, j, main):
@@ -168,21 +163,6 @@ def _merged_domains(labels: np.ndarray, n: int, i, j, main):
     return rep, inner
 
 
-def _border_domains(pos: np.ndarray) -> int:
-    """Sign-domains touching the border, from the signs around it.
-
-    Each open zero curve runs between two sign changes of the border ring
-    and splits the square in two, so m open curves leave m + 1 border
-    domains.  A grid one node wide is all border: its domains are its runs.
-    """
-    if min(pos.shape) == 1:
-        line = pos.ravel()
-        return int(np.count_nonzero(line[1:] != line[:-1])) + 1
-    ring = np.concatenate([pos[0, :], pos[1:, -1], pos[-1, -2::-1],
-                           pos[-2::-1, 0]])
-    return int(np.count_nonzero(ring[1:] != ring[:-1])) // 2 + 1
-
-
 def count_components_plane(g: ScalarGrid) -> NodalCensus:
     """Census of a square-domain grid from one labeling of the positive set.
 
@@ -196,36 +176,16 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     values = _census_values(g, periodic=False)
     pos = sign_grid(values)
     labels, n = ndimage.label(pos, structure=_FOUR_CONN)
-    i, j, main, up = _saddle_joins(values, pos)
-    rep, inner = _merged_domains(labels, n, i[up], j[up], main[up])
+    i, j, main = _positive_joins(values, pos)
+    rep, inner = _merged_domains(labels, n, i, j, main)
     components = int(np.count_nonzero(rep == np.arange(n + 1))) - 1
 
     hp = pos[:-1, :] & pos[1:, :]
     edges = np.count_nonzero(hp) + np.count_nonzero(pos[:, :-1] & pos[:, 1:])
     cells = np.count_nonzero(hp[:, :-1] & hp[:, 1:])
-    euler = int(np.count_nonzero(pos) - edges - np.count_nonzero(up) + cells)
+    euler = int(np.count_nonzero(pos) - edges - len(i) + cells)
     return NodalCensus(
-        interior_components=int(np.count_nonzero(inner)) + components - euler,
-        boundary_components=_border_domains(pos))
-
-
-def interior_domain_areas(g: ScalarGrid) -> np.ndarray:
-    """Sorted areas (nodes x h^2) of the sign-domains away from the border.
-
-    Labels each sign, merges the parts a joined saddle diagonal connects and
-    sums their areas: the domains ``count_components_plane`` counts.
-    """
-    values = _census_values(g, periodic=False)
-    pos = sign_grid(values)
-    i, j, main, up = _saddle_joins(values, pos)
-    areas = []
-    for mask, joined in ((pos, up), (~pos, ~up)):
-        labels, n = ndimage.label(mask, structure=_FOUR_CONN)
-        rep, inner = _merged_domains(labels, n, i[joined], j[joined],
-                                     main[joined])
-        sizes = np.bincount(rep, np.bincount(labels.ravel()), n + 1)
-        areas.append(sizes[inner] * g.h * g.h)
-    return np.sort(np.concatenate(areas))
+        interior_components=int(np.count_nonzero(inner)) + components - euler)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +362,14 @@ def _certified_signs(s: FieldSample, d: np.ndarray, pts: np.ndarray,
 
     sign_grid is monotone: where both ends of g +- bound get one sign, so
     does every value within bound, the one ``evaluate_batch`` gives
-    included; only the other points are evaluated.
+    included; only the other points are evaluated, and with none left
+    ``evaluate_batch`` is not called.
     """
     sg = sign_grid(g + bound)
     unsure = np.flatnonzero(sg != sign_grid(g - bound))
-    _, grads = evaluate_batch(s, pts[unsure], order=1)
-    sg[unsure] = sign_grid(grads @ d)
+    if len(unsure):
+        _, grads = evaluate_batch(s, pts[unsure], order=1)
+        sg[unsure] = sign_grid(grads @ d)
     return sg
 
 

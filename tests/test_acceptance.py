@@ -16,7 +16,6 @@ from nodalfields.arithmetic import (
     cilleruelo_torus_field,
     mu_n,
     r2,
-    r2_divisor_oracle,
     sample_torus_wave,
 )
 from nodalfields.estimators import estimate_cns, torus_count_report
@@ -24,7 +23,6 @@ from nodalfields.fields import (
     SquareDomain,
     TorusDomain,
     cilleruelo_field,
-    covariance_mc,
     evaluate_grid,
     sample,
 )
@@ -47,6 +45,7 @@ from nodalfields.topology import (
     count_curve_intersections,
     count_flips,
 )
+from oracles import covariance_mc, r2_divisor_oracle
 
 NU0_ONE = preset("cilleruelo", kappa="one")
 U64 = preset("uniform_circle", K=64)

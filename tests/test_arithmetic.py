@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from nodalfields.arithmetic import (
-    angular_discrepancy,
-    cilleruelo_candidates,
     cilleruelo_torus_field,
     lattice_points,
     mu_n,
     planar_rescale,
     r2,
-    r2_divisor_oracle,
     sample_torus_wave,
 )
 from nodalfields.errors import NotSumOfTwoSquares, TooLarge
 from nodalfields.fields import TorusDomain, evaluate, evaluate_grid
 from nodalfields.measures import covariance, preset, weak_star_distance
+from oracles import r2_divisor_oracle, representation_covariance
 
 
 def test_lattice_points_small_cases():
@@ -82,7 +80,6 @@ def test_mu_n_torus_symmetries_up_to_10000():
 def test_torus_wave_unit_variance_and_periodicity():
     s = sample_torus_wave(65, seed=4)
     # representation variance is exactly 1 at any point
-    from nodalfields.fields import representation_covariance
     assert representation_covariance(s, (0.3, 0.9), (0.3, 0.9)) == pytest.approx(1.0)
     for x in [(0.1, 0.2), (0.77, 0.31)]:
         assert evaluate(s, x) == pytest.approx(
@@ -93,7 +90,6 @@ def test_torus_wave_law_matches_cilleruelo_for_n1():
     # mu_1 = axis measure, so the n=1 wave is the four-coefficient field with
     # integer frequencies: covariance r((x)) = (cos 2 pi x1 + cos 2 pi x2)/2
     s = sample_torus_wave(1, seed=8)
-    from nodalfields.fields import representation_covariance
     for d in [(0.3, 0.0), (0.1, 0.7)]:
         want = 0.5 * (math.cos(2 * math.pi * d[0]) + math.cos(2 * math.pi * d[1]))
         assert representation_covariance(s, d, (0.0, 0.0)) == pytest.approx(want)
@@ -120,30 +116,10 @@ def test_eigenfunction_identity_spectral():
 def test_planar_rescale_covariance():
     s = sample_torus_wave(65, seed=3)
     g = planar_rescale(s)
-    from nodalfields.fields import representation_covariance
     rho = mu_n(65)
     for d in [(0.4, 0.1), (1.3, -0.6)]:
         assert representation_covariance(g, d, (0.0, 0.0)) == pytest.approx(
             covariance(rho, d), abs=1e-12)
-
-
-def test_cilleruelo_candidates():
-    cands = cilleruelo_candidates(3000)
-    assert 2917 in cands
-    assert cilleruelo_candidates(30) == [5, 10, 17, 26]
-    assert cilleruelo_candidates(1) == []
-    # every candidate is a^2 + 1 with eight lattice points
-    for n in cands:
-        a = math.isqrt(n - 1)
-        assert a * a + 1 == n
-        assert r2(n) == 8
-
-
-def test_angular_discrepancy():
-    assert angular_discrepancy(1) == 0.0
-    assert angular_discrepancy(2) == pytest.approx(
-        weak_star_distance(preset("tilted_cilleruelo"), preset("cilleruelo")))
-    assert angular_discrepancy(2917) < angular_discrepancy(65)
 
 
 def test_cilleruelo_torus_field_structure():

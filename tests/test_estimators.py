@@ -1,20 +1,16 @@
 import json
-import math
 import warnings
 
 import numpy as np
 import pytest
 
-from nodalfields.errors import (DegenerateMeasure, GridTooCoarse,
-                               ScheduleTooShort)
+from nodalfields.errors import GridTooCoarse, ScheduleTooShort
 from nodalfields.estimators import (
     estimate_cns,
     estimate_dns,
     estimate_mean_count,
-    faber_krahn_min_area,
     fit_cns_from_table,
     measure_digest,
-    small_domain_report,
     torus_count_report,
 )
 from nodalfields.fields import SquareDomain, evaluate_grid, sample
@@ -136,7 +132,6 @@ def test_batches_pass_warnings_through(monkeypatch):
     runs = [
         lambda: estimate_mean_count(U32, 2.0, 10, h=coarse, seed=1),
         lambda: estimate_dns(U32, 2.0, 3, 1, 0.05, h=coarse),
-        lambda: small_domain_report(U32, 2.0, 3, [0.1, 0.5], 1, h=coarse),
         lambda: torus_count_report(65, 5, h=1 / 40, planar_M=10,
                                    planar_schedule=(2.0, 4.0, 8.0)),
     ]
@@ -180,40 +175,8 @@ def test_torus_report_cilleruelo_type_n1():
         assert c.wrapping_components in (2, 4)
 
 
-def test_small_domain_report():
-    rep = small_domain_report(U32, R=8.0, M=15, delta_schedule=[0.125, 0.25, 0.5, 1.0],
-                              seed=13)
-    dens = rep["density"]
-    assert all(a <= b + 1e-12 for a, b in zip(dens, dens[1:]))  # monotone in delta
-    assert rep["slope"] > 0 or math.isnan(rep["slope"])
-    with pytest.raises(DegenerateMeasure):
-        small_domain_report(preset("two_point"), R=8.0, M=5,
-                            delta_schedule=[0.1], seed=1)
-
-
 def test_empty_batches_raise():
-    with pytest.raises(ValueError, match="need M >= 1"):
-        small_domain_report(U32, 4.0, 0, [0.1, 0.2], 1)
     with pytest.raises(ValueError, match="need M >= 1"):
         estimate_dns(U32, R=3.0, M=0, seed=1, cns_estimate=0.1)
     with pytest.raises(ValueError, match="need R >= 1"):
         estimate_dns(U32, R=0.0, M=3, seed=1, cns_estimate=0.1)
-
-
-def test_small_domains_absent_below_faber_krahn_area():
-    # monochromatic waves have no nodal domains below the Faber-Krahn bound
-    bound = faber_krahn_min_area(2 * math.pi)
-    assert bound == pytest.approx(math.pi * 2.404825557695773 ** 2 / (4 * math.pi ** 2))
-    rep = small_domain_report(U32, R=8.0, M=20, delta_schedule=[0.25 * bound, 0.5 * bound],
-                              seed=19, h=1.0 / 24)
-    assert rep["density"][0] == 0.0
-    assert rep["density"][1] == 0.0
-
-
-def test_continuity_experiment_constant_path():
-    from nodalfields.estimators import continuity_experiment
-    rows, tail = continuity_experiment([U32, U32, U32], R=8.0, M=15, seed=4)
-    assert rows[0]["distance_to_end"] == 0.0
-    spread = max(r["cns_estimate"] for r in rows) - min(r["cns_estimate"] for r in rows)
-    assert spread == 0.0  # identical samples along the constant path
-    assert tail[-1] == 0.0

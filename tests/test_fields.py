@@ -14,15 +14,14 @@ from nodalfields.fields import (
     TorusDomain,
     cilleruelo_amplitudes,
     cilleruelo_field,
-    covariance_mc,
     evaluate,
     evaluate_batch,
     evaluate_grid,
     inject_sample,
-    representation_covariance,
     sample,
 )
 from nodalfields.measures import SpectralMeasure, covariance, preset
+from oracles import covariance_mc, representation_covariance
 
 NU0 = preset("cilleruelo", kappa="one")
 

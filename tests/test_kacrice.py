@@ -8,7 +8,6 @@ from nodalfields.fields import SquareDomain, sample
 from nodalfields.kacrice import (
     JET_DERIVATIVES,
     abs_product_mean,
-    abs_product_mean_quad,
     build_jet_covariance,
     curve_intersection_density,
     diagonal_flip_density,
@@ -17,6 +16,7 @@ from nodalfields.kacrice import (
 )
 from nodalfields.measures import make_atomic, moment, preset
 from nodalfields.topology import count_curve_intersections, count_flips
+from oracles import abs_product_mean_quad
 
 NU0_ONE = preset("cilleruelo", kappa="one")
 U64 = preset("uniform_circle", K=64)

@@ -40,7 +40,6 @@ def test_make_atomic_two_point_degenerate():
     # oracle: second moments summed by hand over the two atoms
     assert cov.matrix[0, 0] == pytest.approx((2 * math.pi) ** 2 * 1.0)
     assert cov.lambda_min == pytest.approx(0.0, abs=1e-12)
-    assert cov.is_degenerate(1e-12)
 
 
 def test_make_atomic_rejects_bad_weights():

@@ -30,15 +30,18 @@ def test_no_unused_imports(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_no_sparse_import(path):
-    # scipy.sparse (csgraph included) adds about 10 MB of resident memory
-    # when imported, a tenth of a workload's peak; ndimage does the labeling
+    # the package imports scipy only as scipy.ndimage, which does the
+    # labeling: scipy.sparse (csgraph included) adds about 10 MB of resident
+    # memory when imported, a tenth of a workload's peak, and integrate and
+    # special serve no report
     tree = ast.parse(path.read_text(), filename=str(path))
     names = [alias.name for node in ast.walk(tree)
              if isinstance(node, ast.Import) for alias in node.names]
     names += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) and node.module
               for alias in node.names]
-    assert not [n for n in names if n.startswith("scipy.sparse")], names
+    assert not [n for n in names if n.split(".")[0] == "scipy"
+                and n != "scipy.ndimage"], names
 
 
 def _loads(tree):

@@ -7,6 +7,7 @@ import pytest
 from nodalfields.errors import DomainMismatch
 from nodalfields.fields import (
     SquareDomain,
+    default_spacing,
     evaluate,
     evaluate_grid,
     inject_sample,
@@ -37,6 +38,12 @@ def rotated_axis_measure(eps, kappa="one"):
                         ((-s, c), 0.25), ((s, -c), 0.25)], kappa=kappa)
 
 
+def grid_c1_distance(f0, f1, domain, h):
+    """c1_distance of the order-1 grids of f0 and f1 on one domain."""
+    return c1_distance(evaluate_grid(f0, domain, h, order=1),
+                       evaluate_grid(f1, domain, h, order=1))
+
+
 def test_stability_profile_analytic_fields():
     # g = 2 cos x + cos y: on its zero set |grad g|^2 = 5 - 8 cos^2 x >= 3
     gm = section7_field("monochromatic_g")
@@ -59,7 +66,7 @@ def test_stability_profile_analytic_fields():
 
 def test_c1_distance_basic():
     s = sample(preset("uniform_circle", K=16), seed=3)
-    assert c1_distance(s, s, SquareDomain(5.0)) == 0.0
+    assert grid_c1_distance(s, s, SquareDomain(5.0), default_spacing(s)) == 0.0
     # adding eps times a unit-amplitude single-pair wave moves C1 by <= eps(1+kappa)
     eps = 0.01
     bump = inject_sample(preset("two_point", theta=0.3, kappa="one"),
@@ -78,21 +85,20 @@ def test_c1_distance_is_pseudometric():
     dom = SquareDomain(3.0)
     for _ in range(5):
         a, b, c = (sample(u16, seed=int(rng.integers(10 ** 6))) for _ in range(3))
-        dab = c1_distance(a, b, dom, h=1 / 16)
-        dba = c1_distance(b, a, dom, h=1 / 16)
-        dac = c1_distance(a, c, dom, h=1 / 16)
-        dcb = c1_distance(c, b, dom, h=1 / 16)
+        dab = grid_c1_distance(a, b, dom, 1 / 16)
+        dba = grid_c1_distance(b, a, dom, 1 / 16)
+        dac = grid_c1_distance(a, c, dom, 1 / 16)
+        dcb = grid_c1_distance(c, b, dom, 1 / 16)
         assert dab == pytest.approx(dba, abs=1e-12)
         assert dab <= dac + dcb + 1e-12
 
 
 def test_c1_distance_domain_mismatch():
-    from nodalfields.stability import _c1_distance_grids
     s = sample(preset("uniform_circle", K=16), seed=3)
     g1 = evaluate_grid(s, SquareDomain(5.0), 1 / 16, order=1)
     g2 = evaluate_grid(s, SquareDomain(4.0), 1 / 16, order=1)
     with pytest.raises(DomainMismatch):
-        _c1_distance_grids(g1, g2)
+        c1_distance(g1, g2)
 
 
 def test_coupled_sample_identical_measures():
@@ -100,7 +106,8 @@ def test_coupled_sample_identical_measures():
     f0, f1 = coupled_sample(u, u, seed=7)
     assert np.array_equal(f0.coeff_a, f1.coeff_a)
     assert np.array_equal(f0.coeff_b, f1.coeff_b)
-    assert c1_distance(f0, f1, SquareDomain(8.0)) == 0.0
+    assert grid_c1_distance(f0, f1, SquareDomain(8.0),
+                            default_spacing(f0)) == 0.0
 
 
 def origin_and_fan_measure():
@@ -228,10 +235,10 @@ def test_coupling_refinement_distance_shrinks():
     # doubling K halves the coupling error
     meds = []
     for K in (32, 64, 128):
-        d = [c1_distance(*coupled_sample(preset("uniform_circle", K=K),
-                                         preset("uniform_circle", K=2 * K),
-                                         seed=5, stream=i),
-                         SquareDomain(2.0), h=1 / 16)
+        d = [grid_c1_distance(*coupled_sample(preset("uniform_circle", K=K),
+                                              preset("uniform_circle", K=2 * K),
+                                              seed=5, stream=i),
+                              SquareDomain(2.0), 1 / 16)
              for i in range(10)]
         meds.append(np.median(d))
     assert meds[0] > meds[1] > meds[2]
@@ -242,8 +249,9 @@ def test_coupling_rotated_axis_measure():
     # frozen bounds add sampling margin
     nu0 = preset("cilleruelo", kappa="one")
     rot = rotated_axis_measure(0.01)
-    ds = np.array([c1_distance(*coupled_sample(nu0, rot, seed=31, stream=i),
-                               SquareDomain(10.0), h=2 * math.pi / 32)
+    ds = np.array([grid_c1_distance(*coupled_sample(nu0, rot, seed=31,
+                                                    stream=i),
+                                    SquareDomain(10.0), 2 * math.pi / 32)
                    for i in range(100)])
     assert np.median(ds) < 0.2
     assert np.quantile(ds, 0.95) < 0.3

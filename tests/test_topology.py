@@ -13,12 +13,12 @@ from nodalfields.fields import (
     default_spacing,
     evaluate_batch,
     evaluate_grid,
-    grid_from_callable,
     inject_sample,
     sample,
 )
 from nodalfields.measures import preset
 from nodalfields.topology import (
+    _bisect,
     _certified_signs,
     _port_slopes,
     count_components_plane,
@@ -27,18 +27,18 @@ from nodalfields.topology import (
     count_flips,
     edge_ports,
     half_edge_successors,
-    interior_domain_areas,
     marching_segments,
     sign_grid,
 )
+from oracles import grid_from_callable
 
 
 # ---------------------------------------------------------------------------
 # independent oracles: a saddle-aware flood fill census, and the closed
 # cycles of the marching-segment graph
 
-def flood_fill_census(values, h):
-    """(interior count, boundary count, sorted interior areas) by flood fill.
+def flood_fill_census(values):
+    """Count of the sign-domains away from the border, by flood fill.
 
     A domain steps to the same-sign 4-neighbours and, in a saddle cell (its
     diagonals carry opposite signs), along the diagonal whose sign is that of
@@ -58,8 +58,7 @@ def flood_fill_census(values, h):
             across.setdefault(p, []).append(q)
             across.setdefault(q, []).append(p)
     seen = np.zeros_like(pos, dtype=bool)
-    boundary = 0
-    areas = []
+    interior = 0
     for i0 in range(nx):
         for j0 in range(ny):
             if seen[i0, j0]:
@@ -67,11 +66,9 @@ def flood_fill_census(values, h):
             want = pos[i0, j0]
             stack = [(i0, j0)]
             seen[i0, j0] = True
-            cells = []
             touches = False
             while stack:
                 i, j = stack.pop()
-                cells.append((i, j))
                 if i in (0, nx - 1) or j in (0, ny - 1):
                     touches = True
                 for a, b in [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1),
@@ -80,11 +77,8 @@ def flood_fill_census(values, h):
                             and pos[a, b] == want:
                         seen[a, b] = True
                         stack.append((a, b))
-            if touches:
-                boundary += 1
-            else:
-                areas.append(len(cells) * h * h)
-    return len(areas), boundary, sorted(areas)
+            interior += not touches
+    return interior
 
 
 def closed_cycles(g):
@@ -105,10 +99,8 @@ def closed_cycles(g):
 
 def _assert_census_matches_oracles(g):
     census = count_components_plane(g)
-    interior, boundary, areas = flood_fill_census(g.values, g.h)
-    assert census.interior_components == interior == closed_cycles(g)
-    assert census.boundary_components == boundary
-    assert np.array_equal(interior_domain_areas(g), areas)
+    assert census.interior_components == flood_fill_census(g.values) \
+        == closed_cycles(g)
     return census
 
 
@@ -138,21 +130,18 @@ def test_census_counts_closed_portrait_chains():
         g = evaluate_grid(sample(u64, seed=seed), SquareDomain(6.0))
         census = _assert_census_matches_oracles(g)
         closed = sum(closed for _, closed in zero_polylines(g))
-        assert census.interior_components == closed \
-            == len(interior_domain_areas(g)) > 10
+        assert census.interior_components == closed > 10
 
 
 def test_plane_census_rejects_torus_grid():
     # the square census of a torus grid would count its wrap as a border
-    # (0 interior, 5 border domains here, against 1 torus component)
+    # (0 interior components here, against 1 torus component)
     t = grid_from_callable(
         lambda X, Y: np.cos(2 * np.pi * X) + np.cos(2 * np.pi * Y) - 0.5,
         TorusDomain(), 1 / 64)
     assert count_components_torus(t).total_components == 1
     with pytest.raises(ValueError, match="square grid"):
         count_components_plane(t)
-    with pytest.raises(ValueError, match="square grid"):
-        interior_domain_areas(t)
 
 
 def test_unit_circle_is_one_component():
@@ -160,8 +149,6 @@ def test_unit_circle_is_one_component():
                            SquareDomain(2.0), 0.01)
     c = count_components_plane(g)
     assert c.interior_components == 1
-    # area of the enclosed disc
-    assert interior_domain_areas(g)[0] == pytest.approx(math.pi, rel=0.01)
 
 
 def test_nine_loops():
@@ -181,16 +168,12 @@ def test_empty_grid_raises():
                    ys=np.zeros(0), values=np.zeros((0, 0)))
     with pytest.raises(EmptyGrid):
         count_components_plane(g)
-    with pytest.raises(EmptyGrid):
-        interior_domain_areas(g)
     sq = grid_from_callable(lambda X, Y: X ** 2 + Y ** 2 - 0.25,
                             SquareDomain(1.0), 0.1)
     for bad in (np.nan, np.inf, -np.inf):
         sq.values[3, 5] = bad
         with pytest.raises(EmptyGrid):
             count_components_plane(sq)
-        with pytest.raises(EmptyGrid):
-            interior_domain_areas(sq)
     t = grid_from_callable(lambda X, Y: np.sin(2 * np.pi * X),
                            TorusDomain(), 1 / 64)
     for bad in (np.nan, np.inf):
@@ -202,27 +185,9 @@ def test_empty_grid_raises():
         count_components_torus(t)
 
 
-def test_small_domains():
-    g = grid_from_callable(lambda X, Y: X ** 2 + Y ** 2 - 0.01,
-                           SquareDomain(1.0), 0.005)
-    areas = interior_domain_areas(g)
-    assert np.count_nonzero(areas < 0.05) == 1   # disc area ~ 0.0314
-    assert np.count_nonzero(areas < 0.01) == 0
-    flat = grid_from_callable(lambda X, Y: np.ones_like(X), SquareDomain(1.0), 0.1)
-    flat_areas = interior_domain_areas(flat)
-    for delta in (0.01, 1.0, math.inf):
-        assert np.count_nonzero(flat_areas < delta) == 0
-
-
 def test_small_domains_monotone_and_total():
     s = sample(preset("uniform_circle", K=32), seed=6)
-    g = evaluate_grid(s, SquareDomain(8.0))
-    census = _assert_census_matches_oracles(g)
-    areas = interior_domain_areas(g)
-    deltas = [0.1, 0.5, 1.0, math.inf]
-    counts = [np.count_nonzero(areas < d) for d in deltas]
-    assert all(a <= b for a, b in zip(counts, counts[1:]))
-    assert counts[-1] == census.interior_components
+    _assert_census_matches_oracles(evaluate_grid(s, SquareDomain(8.0)))
 
 
 def test_torus_two_vertical_circles():
@@ -609,6 +574,8 @@ def test_count_flips_evaluates_few_ports(monkeypatch):
     assert count_flips(s, SquareDomain(10.0)) == 654
     assert n_ports > 15000
     assert sum(calls) <= 0.05 * n_ports
+    # a pass or step with nothing left unsigned evaluates nothing
+    assert 0 not in calls
 
 
 # oracle: the bisection as it was before the rotated phase tables, every
@@ -624,15 +591,20 @@ def _exact_bisection(s, d, lo, hi, slo, margin):
 
 def _assert_bisection_matches_oracle(monkeypatch, s, R, h, direction):
     """Byte-equal (count, locations) with the exact bisection; returns the
-    number of points evaluated after the port pass."""
+    number of points the bisection evaluated."""
     calls = []
 
     def counted(s, pts, order=0):
         calls.append(len(pts))
         return evaluate_batch(s, pts, order)
 
+    def counted_bisect(*args):
+        with monkeypatch.context() as m:
+            m.setattr(topology, "evaluate_batch", counted)
+            return _bisect(*args)
+
     with monkeypatch.context() as m:
-        m.setattr(topology, "evaluate_batch", counted)
+        m.setattr(topology, "_bisect", counted_bisect)
         n, locs = count_flips(s, SquareDomain(R), h=h, direction=direction,
                               return_locations=True)
     with monkeypatch.context() as m:
@@ -643,7 +615,7 @@ def _assert_bisection_matches_oracle(monkeypatch, s, R, h, direction):
     assert n == want_n
     assert np.ascontiguousarray(locs).tobytes() == \
         np.ascontiguousarray(want_locs).tobytes()
-    return sum(calls[1:])
+    return sum(calls)
 
 
 @FLIP_CASES
