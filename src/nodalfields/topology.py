@@ -6,13 +6,15 @@ set of same-sign nodes together with the saddle diagonals the zero set
 leaves joined: in a saddle cell (all four sides crossed) the diagonal whose
 sign is that of the cell-centre mean is joined, the rule the marching
 segments use, so the domains away from the border are exactly the closed
-cycles of the segment graph.  ``count_components_plane`` labels the
-positive set once, merges the labels of the joined positive diagonals and
-counts the negative interior domains as the holes of that set from one
-Euler sum.  On the torus, zero-set components are counted directly from
-the marching-squares crossing graph: every port there has degree 2, so
-components are cycles, and a cycle wraps iff it crosses the x-seam or the
-y-seam an odd number of times.
+cycles of the segment graph.  ``count_components_plane`` reads the
+positive set as the runs of positive nodes along each grid row: a forest
+over the runs, merged across their other contacts, gives the positive
+domains, and the negative interior domains are the holes of the positive
+set, counted from its Euler number, a sum over the runs and their contacts
+with the row above.  On the torus, zero-set components are counted
+directly from the marching-squares crossing graph: every port there has
+degree 2, so components are cycles, and a cycle wraps iff it crosses the
+x-seam or the y-seam an odd number of times.
 
 That graph is the one zero-set graph of the package: ``half_edge_successors``
 pairs the segments meeting at each crossing port, and both the torus census
@@ -41,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyGrid
 from .fields import (
@@ -57,8 +58,6 @@ from .fields import (
 TIE_TOL = 1e-14
 # relative rounding margin of a certified sign of d.grad f (_slope_weights)
 ROUNDING_MARGIN = 1e-9
-
-_FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 
 @dataclass
@@ -80,9 +79,13 @@ class NodalCensus:
         return self.interior_components + self.wrapping_components
 
 
-def sign_grid(values: np.ndarray) -> np.ndarray:
-    """Boolean positivity grid under the tie rule (|f| < TIE_TOL counts +)."""
-    return values > -TIE_TOL
+def sign_grid(values: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Boolean positivity grid under the tie rule (|f| < TIE_TOL counts +).
+
+    out, a boolean array shaped like values, receives it if given.
+    """
+    return np.greater(values, -TIE_TOL, out=out)
 
 
 def _census_values(g: ScalarGrid, periodic: bool) -> np.ndarray:
@@ -114,78 +117,115 @@ def _joins_main_diagonal(values: np.ndarray, i: np.ndarray,
     return sign_grid(center) == sign_grid(corner)
 
 
-def _positive_joins(values: np.ndarray, pos: np.ndarray):
-    """(i, j, main) of the saddle cells whose joined diagonal is positive.
+def _merged_roots(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """The smallest node of each node's component, nodes 0..m-1, edges (a, b).
 
-    A saddle cell has all four sides crossed; main is the saddle rule.  A
-    cell whose S, N and W sides are crossed has its E side crossed too, so
-    one full-grid test of S and N finds the candidates.
+    Vectorised hooking: each round every edge whose ends have different roots
+    hooks the larger root under the smaller one, and pointer jumping then
+    points every node at its root.  A root with an edge to another tree
+    hooks or is hooked, so the trees left at least halve each round.
     """
-    hx = pos[:-1, :] != pos[1:, :]
-    i, j = np.divmod(np.flatnonzero(hx[:, :-1] & hx[:, 1:]),
-                     pos.shape[1] - 1)
-    keep = pos[i, j] != pos[i, j + 1]
-    i, j = i[keep], j[keep]
-    main = _joins_main_diagonal(values, i, j)
-    up = main == pos[i, j]
-    return i[up], j[up], main[up]
-
-
-def _merged_domains(labels: np.ndarray, n: int, i, j, main):
-    """Merge 4-connected labels 1..n across joined saddle diagonals.
-
-    (i, j, main) are saddle cells whose joined diagonal joins two labelled
-    nodes.  Returns (rep, inner): rep[k] is the smallest label merged with k,
-    and inner[k] is True iff k > 0 is such a representative and no part of
-    its merged domain touches the grid border.  The union-find runs over the
-    labels the joins touch only.
-    """
-    rep = np.arange(n + 1)
-    a = labels[i, j + ~main]
-    b = labels[i + 1, j + main]
-    if len(a):
-        nodes, pair = np.unique(np.concatenate([a, b]), return_inverse=True)
-        parent = list(range(len(nodes)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        for x, y in zip(pair[:len(a)].tolist(), pair[len(a):].tolist()):
-            x, y = find(x), find(y)
-            parent[max(x, y)] = min(x, y)
-        rep[nodes] = nodes[[find(x) for x in range(len(nodes))]]
-    inner = rep == np.arange(n + 1)
-    inner[rep[np.concatenate([labels[0, :], labels[-1, :],
-                              labels[:, 0], labels[:, -1]])]] = False
-    inner[0] = False
-    return rep, inner
+    lab = np.arange(m)
+    while True:
+        la, lb = lab[a], lab[b]
+        act = la != lb
+        if not act.any():
+            return lab
+        np.minimum.at(lab, np.maximum(la, lb)[act], np.minimum(la, lb)[act])
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
 
 
 def count_components_plane(g: ScalarGrid) -> NodalCensus:
-    """Census of a square-domain grid from one labeling of the positive set.
+    """Census of a square-domain grid from the positive runs of its rows.
 
     P is the positive nodes with their 4-neighbour edges, the joined positive
-    saddle diagonals and the all-positive cells.  Interior positive domains
-    are the merged components of P away from the border.  Every interior
-    negative domain is a hole of P, and holes = components - Euler number,
-    with chi(P) = nodes - edges - joins + cells (S. B. Gray, IEEE Trans.
-    Computers C-20 (1971) 551-561).
+    saddle diagonals and the all-positive cells.  A run is a maximal stretch
+    of positive nodes in one row (first index); it is connected, and its
+    nodes less its edges is 1.  Two runs of adjacent rows touch where their
+    column ranges meet: an overlap of L nodes adds L edges and L - 1 cells,
+    and runs that meet at one corner only touch across a saddle cell, whose
+    positive diagonal P holds iff the saddle rule joins it.  So the Euler
+    number chi(P) = nodes - edges - joins + cells (S. B. Gray, IEEE Trans.
+    Computers C-20 (1971) 551-561) is runs - overlapping pairs - joined
+    diagonals.  The components of P come from a forest that hangs each run
+    under the first run above that it overlaps, merged across the other
+    overlaps and the joined diagonals (``_merged_roots``).  Interior
+    positive domains are the components with no run in the first or last
+    row or at either end of a row; every interior negative domain is a hole
+    of P, and holes = components - chi(P).
     """
     values = _census_values(g, periodic=False)
-    pos = sign_grid(values)
-    labels, n = ndimage.label(pos, structure=_FOUR_CONN)
-    i, j, main = _positive_joins(values, pos)
-    rep, inner = _merged_domains(labels, n, i, j, main)
-    components = int(np.count_nonzero(rep == np.arange(n + 1))) - 1
+    nx, ny = values.shape
+    w = ny + 1
+    # with a False column on each side, the sign changes along the rows are
+    # the runs' starts and (exclusive) ends, alternating, as flat indices of
+    # an (nx, w) grid
+    padded = np.empty((nx, ny + 2), dtype=bool)
+    padded[:, 0] = padded[:, -1] = False
+    sign_grid(values, out=padded[:, 1:-1])
+    bounds = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    start, end = bounds[0::2], bounds[1::2]
+    n = len(start)
+    if n == 0:
+        return NodalCensus(interior_components=0)
 
-    hp = pos[:-1, :] & pos[1:, :]
-    edges = np.count_nonzero(hp) + np.count_nonzero(pos[:, :-1] & pos[:, 1:])
-    cells = np.count_nonzero(hp[:, :-1] & hp[:, 1:])
-    euler = int(np.count_nonzero(pos) - edges - len(i) + cells)
-    return NodalCensus(
-        interior_components=int(np.count_nonzero(inner)) + components - euler)
+    # runs lo..hi-1 of the row above touch run q: moved down one row, they
+    # end at or after its start and start at or before its end.  Of them,
+    # only the first and the last can meet q at a single corner.
+    down_start, down_end = start + w, end + w
+    lo = np.searchsorted(down_end, start)
+    hi = np.searchsorted(down_start, end, side="right")
+    touch = lo < hi
+    left = np.flatnonzero(touch & (down_end[np.minimum(lo, n - 1)] == start))
+    right = np.flatnonzero(touch & (down_start[hi - 1] == end))
+
+    # each corner contact is one saddle cell, its top-left node in the row
+    # above at column start - 1 (left) or end - 1 (right); a left contact
+    # meets on the main diagonal, a right one on the other
+    cells = np.concatenate([start[left], end[right]]) - (w + 1)
+    i, j = np.divmod(cells, w)
+    on_main = np.arange(len(cells)) < len(left)
+    joined = _joins_main_diagonal(values, i, j) == on_main
+    diag_above = np.concatenate([lo[left], hi[right] - 1])[joined]
+    diag_below = np.concatenate([left, right])[joined]
+
+    # the runs above that overlap q: first..first + overlaps - 1
+    first = lo
+    first[left] += 1
+    overlaps = hi - first
+    overlaps[right] -= 1
+    hung = overlaps > 0
+    parent = np.arange(n)
+    parent[hung] = first[hung]
+    # parent[k] lies a row above k, so a tree spans fewer than nx rows
+    for _ in range(nx.bit_length()):
+        parent = parent[parent]
+    more = np.maximum(overlaps - 1, 0)
+    below = np.repeat(np.arange(n), more)
+    above = np.arange(len(below)) - np.repeat(np.cumsum(more) - more
+                                              - first - 1, more)
+    a = parent[np.concatenate([above, diag_above])]
+    b = parent[np.concatenate([below, diag_below])]
+    cross = a != b
+    nodes, pair = np.unique(np.concatenate([a[cross], b[cross]]),
+                            return_inverse=True)
+    half = len(pair) // 2
+    rep = np.arange(n)
+    rep[nodes] = nodes[_merged_roots(pair[:half], pair[half:], len(nodes))]
+    root = rep[parent]
+    components = int(np.count_nonzero(root == np.arange(n)))
+
+    col = start % w
+    border = (col == 0) | (end - start + col == ny)
+    border[:np.searchsorted(start, w)] = True
+    border[np.searchsorted(start, (nx - 1) * w):] = True
+    euler = n - int(overlaps.sum()) - len(diag_below)
+    return NodalCensus(interior_components=2 * components - euler
+                       - len(np.unique(root[border])))
 
 
 # ---------------------------------------------------------------------------

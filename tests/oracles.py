@@ -4,8 +4,10 @@
 The others compute what the package computes another way: the covariance
 of a sample from its coefficient structure (``representation_covariance``)
 or by Monte Carlo (``covariance_mc``), E|XY| by quadrature
-(``abs_product_mean_quad``) and r2(n) from the divisors of n
-(``r2_divisor_oracle``).  The package does not import this module, and
+(``abs_product_mean_quad``), r2(n) from the divisors of n
+(``r2_divisor_oracle``) and the plane census from a 4-connected labeling
+of the positive set (``ndimage_plane_census``, fast enough for sampled
+grids at R = 40).  The package does not import this module, and
 pytest does not collect it.
 """
 
@@ -14,10 +16,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, ndimage
 
 from nodalfields.fields import FieldSample, ScalarGrid, _philox, grid_axes
 from nodalfields.measures import SpectralMeasure, antipodal_pairs
+from nodalfields.topology import (
+    NodalCensus,
+    _census_values,
+    _joins_main_diagonal,
+    sign_grid,
+)
+
+_FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 
 def grid_from_callable(fn, domain, h: float) -> ScalarGrid:
@@ -116,3 +126,77 @@ def r2_divisor_oracle(n: int) -> int:
                     d3 += 1
         d += 1
     return 4 * (d1 - d3)
+
+
+def _positive_joins(values: np.ndarray, pos: np.ndarray):
+    """(i, j, main) of the saddle cells whose joined diagonal is positive.
+
+    A saddle cell has all four sides crossed; main is the saddle rule.  A
+    cell whose S, N and W sides are crossed has its E side crossed too, so
+    one full-grid test of S and N finds the candidates.
+    """
+    hx = pos[:-1, :] != pos[1:, :]
+    i, j = np.divmod(np.flatnonzero(hx[:, :-1] & hx[:, 1:]),
+                     pos.shape[1] - 1)
+    keep = pos[i, j] != pos[i, j + 1]
+    i, j = i[keep], j[keep]
+    main = _joins_main_diagonal(values, i, j)
+    up = main == pos[i, j]
+    return i[up], j[up], main[up]
+
+
+def _merged_domains(labels: np.ndarray, n: int, i, j, main):
+    """Merge 4-connected labels 1..n across joined saddle diagonals.
+
+    (i, j, main) are saddle cells whose joined diagonal joins two labelled
+    nodes.  Returns (rep, inner): rep[k] is the smallest label merged with k,
+    and inner[k] is True iff k > 0 is such a representative and no part of
+    its merged domain touches the grid border.  The union-find runs over the
+    labels the joins touch only.
+    """
+    rep = np.arange(n + 1)
+    a = labels[i, j + ~main]
+    b = labels[i + 1, j + main]
+    if len(a):
+        nodes, pair = np.unique(np.concatenate([a, b]), return_inverse=True)
+        parent = list(range(len(nodes)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for x, y in zip(pair[:len(a)].tolist(), pair[len(a):].tolist()):
+            x, y = find(x), find(y)
+            parent[max(x, y)] = min(x, y)
+        rep[nodes] = nodes[[find(x) for x in range(len(nodes))]]
+    inner = rep == np.arange(n + 1)
+    inner[rep[np.concatenate([labels[0, :], labels[-1, :],
+                              labels[:, 0], labels[:, -1]])]] = False
+    inner[0] = False
+    return rep, inner
+
+
+def ndimage_plane_census(g: ScalarGrid) -> NodalCensus:
+    """Census of a square-domain grid from one labeling of the positive set.
+
+    P is the positive nodes with their 4-neighbour edges, the joined positive
+    saddle diagonals and the all-positive cells.  Interior positive domains
+    are the merged components of P away from the border.  Every interior
+    negative domain is a hole of P, and holes = components - Euler number,
+    with chi(P) = nodes - edges - joins + cells (S. B. Gray, IEEE Trans.
+    Computers C-20 (1971) 551-561).
+    """
+    values = _census_values(g, periodic=False)
+    pos = sign_grid(values)
+    labels, n = ndimage.label(pos, structure=_FOUR_CONN)
+    i, j, main = _positive_joins(values, pos)
+    rep, inner = _merged_domains(labels, n, i, j, main)
+    components = int(np.count_nonzero(rep == np.arange(n + 1))) - 1
+
+    hp = pos[:-1, :] & pos[1:, :]
+    edges = np.count_nonzero(hp) + np.count_nonzero(pos[:, :-1] & pos[:, 1:])
+    cells = np.count_nonzero(hp[:, :-1] & hp[:, 1:])
+    euler = int(np.count_nonzero(pos) - edges - len(i) + cells)
+    return NodalCensus(
+        interior_components=int(np.count_nonzero(inner)) + components - euler)

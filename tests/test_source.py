@@ -1,6 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -30,18 +33,30 @@ def test_no_unused_imports(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_no_sparse_import(path):
-    # the package imports scipy only as scipy.ndimage, which does the
-    # labeling: scipy.sparse (csgraph included) adds about 10 MB of resident
-    # memory when imported, a tenth of a workload's peak, and integrate and
-    # special serve no report
+    # the package imports no scipy module: the plane census counts the
+    # positive runs of the grid rows in numpy, and scipy.ndimage alone cost
+    # a fresh process about 0.3 s and 27 MB of resident memory
     tree = ast.parse(path.read_text(), filename=str(path))
     names = [alias.name for node in ast.walk(tree)
              if isinstance(node, ast.Import) for alias in node.names]
-    names += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
-              if isinstance(node, ast.ImportFrom) and node.module
-              for alias in node.names]
-    assert not [n for n in names if n.split(".")[0] == "scipy"
-                and n != "scipy.ndimage"], names
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module]
+    assert not [n for n in names if n.split(".")[0] == "scipy"], names
+
+
+def test_package_loads_no_scipy():
+    code = ("import sys\n"
+            "import nodalfields, nodalfields.cli, nodalfields.estimators\n"
+            "import nodalfields.stability, nodalfields.topology\n"
+            "import nodalfields.portraits\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def _loads(tree):

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from nodalfields import topology
+from nodalfields import stability, topology
+from nodalfields.arithmetic import mu_n
 from nodalfields.errors import EmptyGrid, GridTooCoarse
 from nodalfields.fields import (
     ScalarGrid,
     SquareDomain,
     TorusDomain,
+    cilleruelo_field,
     default_spacing,
     evaluate_batch,
     evaluate_grid,
@@ -30,7 +32,7 @@ from nodalfields.topology import (
     marching_segments,
     sign_grid,
 )
-from oracles import grid_from_callable
+from oracles import grid_from_callable, ndimage_plane_census
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +123,68 @@ def test_census_matches_flood_fill_on_random_grids():
             interior += _assert_census_matches_oracles(
                 _lattice_grid(values, periodic=False)).interior_components
     assert interior > 1000
+
+    # saddle-dense checkerboards, some nodes flipped so that longer runs
+    # meet at corners too: a random centre offset signs the cell means
+    # either way, so positive main and positive anti-diagonals are joined
+    # and left apart
+    decisions = set()
+    for _ in range(60):
+        nx, ny = (int(v) for v in rng.integers(2, 25, size=2))
+        parity = (-1.0) ** np.add.outer(np.arange(nx), np.arange(ny))
+        flip = np.where(rng.random((nx, ny)) < 0.15, -1.0, 1.0)
+        values = (parity * flip * rng.uniform(0.5, 1.5, (nx, ny))
+                  + rng.uniform(-0.5, 0.5))
+        _assert_census_matches_oracles(_lattice_grid(values, periodic=False))
+        pos = sign_grid(values)
+        i, j = np.nonzero((pos[:-1, :-1] == pos[1:, 1:])
+                          & (pos[1:, :-1] == pos[:-1, 1:])
+                          & (pos[:-1, :-1] != pos[1:, :-1]))
+        main = topology._joins_main_diagonal(values, i, j)
+        decisions |= set(zip(pos[i, j].tolist(), main.tolist()))
+    assert decisions == {(p, m) for p in (False, True) for m in (False, True)}
+
+    # one-row and one-column strips: every node lies on the border
+    for n in range(1, 40):
+        raw = rng.standard_normal(n)
+        for values in (raw, np.round(raw)):
+            for shape in ((1, n), (n, 1)):
+                assert _assert_census_matches_oracles(_lattice_grid(
+                    values.reshape(shape), periodic=False)) \
+                    .interior_components == 0
+
+
+def test_census_matches_ndimage_oracle(monkeypatch):
+    # the 4-connected labeling census, on sampled grids too large for the
+    # flood fill: every uniform scale the estimators count, mu_1105 at the
+    # planar scale of torus_count_report, and a Cilleruelo field
+    grids = [evaluate_grid(sample(preset("uniform_circle", K=K), seed=K),
+                           SquareDomain(R))
+             for K in (16, 64, 256) for R in (10.0, 20.0, 40.0)]
+    grids.append(evaluate_grid(sample(mu_n(1105), seed=3), SquareDomain(40.0)))
+    grids.append(evaluate_grid(cilleruelo_field(seed=4), SquareDomain(20.0)))
+    counts = [count_components_plane(g).interior_components for g in grids]
+    assert counts == [ndimage_plane_census(g).interior_components
+                      for g in grids]
+    assert min(counts[:-1]) > 40
+
+    # the sandwich's sub-squares: strided views of the outer grids
+    subs = []
+
+    def recorded(sub):
+        subs.append(sub)
+        return count_components_plane(sub)
+
+    monkeypatch.setattr(stability, "count_components_plane", recorded)
+    stability.sandwich_check(preset("uniform_circle", K=128),
+                             preset("uniform_circle", K=256), R=8.0, M=2,
+                             beta=math.inf, seed=5)
+    # per draw: R, R - 1 and R + 1, the last the whole outer grid
+    assert [sub.values.flags.c_contiguous for sub in subs] \
+        == [False, False, True] * 2
+    for sub in subs:
+        assert count_components_plane(sub).interior_components \
+            == ndimage_plane_census(sub).interior_components
 
 
 def test_census_counts_closed_portrait_chains():
