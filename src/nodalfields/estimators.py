@@ -88,7 +88,9 @@ def fit_cns_from_table(Rs, means, stderrs):
 
     Exactly recovers c from synthetic data of the form c*4R^2 + b*R.  Monte
     Carlo uncertainty enters through the weights; the parameter error is
-    scaled up by the reduced chi^2 when the linear model underfits.
+    scaled up by the reduced chi^2 when the linear model underfits.  An
+    all-zero table gives c = 0 exactly; a table with some, not all, stderrs
+    0 raises ValueError, since those blocks have no weight to give.
     """
     Rs = np.asarray(Rs, dtype=float)
     if len(Rs) < 3:
@@ -99,6 +101,13 @@ def fit_cns_from_table(Rs, means, stderrs):
     sig = np.maximum(stderrs / (4.0 * Rs ** 2), 1e-15)
     if np.all(means == 0.0) and np.all(stderrs == 0.0):
         return 0.0, 0.0, 0.0, np.zeros_like(y)
+    flat = stderrs == 0.0
+    if flat.any() and not flat.all():
+        # the sigma floor would weigh these blocks ~1e30 and pin the fit
+        raise ValueError(
+            f"zero stderr at R = {Rs[flat].tolist()}: every draw there gave "
+            f"the same count, so the fit cannot weigh those blocks against "
+            f"the others; raise M or R")
     X = np.column_stack([np.ones_like(Rs), 1.0 / Rs])
     W = 1.0 / sig ** 2
     A = X.T @ (W[:, None] * X)

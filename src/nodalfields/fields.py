@@ -228,6 +228,27 @@ def grid_too_coarse(s: FieldSample, h: float) -> bool:
             and h > lam / MIN_POINTS_PER_WAVELENGTH * (1 + 1e-9))
 
 
+def checked_spacing(s: FieldSample, h: float | None) -> float:
+    """The spacing h, ``default_spacing(s)`` if None, or a loud failure.
+
+    Raises ValueError unless h is finite and positive, and warns
+    GridTooCoarse where ``grid_too_coarse(s, h)`` holds.  The warning names
+    the caller of the function that calls this one, so a batch shows it
+    once per call site under the default filter.
+    """
+    if h is None:
+        h = default_spacing(s)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h}")
+    if grid_too_coarse(s, h):
+        warnings.warn(
+            f"grid spacing {h:.4g} gives fewer than "
+            f"{MIN_POINTS_PER_WAVELENGTH} points per minimal wavelength "
+            f"{s.min_wavelength():.4g}",
+            GridTooCoarse, stacklevel=3)
+    return h
+
+
 def default_spacing(s: FieldSample) -> float:
     """Resolution rule: POINTS_PER_WAVELENGTH nodes per minimal wavelength."""
     lam = s.min_wavelength()
@@ -267,16 +288,7 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
     key, shared read-only (the grid's xs and ys too) until another key
     replaces them.
     """
-    if h is None:
-        h = default_spacing(s)
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be finite and positive, got {h}")
-    if grid_too_coarse(s, h):
-        warnings.warn(
-            f"grid spacing {h:.4g} gives fewer than "
-            f"{MIN_POINTS_PER_WAVELENGTH} points per minimal wavelength "
-            f"{s.min_wavelength():.4g}",
-            GridTooCoarse, stacklevel=2)
+    h = checked_spacing(s, h)
     xs, ys, h_eff, U, cy, sy = _axis_tables(s, domain, h)
     C = s.frequencies
     amp = s.amplitudes()

@@ -24,12 +24,14 @@ Values with |f| < TIE_TOL are treated as positive (measure-zero event,
 deterministic tie rule), through ``sign_grid`` only: at grid nodes, and at the
 ports, bisection midpoints and line samples of flips and intersections.
 
-Flips sign g = d.grad f at each crossing port from the order-1 grid: g is
-interpolated linearly along the port's edge, and the interpolation error is
-at most (h^2/8) sum_k sqrt(W_k) |(a_k, b_k)| |d.c_k| c_kj^2 (j the edge's
-axis), inflated by 1e-6 and widened by a rounding margin (``_slope_weights``).
-Each segment whose ports get opposite signs is bisected ten times; g at a
-midpoint is read off a phase table exp(i c_k.x) rotated along the segment
+Flips sign g = d.grad f at each crossing port from the order-1 grid: the
+ports are the crossed edges, read off the crossing mask, g is interpolated
+linearly along the port's edge, and the interpolation error is at most
+(h^2/8) sum_k sqrt(W_k) |(a_k, b_k)| |d.c_k| c_kj^2 (j the edge's axis),
+inflated by 1e-6 and widened by a rounding margin (``_slope_weights``).
+``marching_segments``, labeled by those signs, emits only the segments whose
+ports get opposite signs, and each is bisected ten times; g at a midpoint
+is read off a phase table exp(i c_k.x) rotated along the segment
 (``_bisect``), good to the same margin.  Where both ends of the interval
 around an estimate get one sign, so does the exact value; the few other
 ports and midpoints are evaluated with ``evaluate_batch``
@@ -49,6 +51,7 @@ from .fields import (
     FieldSample,
     ScalarGrid,
     SquareDomain,
+    checked_spacing,
     default_spacing,
     evaluate_batch,
     evaluate_grid,
@@ -108,12 +111,15 @@ def _joins_main_diagonal(values: np.ndarray, i: np.ndarray,
 
     True where the (i, j)-(i+1, j+1) diagonal is joined, i.e. where the
     cell-centre mean has the sign of the (i, j) corner; elsewhere the
-    (i+1, j)-(i, j+1) diagonal is.  The marching segments and the plane
+    (i+1, j)-(i, j+1) diagonal is.  Node indices are taken mod the grid
+    shape, so a torus cell may wrap.  The marching segments and the plane
     census read this rule, so they agree on every grid.
     """
+    nx, ny = values.shape
+    i1, j1 = (i + 1) % nx, (j + 1) % ny
     corner = values[i, j]
-    center = 0.25 * (corner + values[i + 1, j] + values[i, j + 1]
-                     + values[i + 1, j + 1])
+    center = 0.25 * (corner + values[i1, j] + values[i, j1]
+                     + values[i1, j1])
     return sign_grid(center) == sign_grid(corner)
 
 
@@ -233,16 +239,16 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
 #
 # Edge ids: the X-edge joining nodes (i, j), (i+1, j) is 2*(i*ny + j); the
 # Y-edge joining (i, j), (i, j+1) is 2*(i*ny + j) + 1, node indices taken mod
-# (nx, ny).  A torus grid is padded by its first row and column, so its
-# cells are those of a square grid and its wrapping edges reduce to the ids
-# of row or column 0.  Each crossing edge carries one zero of f; a cell's
-# case code S | E<<1 | N<<2 | W<<3 marks its crossed sides (0, 2 or 4 of
-# them), and a saddle (15) whose cell-center mean has the sign of its (i, j)
-# corner becomes 16.  Segments come out grouped: _FIRST_GROUP maps a case
-# to its (first) group, a saddle adds the next group too, and _GROUP_SIDES
-# gives the two sides a group joins (0=S, 1=E, 2=N, 3=W).  Within a group,
-# cells run in row-major order.  The portraits' chain order, hence their
-# bytes, depends on this order.
+# (nx, ny).  A torus grid's signs are padded by its first row and column,
+# so its cells are those of a square grid and its wrapping edges reduce to
+# the ids of row or column 0.  Each crossing edge carries one zero of f; a
+# cell's case code S | E<<1 | N<<2 | W<<3 marks its crossed sides (0, 2 or 4
+# of them), and a saddle (15) whose cell-center mean has the sign of its
+# (i, j) corner becomes 16.  Segments come out grouped: _FIRST_GROUP maps a
+# case to its (first) group, a saddle adds the next group too, and
+# _GROUP_SIDES gives the two sides a group joins (0=S, 1=E, 2=N, 3=W).
+# Within a group, cells run in row-major order.  The portraits' chain
+# order, hence their bytes, depends on this order.
 
 _GROUP_SIDES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3],
                          [0, 1], [2, 3],     # saddle joining (S,E) + (N,W)
@@ -251,36 +257,63 @@ _FIRST_GROUP = np.full(17, -1, dtype=np.int8)
 _FIRST_GROUP[[3, 5, 9, 6, 10, 12, 16, 15]] = [0, 1, 2, 3, 4, 5, 6, 8]
 
 
-def marching_segments(g: ScalarGrid):
-    """Zero-curve segments as paired edge ids: returns (segA, segB) arrays."""
+def marching_segments(g: ScalarGrid, label: np.ndarray | None = None):
+    """Zero-curve segments as paired edge ids: returns (segA, segB) arrays.
+
+    label, a boolean array indexed by edge id (2 nx ny entries), keeps only
+    the segments whose two edges differ in label, in the order the call
+    without it gives.  A cell with two crossed sides goes on to emission
+    only if their labels XOR to 1; a saddle cell always goes on, and its
+    two segments are tested once emitted.
+    """
     nx, ny = g.values.shape
-    values = (np.pad(g.values, ((0, 1), (0, 1)), mode="wrap") if g.periodic
-              else g.values)
-    pos = sign_grid(values)
+    pos = sign_grid(g.values)
+    if g.periodic:
+        pos = np.pad(pos, ((0, 1), (0, 1)), mode="wrap")
     hx = pos[:-1, :] != pos[1:, :]
     vy = pos[:, :-1] != pos[:, 1:]
     code = (hx[:, :-1].view(np.uint8) | vy[1:, :].view(np.uint8) << 1
             | hx[:, 1:].view(np.uint8) << 2 | vy[:-1, :].view(np.uint8) << 3)
-    cells = np.flatnonzero(code)
+    if label is None:
+        cells = np.flatnonzero(code)
+    else:
+        # the labels of the X- and Y-edges on the hx and vy lattices, kept
+        # on crossed edges only
+        lx = label[0::2].reshape(nx, ny)
+        ly = label[1::2].reshape(nx, ny)
+        if g.periodic:
+            lx = np.pad(lx, ((0, 0), (0, 1)), mode="wrap")
+            ly = np.pad(ly, ((0, 1), (0, 0)), mode="wrap")
+        else:
+            lx, ly = lx[:-1, :], ly[:, :-1]
+        lx, ly = lx & hx, ly & vy
+        odd = lx[:, :-1] ^ ly[1:, :] ^ lx[:, 1:] ^ ly[:-1, :]
+        cells = np.flatnonzero(odd | (code == 15))
     if len(cells) == 0:
         return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     ii, jj = np.divmod(cells, code.shape[1])
     case = code.ravel()[cells]
 
     saddle = np.flatnonzero(case == 15)
-    case[saddle] += _joins_main_diagonal(values, ii[saddle], jj[saddle])
+    case[saddle] += _joins_main_diagonal(g.values, ii[saddle], jj[saddle])
 
     group = _FIRST_GROUP[case]
     group = np.concatenate([group, group[saddle] + 1])
     order = np.argsort(group, kind="stable")
     cell = np.concatenate([np.arange(len(cells)), saddle])[order]
-    ii, jj = ii[cell], jj[cell]
     sides = _GROUP_SIDES[group[order]].T
-    # side s lies on the edge of type s & 1 at node (i+1, j) for E, (i, j+1)
-    # for N and (i, j) otherwise
-    row = np.where(sides == 1, (ii + 1) % nx, ii)
-    col = np.where(sides == 2, (jj + 1) % ny, jj)
-    segA, segB = 2 * (row * ny + col) + (sides & 1)
+    # side s of cell (i, j) is edge 2 (i ny + j) plus 0 (S), 2 ny + 1 (E),
+    # 2 (N) or 1 (W); on a torus the last column's N sides wrap to column
+    # 0, and then the ids past the last edge are the last row's E sides,
+    # which wrap to row 0
+    seg = (2 * (ii * ny + jj))[cell] + np.array([0, 2 * ny + 1, 2, 1])[sides]
+    if g.periodic:
+        seg[(sides == 2) & (jj[cell] == ny - 1)] -= 2 * ny
+        seg[seg >= 2 * nx * ny] -= 2 * nx * ny
+    segA, segB = seg
+    if label is not None:
+        keep = label[segA] != label[segB]
+        segA, segB = segA[keep], segB[keep]
     return segA, segB
 
 
@@ -417,13 +450,13 @@ def _port_slopes(s: FieldSample, grid: ScalarGrid, d: np.ndarray,
                  eids: np.ndarray):
     """Ports of edges eids, d.grad f interpolated there, and its error bound.
 
-    Returns (points, slope, bound).  slope interpolates d.grad f of the
-    order-1 grid linearly between the two nodes of the edge, at the port's
-    edge parameter.  Along an X-edge (y fixed)
+    Returns (points, slope, bound, margin).  slope interpolates d.grad f
+    of the order-1 grid linearly between the two nodes of the edge, at the
+    port's edge parameter.  Along an X-edge (y fixed)
     g = sum_k sqrt(W_k) (d.c_k) (b_k cos phi_k - a_k sin phi_k), so
     |g''| <= B_x = sum_k w_k c_k1^2 and |g - slope| <= (h^2 / 8) B_x;
-    Y-edges take c_k2^2.  bound is that, inflated by (1 + 1e-6), plus the
-    rounding margin of ``_slope_weights``.
+    Y-edges take c_k2^2.  bound is that, inflated by (1 + 1e-6), plus
+    margin, the rounding margin of ``_slope_weights``.
     """
     pts, typ, a, b, t = _edge_zeros(eids, grid)
 
@@ -435,27 +468,33 @@ def _port_slopes(s: FieldSample, grid: ScalarGrid, d: np.ndarray,
     C = s.frequencies
     w, margin = _slope_weights(s, grid, d)
     curvature = grid.h * grid.h / 8.0 * (w @ (C * C))     # X-edge, Y-edge
-    return pts, slope, curvature[typ] * (1.0 + 1e-6) + margin
+    return pts, slope, curvature[typ] * (1.0 + 1e-6) + margin, margin
 
 
 def _sign_changes(s: FieldSample, grid: ScalarGrid, d: np.ndarray):
     """(lo, hi, slo, margin) of the zero segments whose ports differ in sign.
 
-    Each unique port of the marching segments is signed once, from its
-    interpolated slope where ``_port_slopes`` certifies it; lo and hi are
-    the ports of the segments whose two ports get opposite signs of
-    g = d.grad f, slo the sign at lo and margin the rounding margin of
-    ``_slope_weights`` on this grid.
+    The ports are the crossed edges, in edge-id order, from one flatnonzero
+    of the (nx, ny, 2) crossing mask: every crossed edge ends a segment.
+    Each is signed once, from its interpolated slope where ``_port_slopes``
+    certifies it.  The signs fill a dense edge table, and
+    ``marching_segments`` labeled by it emits only the segments whose two
+    ports get opposite signs of g = d.grad f: lo and hi are their ports,
+    slo the sign at lo and margin the rounding margin of ``_slope_weights``
+    on this grid.
     """
-    segA, segB = marching_segments(grid)
-    K = len(segA)
-    ports, inv = np.unique(np.concatenate([segA, segB]), return_inverse=True)
-    pts, slope, bound = _port_slopes(s, grid, d, ports)
-    sg = _certified_signs(s, d, pts, slope, bound)
-    ia, ib = inv[:K], inv[K:]
-    cand = sg[ia] != sg[ib]
-    ia, ib = ia[cand], ib[cand]
-    return pts[ia], pts[ib], sg[ia], _slope_weights(s, grid, d)[1]
+    nx, ny = grid.values.shape
+    pos = sign_grid(grid.values)
+    crossed = np.zeros((nx, ny, 2), dtype=bool)
+    np.not_equal(pos[:-1, :], pos[1:, :], out=crossed[:-1, :, 0])
+    np.not_equal(pos[:, :-1], pos[:, 1:], out=crossed[:, :-1, 1])
+    ports = np.flatnonzero(crossed)
+    pts, slope, bound, margin = _port_slopes(s, grid, d, ports)
+    signs = np.zeros(2 * nx * ny, dtype=bool)
+    signs[ports] = _certified_signs(s, d, pts, slope, bound)
+    segA, segB = marching_segments(grid, label=signs)
+    return (pts[np.searchsorted(ports, segA)],
+            pts[np.searchsorted(ports, segB)], signs[segA], margin)
 
 
 def _bisect(s: FieldSample, d: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -503,8 +542,10 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
     signs of g = d.grad f; each such segment is refined by 10 bisection
     steps (``_bisect``) and contributes one flip if the refined location
     lies in the closed domain.  A crossing port ends two segments, so each
-    unique port is signed once and every segment reads the signs of its two
-    ports.  A port's sign comes from g interpolated along its edge from the
+    port (crossed edge) is signed once, and ``marching_segments`` labeled by
+    the port signs emits only the segments whose two signs differ (about 3%
+    of them at 16 points per wavelength), in the order of the unlabeled
+    call.  A port's sign comes from g interpolated along its edge from the
     order-1 grid wherever the interpolation bound of ``_port_slopes`` gives
     every value g can take one sign; a midpoint's from g rotated along its
     segment wherever the rounding margin does.  Only the other points (2-3%
@@ -544,7 +585,12 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
 
 def count_curve_intersections(s: FieldSample, p0, p1,
                               h: float | None = None) -> int:
-    """Sign-change count of f along the closed segment p0 -> p1."""
+    """Sign-change count of f along the closed segment p0 -> p1.
+
+    f is sampled every h along the segment; h is checked as
+    ``evaluate_grid`` checks it (``checked_spacing``), so a spacing the
+    resolution rule calls too coarse warns GridTooCoarse.
+    """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
@@ -552,8 +598,7 @@ def count_curve_intersections(s: FieldSample, p0, p1,
     length = float(np.hypot(*(p1 - p0)))
     if length <= 0:
         raise ValueError("segment length must be positive")
-    if h is None:
-        h = default_spacing(s)
+    h = checked_spacing(s, h)
     n = max(2, int(math.ceil(length / h)) + 1)
     ts = np.linspace(0.0, 1.0, n)
     pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]

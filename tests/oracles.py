@@ -5,10 +5,11 @@ The others compute what the package computes another way: the covariance
 of a sample from its coefficient structure (``representation_covariance``)
 or by Monte Carlo (``covariance_mc``), E|XY| by quadrature
 (``abs_product_mean_quad``), r2(n) from the divisors of n
-(``r2_divisor_oracle``) and the plane census from a 4-connected labeling
+(``r2_divisor_oracle``), the plane census from a 4-connected labeling
 of the positive set (``ndimage_plane_census``, fast enough for sampled
-grids at R = 40).  The package does not import this module, and
-pytest does not collect it.
+grids at R = 40) and the flips' candidate segments from every marching
+segment and its unique ports (``sign_changes_oracle``).  The package does
+not import this module, and pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ from nodalfields.measures import SpectralMeasure, antipodal_pairs
 from nodalfields.topology import (
     NodalCensus,
     _census_values,
+    _certified_signs,
     _joins_main_diagonal,
+    _port_slopes,
+    _slope_weights,
+    marching_segments,
     sign_grid,
 )
 
@@ -200,3 +205,23 @@ def ndimage_plane_census(g: ScalarGrid) -> NodalCensus:
     euler = int(np.count_nonzero(pos) - edges - len(i) + cells)
     return NodalCensus(
         interior_components=int(np.count_nonzero(inner)) + components - euler)
+
+
+def sign_changes_oracle(s, grid, d):
+    """(lo, hi, slo, margin) of the zero segments whose ports differ in sign.
+
+    Each unique port of the marching segments is signed once, from its
+    interpolated slope where ``_port_slopes`` certifies it; lo and hi are
+    the ports of the segments whose two ports get opposite signs of
+    g = d.grad f, slo the sign at lo and margin the rounding margin of
+    ``_slope_weights`` on this grid.
+    """
+    segA, segB = marching_segments(grid)
+    K = len(segA)
+    ports, inv = np.unique(np.concatenate([segA, segB]), return_inverse=True)
+    pts, slope, bound, _ = _port_slopes(s, grid, d, ports)
+    sg = _certified_signs(s, d, pts, slope, bound)
+    ia, ib = inv[:K], inv[K:]
+    cand = sg[ia] != sg[ib]
+    ia, ib = ia[cand], ib[cand]
+    return pts[ia], pts[ib], sg[ia], _slope_weights(s, grid, d)[1]

@@ -237,6 +237,8 @@ def test_exit_codes(tmp_path):
         assert main(["flips", "--preset", "uniform:64", "--R", R, "--axis",
                      "1", "--empirical", "--M", "2"]) == 2  # empty square
     assert main(["torus", "--n", "65", "--M", "1"]) == 2     # no stderr
+    assert main(["cns", "--preset", "arc:0.5,8", "--M", "10",
+                 "--schedule", "1,2,3"]) == 2               # a flat R block
     assert main(["stability", "--preset", "uniform:16", "--preset2",
                  "uniform:16", "--R", "4", "--M", "0"]) == 2  # no draws
     for bad in (["--M", "0", "--R", "3"], ["--M", "3", "--R", "0"]):

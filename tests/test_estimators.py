@@ -30,6 +30,20 @@ def test_fit_recovers_exact_linear_model():
         fit_cns_from_table([10.0, 20.0], [1.0, 2.0], [0.1, 0.1])
 
 
+def test_fit_rejects_blocks_without_spread():
+    # a zero stderr would weigh its block ~1e30 and pin c to it
+    with pytest.raises(ValueError, match=r"R = \[1.0, 2.0\].*raise M or R"):
+        fit_cns_from_table([1.0, 2.0, 3.0], [0.0, 0.0, 4.0], [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match=r"R = \[20.0\]"):
+        fit_cns_from_table([10.0, 20.0, 40.0], [50.0, 180.0, 700.0],
+                           [2.0, 0.0, 9.0])
+    # an all-zero table keeps its exact answer
+    c, cerr, slope, resid = fit_cns_from_table([1.0, 2.0, 3.0], [0.0] * 3,
+                                               [0.0] * 3)
+    assert (c, cerr, slope) == (0.0, 0.0, 0.0)
+    assert not np.any(resid)
+
+
 def test_zero_measures_give_zero_counts():
     for name in ("two_point", "delta_zero"):
         mean, se = estimate_mean_count(preset(name), R=6.0, M=20, seed=3)

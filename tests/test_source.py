@@ -108,9 +108,33 @@ def _readers(name):
     ("TIE_TOL", ("topology", "sign_grid")),     # the tie rule
     ("Philox", ("fields", "_philox")),          # the (seed, stream) key
     ("ROUNDING_MARGIN", ("topology", "_slope_weights")),  # flip-sign margin
+    ("_GROUP_SIDES", ("topology", "marching_segments")),  # side pairing
 ])
 def test_rule_has_one_reader(name, owner):
     assert sorted(set(_readers(name))) == [owner]
+
+
+def test_flips_sort_only_their_locations():
+    # the flip path takes its ports from the crossing mask and its candidate
+    # segments from the labeled marching segments; the one np.unique left is
+    # count_flips' dedup of the refined locations
+    tree = ast.parse((PACKAGE / "topology.py").read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["count_flips"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo += [n for n in _loads(defs[name]) if n in defs]
+    assert {"_sign_changes", "marching_segments", "_bisect"} <= reached
+    uniques = [(name, call) for name in sorted(reached)
+               for call in ast.walk(defs[name]) if isinstance(call, ast.Call)
+               and getattr(call.func, "attr", None) == "unique"]
+    assert [name for name, _ in uniques] == ["count_flips"]
+    (_, call), = uniques
+    assert ast.unparse(call.args[0]) == "buckets"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from nodalfields.fields import (
     default_spacing,
     evaluate_batch,
     evaluate_grid,
+    grid_too_coarse,
     inject_sample,
     sample,
 )
@@ -32,7 +34,11 @@ from nodalfields.topology import (
     marching_segments,
     sign_grid,
 )
-from oracles import grid_from_callable, ndimage_plane_census
+from oracles import (
+    grid_from_callable,
+    ndimage_plane_census,
+    sign_changes_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +435,10 @@ def _assert_marching_matches_oracle(g):
     return len(segA)
 
 
-def test_marching_segments_match_ten_mask_oracle_on_random_grids():
-    rng = np.random.default_rng(1010)
-    # every 2 x 2 grid over {-1, 0, 1}: all cases, ties and saddle centers
-    for flat in np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 4)).reshape(4, -1).T:
-        for periodic in (False, True):
-            _assert_marching_matches_oracle(
-                _lattice_grid(flat.reshape(2, 2), periodic))
-    saddles = 0
-    for trial in range(300):
+def _random_lattice_values(rng, trials):
+    """Random value grids of 1 to 60 nodes per axis, three kinds in turn,
+    each with a rounded copy."""
+    for trial in range(trials):
         nx, ny = (int(v) for v in rng.integers(1, 61, size=2))
         kind = trial % 3
         if kind == 0:   # smooth: low-pass filtered noise
@@ -452,15 +453,58 @@ def test_marching_segments_match_ten_mask_oracle_on_random_grids():
         else:            # small integers: exact zeros and tied centers
             raw = rng.integers(-2, 3, size=(nx, ny)).astype(float)
         # the rounded copy has exact zeros, so it exercises the tie rule
-        for values in (raw, np.round(raw, 1)):
-            for periodic in (False, True):
-                g = _lattice_grid(values, periodic)
-                _assert_marching_matches_oracle(g)
-            p = sign_grid(values)
-            saddles += int(np.count_nonzero(
-                (p[:-1, :-1] == p[1:, 1:]) & (p[1:, :-1] == p[:-1, 1:])
-                & (p[:-1, :-1] != p[1:, :-1])))
+        yield raw
+        yield np.round(raw, 1)
+
+
+def _saddle_cells(values):
+    p = sign_grid(values)
+    return int(np.count_nonzero(
+        (p[:-1, :-1] == p[1:, 1:]) & (p[1:, :-1] == p[:-1, 1:])
+        & (p[:-1, :-1] != p[1:, :-1])))
+
+
+def test_marching_segments_match_ten_mask_oracle_on_random_grids():
+    rng = np.random.default_rng(1010)
+    # every 2 x 2 grid over {-1, 0, 1}: all cases, ties and saddle centers
+    for flat in np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 4)).reshape(4, -1).T:
+        for periodic in (False, True):
+            _assert_marching_matches_oracle(
+                _lattice_grid(flat.reshape(2, 2), periodic))
+    saddles = 0
+    for values in _random_lattice_values(rng, 300):
+        for periodic in (False, True):
+            _assert_marching_matches_oracle(_lattice_grid(values, periodic))
+        saddles += _saddle_cells(values)
     assert saddles > 10000
+
+
+def test_labeled_marching_segments_are_the_masked_unlabeled_ones():
+    # the label filter keeps exactly the segments whose two edges differ in
+    # label, in the unlabeled order; labels on uncrossed edges are random
+    # too and must not matter, and the caller's label array is left as is
+    rng = np.random.default_rng(1919)
+    kept = saddles = wraps = 0
+    for values in _random_lattice_values(rng, 150):
+        for periodic in (False, True):
+            g = _lattice_grid(values, periodic)
+            segA, segB = marching_segments(g)
+            label = rng.random(2 * values.size) < 0.5
+            before = label.copy()
+            gotA, gotB = marching_segments(g, label=label)
+            assert np.array_equal(label, before)
+            keep = label[segA] != label[segB]
+            assert gotA.dtype == segA.dtype and gotB.dtype == segB.dtype
+            assert np.array_equal(gotA, segA[keep])
+            assert np.array_equal(gotB, segB[keep])
+            kept += int(keep.sum())
+            if periodic:
+                nx, ny = values.shape
+                wraps += int(np.count_nonzero(
+                    (np.abs((gotA >> 1) // ny - (gotB >> 1) // ny) > 1)
+                    | (np.abs((gotA >> 1) % ny - (gotB >> 1) % ny) > 1)))
+        saddles += _saddle_cells(values)
+    assert kept > 10000 and saddles > 5000 and wraps > 100
 
 
 def test_marching_segments_match_ten_mask_oracle_on_sampled_fields():
@@ -603,7 +647,7 @@ def test_port_slope_signs_match_exact_evaluation(rho, seed, R, h, direction):
         step = h if h is not None else default_spacing(s)
         grid = evaluate_grid(s, SquareDomain(R + 2 * step), step, order=1)
         ports = np.unique(np.concatenate(marching_segments(grid)))
-        pts, slope, bound = _port_slopes(s, grid, d, ports)
+        pts, slope, bound, _ = _port_slopes(s, grid, d, ports)
         assert np.array_equal(pts, edge_ports(ports, grid))
         exact = evaluate_batch(s, pts, order=1)[1] @ d
 
@@ -640,6 +684,69 @@ def test_count_flips_evaluates_few_ports(monkeypatch):
     assert sum(calls) <= 0.05 * n_ports
     # a pass or step with nothing left unsigned evaluates nothing
     assert 0 not in calls
+
+
+def _assert_sign_changes_match_oracle(s, grid, direction):
+    """Byte-equal (lo, hi, slo, margin) with every marching segment signed;
+    returns the number of candidates."""
+    d = np.asarray(direction) / math.hypot(*direction)
+    got = topology._sign_changes(s, grid, d)
+    want = sign_changes_oracle(s, grid, d)
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    return len(got[0])
+
+
+def _flip_grid(s, R, h):
+    """The order-1 grid count_flips evaluates: the square padded by 2h."""
+    return evaluate_grid(s, SquareDomain(R + 2 * h), h, order=1)
+
+
+@FLIP_CASES
+def test_sign_changes_match_oracle(rho, seed, R, h, direction):
+    for i in range(3):
+        s = sample(rho, seed, i)
+        step = h if h is not None else default_spacing(s)
+        _assert_sign_changes_match_oracle(s, _flip_grid(s, R, step),
+                                          direction)
+
+
+@pytest.mark.parametrize("which", ["f", "g", "monochromatic_g"])
+def test_sign_changes_match_oracle_on_section7_fields(which):
+    s = stability.section7_field(which)
+    candidates = 0
+    for h in (0.05, 0.2):
+        coarse = grid_too_coarse(s, h)
+        with pytest.warns(GridTooCoarse) if coarse else nullcontext():
+            grid = _flip_grid(s, 12.0, h)
+        for direction in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -2.0)):
+            candidates += _assert_sign_changes_match_oracle(s, grid,
+                                                            direction)
+    assert candidates > 100
+
+
+def test_sign_changes_match_oracle_on_saddle_grids():
+    # checkerboard signs with random magnitudes put a saddle in most cells:
+    # both segments of a saddle cell go on, and only those whose ports
+    # differ in sign come out; the grid's slopes are kept, so the ports are
+    # signed as on any order-1 grid
+    rng = np.random.default_rng(77)
+    s = sample(U64, 3, 0)
+    saddles = candidates = 0
+    for trial in range(6):
+        grid = _flip_grid(s, 3.0, default_spacing(s))
+        parity = (-1.0) ** np.add.outer(*map(np.arange, grid.values.shape))
+        flip = np.where(rng.random(grid.values.shape) < 0.1, -1.0, 1.0)
+        grid.values = parity * flip * rng.uniform(0.5, 1.5,
+                                                  grid.values.shape) \
+            + rng.uniform(-0.5, 0.5)
+        saddles += _saddle_cells(grid.values)
+        for direction in ((1.0, 0.0), (1.0, 1.0)):
+            candidates += _assert_sign_changes_match_oracle(s, grid,
+                                                            direction)
+    assert saddles > 10000 and candidates > 1000
 
 
 # oracle: the bisection as it was before the rotated phase tables, every
@@ -821,6 +928,20 @@ def test_curve_intersections_sine():
             count_curve_intersections(sin_field, (0.0, 0.0), p1)
         with pytest.raises(ValueError, match="endpoints must be finite"):
             count_curve_intersections(sin_field, p1, (0.0, 0.0))
+
+
+def test_curve_intersections_warn_on_a_coarse_spacing():
+    # sampled only at its two ends, the segment shows none of its 4 crossings
+    s = sample(preset("uniform_circle", K=16), 1)
+    assert count_curve_intersections(s, (0.0, 0.0), (3.0, 0.0)) == 4
+    with pytest.warns(GridTooCoarse, match="points per minimal wavelength"):
+        assert count_curve_intersections(s, (0.0, 0.0), (3.0, 0.0),
+                                         h=10.0) == 0
+    # a spacing evaluate_grid rejects is rejected here too: h = -1 used to
+    # count 0 without a warning
+    for h in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            count_curve_intersections(s, (0.0, 0.0), (3.0, 0.0), h=h)
 
 
 def test_tiling_inequality():
