@@ -304,7 +304,11 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
         return U @ np.vstack([top, bottom])
 
     val = combine(S1, S2)
-    val += s.origin_coeff * math.sqrt(s.origin_weight)
+    origin = s.origin_coeff * math.sqrt(s.origin_weight)
+    if origin:
+        # a zero constant could only turn a -0.0 node into +0.0, which the
+        # tie rule and every reader treat alike
+        val += origin
     d1 = d2 = d11 = d12 = d22 = None
     c1 = C[:, 0][:, None]
     c2 = C[:, 1][:, None]

@@ -2,11 +2,13 @@
 
 Zero curves are chained from marching-squares cell segments with linear
 interpolation on cell edges; saddle cells are resolved by the sign of the
-cell-center mean.  The torus census walks the same half-edge graph
-(``topology.half_edge_successors``), so torus pictures and torus counts
-agree on the same grid, and at their defaults they draw and count on the
-same one: both ``portrait --torus-n n`` and ``torus_count_report`` take
-``arithmetic.torus_spacing(n)`` (144^2 nodes at n = 65, 544^2 at n = 1105).
+cell-center mean.  The chains follow the half-edge successors of the
+marching segments (``topology.half_edge_successors``); the torus census
+follows the same segments, oriented with the positive side on their left,
+so torus pictures and torus counts agree on the same grid, and at their
+defaults they draw and count on the same one: both ``portrait --torus-n n``
+and ``torus_count_report`` take ``arithmetic.torus_spacing(n)`` (144^2
+nodes at n = 65, 544^2 at n = 1105).
 The square census counts the closed chains of the same graph.  Output is
 byte-stable for identical inputs.
 """

@@ -12,13 +12,18 @@ over the runs, merged across their other contacts, gives the positive
 domains, and the negative interior domains are the holes of the positive
 set, counted from its Euler number, a sum over the runs and their contacts
 with the row above.  On the torus, zero-set components are counted
-directly from the marching-squares crossing graph: every port there has
-degree 2, so components are cycles, and a cycle wraps iff it crosses the
-x-seam or the y-seam an odd number of times.
+directly from the marching segments: every port there has degree 2, so
+components are cycles.  Run with the positive side on their left, the
+segments of a cycle follow each other one way round it, and every crossed
+edge starts exactly one segment, so an edge-indexed table gives each segment
+its successor without a sort; a cycle wraps iff it crosses the x-seam or the
+y-seam an odd number of times.
 
-That graph is the one zero-set graph of the package: ``half_edge_successors``
-pairs the segments meeting at each crossing port, and both the torus census
-and the portraits (``portraits.zero_polylines``) walk its successors.
+The marching segments are the one zero-set graph of the package: the plane
+census counts its closed cycles as sign-domains, the torus census follows
+its oriented segments, and the portraits (``portraits.zero_polylines``) walk the
+half-edge successors of ``half_edge_successors``, which pairs the segments
+meeting at each crossing port.
 
 Values with |f| < TIE_TOL are treated as positive (measure-zero event,
 deterministic tie rule), through ``sign_grid`` only: at grid nodes, and at the
@@ -369,13 +374,44 @@ def half_edge_successors(segA: np.ndarray, segB: np.ndarray) -> np.ndarray:
     return mate[np.arange(len(ports)) ^ 1]
 
 
+def _oriented_segments(values: np.ndarray, segA: np.ndarray,
+                       segB: np.ndarray):
+    """Torus segments run with the positive side on their left.
+
+    Returns (start, end, dr, dc): segment k runs from edge start[k] to edge
+    end[k], and dr and dc are the node row and column of segA's edge less
+    those of segB's.  Seen from inside a cell, a segment leaving side s has
+    on its left the corner that precedes s counter-clockwise: the first node
+    of an S or E side, the second of an N or W side.  The nodes of a crossed
+    edge differ in sign, so the segment runs from segA iff that edge's first
+    node is positive XOR segA is an N or W side.  segA is an N side iff it
+    is an X-edge and segB's column is one less (mod ny), a W side iff it is
+    a Y-edge and segB's row is not one less (mod nx); with >= 3 nodes per
+    axis no other side of the cell matches.  A crossed edge is then left by
+    the segment of one of its cells and entered by that of the other, so it
+    starts exactly one segment and ends exactly one.
+    """
+    nx, ny = values.shape
+    flatA, flatB = segA >> 1, segB >> 1
+    dr = flatA // ny - flatB // ny
+    dc = flatA - flatB - ny * dr
+    north_west = np.where((segA & 1) == 0, dc % ny == 1, dr % nx != 1)
+    forward = sign_grid(values.ravel()[flatA]) != north_west
+    return (np.where(forward, segA, segB), np.where(forward, segB, segA),
+            dr, dc)
+
+
 def count_components_torus(g: ScalarGrid) -> NodalCensus:
     """Zero-set components on the torus, split contractible vs wrapping.
 
     Every crossed edge lies in exactly two cells and each cell uses it once,
     so every port has degree 2 and the components are the cycles of the
-    segment graph.  Cycles are labeled by their smallest segment index with
-    pointer doubling over half-edges.  A simple closed curve that does not
+    segment graph.  Oriented with the positive side on their left
+    (``_oriented_segments``), the segments of a cycle run one way round it:
+    every crossed edge starts one segment, so a dense table over the edge
+    ids gives each segment its successor, the one starting where it ends.
+    Cycles are labeled by their smallest segment index with pointer
+    doubling over the segments.  A simple closed curve that does not
     contract has a primitive homology class (p, q), so p or q is odd: a
     component wraps iff it crosses the x-seam or the y-seam an odd number of
     times.
@@ -390,19 +426,20 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
     if K == 0:
         return NodalCensus(interior_components=0)
 
-    step = half_edge_successors(segA, segB)
-    label = np.arange(2 * K) >> 1
-    for _ in range((2 * K).bit_length()):
+    start, end, dr, dc = _oriented_segments(values, segA, segB)
+    successor = np.empty(2 * nx * ny, dtype=np.intp)
+    successor[start] = np.arange(K)
+    step = successor[end]
+    label = np.arange(K)
+    for _ in range(K.bit_length()):
         label = np.minimum(label, label[step])
         step = step[step]
-    label = label[0::2]
     roots = np.flatnonzero(label == np.arange(K))
 
     # a segment crosses a seam when its ports' node rows (or columns) are
     # not neighbours; with >= 3 nodes per axis they then differ by n - 1
-    flatA, flatB = segA >> 1, segB >> 1
-    cross_x = np.abs(flatA // ny - flatB // ny) > 1
-    cross_y = np.abs(flatA % ny - flatB % ny) > 1
+    cross_x = np.abs(dr) > 1
+    cross_y = np.abs(dc) > 1
     odd = ((np.bincount(label[cross_x], minlength=K) & 1)
            | (np.bincount(label[cross_y], minlength=K) & 1))
     wrap = int(np.count_nonzero(odd[roots]))
@@ -556,6 +593,8 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
     exactly-zero corners deterministic.
     """
     d = unit_direction(direction)
+    if not isinstance(domain, SquareDomain):
+        raise TypeError(f"count_flips needs a square domain, got {domain!r}")
     R = domain.R
     if not R > 0:
         raise ValueError("square half-side R must be positive")

@@ -7,8 +7,10 @@ or by Monte Carlo (``covariance_mc``), E|XY| by quadrature
 (``abs_product_mean_quad``), r2(n) from the divisors of n
 (``r2_divisor_oracle``), the plane census from a 4-connected labeling
 of the positive set (``ndimage_plane_census``, fast enough for sampled
-grids at R = 40) and the flips' candidate segments from every marching
-segment and its unique ports (``sign_changes_oracle``).  The package does
+grids at R = 40), the torus census from the half-edge successors of the
+marching segments (``half_edge_torus_census``) and the flips' candidate
+segments from every marching segment and its unique ports
+(``sign_changes_oracle``).  The package does
 not import this module, and pytest does not collect it.
 """
 
@@ -28,6 +30,7 @@ from nodalfields.topology import (
     _joins_main_diagonal,
     _port_slopes,
     _slope_weights,
+    half_edge_successors,
     marching_segments,
     sign_grid,
 )
@@ -205,6 +208,47 @@ def ndimage_plane_census(g: ScalarGrid) -> NodalCensus:
     euler = int(np.count_nonzero(pos) - edges - len(i) + cells)
     return NodalCensus(
         interior_components=int(np.count_nonzero(inner)) + components - euler)
+
+
+def half_edge_torus_census(g: ScalarGrid) -> NodalCensus:
+    """Zero-set components on the torus, split contractible vs wrapping.
+
+    Every crossed edge lies in exactly two cells and each cell uses it once,
+    so every port has degree 2 and the components are the cycles of the
+    segment graph.  Cycles are labeled by their smallest segment index with
+    pointer doubling over half-edges.  A simple closed curve that does not
+    contract has a primitive homology class (p, q), so p or q is odd: a
+    component wraps iff it crosses the x-seam or the y-seam an odd number of
+    times.
+    """
+    values = _census_values(g, periodic=True)
+    nx, ny = values.shape
+    if nx < 3 or ny < 3:
+        # a west-east segment would span half the period: its seam is undefined
+        raise ValueError("torus census needs at least 3 nodes per axis")
+    segA, segB = marching_segments(g)
+    K = len(segA)
+    if K == 0:
+        return NodalCensus(interior_components=0)
+
+    step = half_edge_successors(segA, segB)
+    label = np.arange(2 * K) >> 1
+    for _ in range((2 * K).bit_length()):
+        label = np.minimum(label, label[step])
+        step = step[step]
+    label = label[0::2]
+    roots = np.flatnonzero(label == np.arange(K))
+
+    # a segment crosses a seam when its ports' node rows (or columns) are
+    # not neighbours; with >= 3 nodes per axis they then differ by n - 1
+    flatA, flatB = segA >> 1, segB >> 1
+    cross_x = np.abs(flatA // ny - flatB // ny) > 1
+    cross_y = np.abs(flatA % ny - flatB % ny) > 1
+    odd = ((np.bincount(label[cross_x], minlength=K) & 1)
+           | (np.bincount(label[cross_y], minlength=K) & 1))
+    wrap = int(np.count_nonzero(odd[roots]))
+    return NodalCensus(interior_components=len(roots) - wrap,
+                       wrapping_components=wrap)
 
 
 def sign_changes_oracle(s, grid, d):

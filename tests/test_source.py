@@ -109,32 +109,53 @@ def _readers(name):
     ("Philox", ("fields", "_philox")),          # the (seed, stream) key
     ("ROUNDING_MARGIN", ("topology", "_slope_weights")),  # flip-sign margin
     ("_GROUP_SIDES", ("topology", "marching_segments")),  # side pairing
+    # the torus census follows oriented segments; only the portraits pair
+    # half-edges
+    ("half_edge_successors", ("portraits", "zero_polylines")),
 ])
 def test_rule_has_one_reader(name, owner):
     assert sorted(set(_readers(name))) == [owner]
 
 
-def test_flips_sort_only_their_locations():
-    # the flip path takes its ports from the crossing mask and its candidate
-    # segments from the labeled marching segments; the one np.unique left is
-    # count_flips' dedup of the refined locations
+def _topology_calls(root, attrs):
+    """(reached, calls): the topology functions reachable from root, and the
+    (function, call) pairs among them calling an attribute in attrs."""
     tree = ast.parse((PACKAGE / "topology.py").read_text())
     defs = {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)}
-    reached, todo = set(), ["count_flips"]
+    reached, todo = set(), [root]
     while todo:
         name = todo.pop()
         if name in reached:
             continue
         reached.add(name)
         todo += [n for n in _loads(defs[name]) if n in defs]
+    calls = [(name, call) for name in sorted(reached)
+             for call in ast.walk(defs[name]) if isinstance(call, ast.Call)
+             and getattr(call.func, "attr", None) in attrs]
+    return reached, calls
+
+
+def test_flips_sort_only_their_locations():
+    # the flip path takes its ports from the crossing mask and its candidate
+    # segments from the labeled marching segments; the one np.unique left is
+    # count_flips' dedup of the refined locations
+    reached, uniques = _topology_calls("count_flips", {"unique"})
     assert {"_sign_changes", "marching_segments", "_bisect"} <= reached
-    uniques = [(name, call) for name in sorted(reached)
-               for call in ast.walk(defs[name]) if isinstance(call, ast.Call)
-               and getattr(call.func, "attr", None) == "unique"]
     assert [name for name, _ in uniques] == ["count_flips"]
     (_, call), = uniques
     assert ast.unparse(call.args[0]) == "buckets"
+
+
+def test_torus_census_sorts_only_marching_groups():
+    # each oriented segment finds its successor in a dense table over the
+    # edge ids; the one sort left is marching_segments' sort of its groups
+    reached, sorts = _topology_calls("count_components_torus",
+                                     {"argsort", "unique", "sort", "lexsort"})
+    assert {"_oriented_segments", "marching_segments"} <= reached
+    assert [name for name, _ in sorts] == ["marching_segments"]
+    (_, call), = sorts
+    assert ast.unparse(call.args[0]) == "group"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])

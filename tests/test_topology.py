@@ -36,6 +36,7 @@ from nodalfields.topology import (
 )
 from oracles import (
     grid_from_callable,
+    half_edge_torus_census,
     ndimage_plane_census,
     sign_changes_oracle,
 )
@@ -331,6 +332,75 @@ def test_torus_census_seeded_counts(n, want):
     assert got == want
 
 
+def _random_torus_values(rng, trials):
+    """Random torus value grids of 3 to 60 nodes per axis, four kinds in
+    turn: Gaussian noise, the same rounded, {-1, 0, 1} and saddle-dense
+    checkerboards with some nodes flipped."""
+    for trial in range(trials):
+        nx, ny = (int(v) for v in rng.integers(3, 61, size=2))
+        kind = trial % 4
+        if kind < 2:
+            raw = rng.standard_normal((nx, ny))
+            for _ in range(int(rng.integers(0, 3))):
+                raw = 0.25 * (np.roll(raw, 1, 0) + np.roll(raw, -1, 0)
+                              + np.roll(raw, 1, 1) + np.roll(raw, -1, 1))
+            # rounding leaves exact zeros and saddles with tied centres
+            yield np.round(raw, 1) if kind else raw
+        elif kind == 2:
+            yield rng.integers(-1, 2, size=(nx, ny)).astype(float)
+        else:
+            parity = (-1.0) ** np.add.outer(np.arange(nx), np.arange(ny))
+            flip = np.where(rng.random((nx, ny)) < 0.15, -1.0, 1.0)
+            yield (parity * flip * rng.uniform(0.5, 1.5, (nx, ny))
+                   + rng.uniform(-0.5, 0.5))
+
+
+def _torus_saddle_cells(values):
+    return _saddle_cells(np.pad(values, ((0, 1), (0, 1)), mode="wrap"))
+
+
+def test_torus_census_matches_half_edge_oracle():
+    # the oriented-segment census against the half-edge census it replaced
+    from nodalfields.arithmetic import (cilleruelo_torus_field,
+                                        sample_torus_wave, torus_spacing)
+    rng = np.random.default_rng(2020)
+    saddles = 0
+    grids = []
+    for values in _random_torus_values(rng, 400):
+        saddles += _torus_saddle_cells(values)
+        grids.append(_lattice_grid(values, periodic=True))
+    assert saddles >= 10000
+    # straight wrapping pairs sin 2 pi (p x + q y), on odd and even node
+    # counts, Cilleruelo trains, and mu_n draws on their census grids
+    for p, q in [(1, 0), (0, 1), (1, 1), (2, 1), (1, -3)]:
+        for h in (1 / 96, 1 / 61):
+            grids.append(grid_from_callable(
+                lambda X, Y: np.sin(2 * np.pi * (p * X + q * Y)),
+                TorusDomain(), h))
+    grids += [evaluate_grid(cilleruelo_torus_field(m, seed), TorusDomain(),
+                            1 / (16 * m))
+              for m in (1, 3, 5) for seed in range(3)]
+    grids += [evaluate_grid(sample_torus_wave(n, 31, stream), TorusDomain(),
+                            torus_spacing(n))
+              for n in (65, 1105) for stream in range(2)]
+    got = [count_components_torus(g) for g in grids]
+    assert got == [half_edge_torus_census(g) for g in grids]
+    assert sum(c.interior_components for c in got) > 1000
+    assert sum(c.wrapping_components for c in got) > 100
+
+
+def test_oriented_segments_start_and_end_every_crossed_edge_once():
+    rng = np.random.default_rng(2121)
+    for values in _random_torus_values(rng, 200):
+        pos = sign_grid(values)
+        crossed = np.flatnonzero(np.stack(
+            [pos != np.roll(pos, -1, 0), pos != np.roll(pos, -1, 1)], axis=-1))
+        segA, segB = marching_segments(_lattice_grid(values, periodic=True))
+        start, end, _, _ = topology._oriented_segments(values, segA, segB)
+        assert np.array_equal(np.sort(start), crossed)
+        assert np.array_equal(np.sort(end), crossed)
+
+
 # ---------------------------------------------------------------------------
 # oracle: the ten-mask marching squares with its own periodic branch, as it
 # stood before the case table; the case table must give the same segments in
@@ -578,6 +648,9 @@ def test_count_flips_seeded_counts(rho, seed, R, direction, want):
 
 def test_count_flips_rejects_empty_square_and_zero_direction():
     s = sample(preset("uniform_circle", K=64), seed=2)
+    # flips are counted on squares only; a torus has no half-side R
+    with pytest.raises(TypeError, match="square domain.*TorusDomain"):
+        count_flips(s, TorusDomain())
     for R in (0.0, -2.0):
         with pytest.raises(ValueError, match="R must be positive"):
             count_flips(s, SquareDomain(R))
