@@ -9,8 +9,9 @@ capped at n <= 10^12.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +55,13 @@ def r2(n: int) -> int:
     return lattice_points(n).r2
 
 
+@functools.cache
 def mu_n(n: int) -> SpectralMeasure:
-    """Angular measure of the lattice points: atoms lambda/sqrt(n), equal weights."""
+    """Angular measure of the lattice points: atoms lambda/sqrt(n), equal weights.
+
+    Built once per n and shared (with its pair and grid tables) by every
+    torus draw of that n; a measure is frozen with read-only arrays.
+    """
     lat = lattice_points(n)
     if lat.r2 == 0:
         raise NotSumOfTwoSquares(f"{n} is not a sum of two squares")
@@ -71,7 +77,7 @@ def sample_torus_wave(n: int, seed: int, stream: int = 0) -> FieldSample:
     Realized over mu_n with frequency scale sqrt(n), so frequencies are the
     integer lattice points themselves and the field is 1-periodic in both
     coordinates.  The planar rescaling y -> f(y / sqrt(n)) with spectral
-    measure mu_n is the same sample with freq_scale 1 (see planar_rescale).
+    measure mu_n is the same sample with freq_scale 1.
     """
     return sample(mu_n(n), seed, stream, freq_scale=math.sqrt(n))
 
@@ -79,11 +85,6 @@ def sample_torus_wave(n: int, seed: int, stream: int = 0) -> FieldSample:
 def torus_spacing(n: int) -> float:
     """Default torus spacing: POINTS_PER_WAVELENGTH nodes per 1/ceil(sqrt n)."""
     return 1.0 / (POINTS_PER_WAVELENGTH * math.ceil(math.sqrt(n)))
-
-
-def planar_rescale(s: FieldSample) -> FieldSample:
-    """The scale-invariant planar version of a torus wave (freq_scale 1)."""
-    return replace(s, freq_scale=1.0)
 
 
 def cilleruelo_torus_field(m: int, seed: int, stream: int = 0) -> FieldSample:

@@ -53,10 +53,12 @@ def _resolve_measure(args) -> SpectralMeasure:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    """Write payload as sorted-key JSON to out + ".json", or to stdout."""
+    """Write payload as sorted-key JSON to out + ".json", or to stdout.
+
+    A non-finite float raises ValueError (strict JSON) before any write."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(out + ".json", "w") if out else nullcontext(sys.stdout) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def cmd_portrait(args) -> int:
@@ -188,6 +190,8 @@ def cmd_stability(args) -> int:
         rep = sandwich_check(rho0, rho1, args.R, args.M, args.beta,
                              args.seed, args.h)
         payload["sandwich"] = rep.to_dict()
+        if math.isinf(args.beta):  # filters off; JSON has no Infinity
+            payload["sandwich"]["beta"] = None
     _emit(payload, args.out)
     return 0
 

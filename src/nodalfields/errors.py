@@ -21,10 +21,6 @@ class UnknownPreset(NodalError):
     """Preset name not recognized."""
 
 
-class NotOnCircle(NodalError):
-    """Operation requires every atom to sit on the unit circle."""
-
-
 class NotSumOfTwoSquares(NodalError):
     """n has no representation x^2 + y^2 = n."""
 

@@ -167,14 +167,6 @@ def inject_sample(rho: SpectralMeasure, coeffs, origin_coeff: float = 0.0,
         origin_coeff=float(origin_coeff), freq_scale=freq_scale)
 
 
-def evaluate(s: FieldSample, x, order: int = 0):
-    """Value / (value, gradient) / (value, gradient, Hessian) at a point."""
-    out = evaluate_batch(s, np.reshape(x, (1, 2)), order)
-    if order == 0:
-        return float(out[0])
-    return (float(out[0][0]), *(a[0] for a in out[1:]))
-
-
 def evaluate_batch(s: FieldSample, pts, order: int = 0):
     """Values (and gradients, Hessians up to order 2) at (N, 2) points."""
     pts = np.asarray(pts, dtype=float)
@@ -329,7 +321,7 @@ def cilleruelo_field(seed: int, stream: int = 0) -> FieldSample:
     """Sample of the four-atom axis measure with kappa = 1.
 
     The result is (1/sqrt(2)) * (xi1 cos x1 + xi2 sin x1 + xi3 cos x2
-    + xi4 sin x2); use cilleruelo_amplitudes for the Rayleigh form.
+    + xi4 sin x2); its Rayleigh amplitudes are hypot(coeff_a, coeff_b).
     """
     return sample(_cilleruelo_measure("one"), seed, stream)
 
@@ -342,12 +334,3 @@ def _cilleruelo_measure(kappa: str) -> SpectralMeasure:
     share one (and its pair table and grid tables).
     """
     return preset("cilleruelo", kappa=kappa)
-
-
-def cilleruelo_amplitudes(s: FieldSample):
-    """(a1, eta1, a2, eta2) with f = (1/sqrt 2)(a1 cos(x1+eta1) + a2 cos(x2+eta2))."""
-    a1 = math.hypot(s.coeff_a[0], s.coeff_b[0])
-    a2 = math.hypot(s.coeff_a[1], s.coeff_b[1])
-    eta1 = math.atan2(-s.coeff_b[0], s.coeff_a[0])
-    eta2 = math.atan2(-s.coeff_b[1], s.coeff_a[1])
-    return a1, eta1, a2, eta2

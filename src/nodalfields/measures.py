@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    NotOnCircle,
     NotPiInvariant,
     NotProbability,
     SupportOutsideDisc,
@@ -33,12 +32,6 @@ SUPPORT_TOL = 1e-12
 CIRCLE_TOL = 1e-12
 
 KAPPA_VALUES = {"two_pi": 2.0 * math.pi, "one": 1.0}
-
-# Version of the weak-* test-function dictionary (trigonometric monomials
-# cos/sin(2*pi*(a*y1 + b*y2)) with |a|,|b| <= 3).  Bump when the dictionary
-# changes; distances are only comparable within one version.
-WEAK_STAR_DICT_VERSION = 1
-_WEAK_STAR_DEGREE = 3
 
 PRESET_NAMES = frozenset({
     "cilleruelo", "tilted_cilleruelo", "uniform_circle", "arc_nu_a",
@@ -397,63 +390,6 @@ def gradient_covariance(rho: SpectralMeasure) -> CovarianceMatrix:
     m = 0.5 * (m + m.T)
     lam = float(np.linalg.eigvalsh(m)[0])
     return CovarianceMatrix(matrix=m, lambda_min=lam)
-
-
-def _require_circle(rho: SpectralMeasure):
-    if not rho.is_monochromatic():
-        raise NotOnCircle("all atoms must lie on the unit circle")
-
-
-def atom_angles(rho: SpectralMeasure) -> np.ndarray:
-    _require_circle(rho)
-    return np.arctan2(rho.points[:, 1], rho.points[:, 0])
-
-
-def fourier_coefficient(mu: SpectralMeasure, k: int) -> complex:
-    """hat(mu)(k) = sum_j w_j exp(-i k theta_j) for a circle measure."""
-    th = atom_angles(mu)
-    return complex(np.dot(mu.weights, np.exp(-1j * k * th)))
-
-
-def convolve(mu1: SpectralMeasure, mu2: SpectralMeasure) -> SpectralMeasure:
-    """Convolution on the circle group: atoms at angle sums, weights multiplied."""
-    th1, th2 = atom_angles(mu1), atom_angles(mu2)
-    if mu1.kappa != mu2.kappa:
-        raise ValueError("convolve requires a shared kappa convention")
-    sums = (th1[:, None] + th2[None, :]).ravel() % (2.0 * math.pi)
-    w = (mu1.weights[:, None] * mu2.weights[None, :]).ravel()
-    pts = _circle_points(sums)
-    # snap coordinates so that angle aliases (0 vs 2pi) merge cleanly
-    pts = np.where(np.abs(pts) < 1e-15, 0.0, pts)
-    return make_atomic(zip(pts, w), kappa=mu1.kappa,
-                       provenance={"name": "convolution"})
-
-
-def _weak_star_dictionary():
-    funcs = []
-    d = _WEAK_STAR_DEGREE
-    for a in range(-d, d + 1):
-        for b in range(-d, d + 1):
-            funcs.append((a, b))
-    return funcs
-
-
-def weak_star_distance(r1: SpectralMeasure, r2: SpectralMeasure) -> float:
-    """Bounded-Lipschitz-style metric over a fixed trigonometric dictionary.
-
-    sup over cos/sin(2*pi*(a y1 + b y2)), |a|,|b| <= 3, of the difference of
-    integrals.  Versioned via WEAK_STAR_DICT_VERSION.
-    """
-    best = 0.0
-    for a, b in _weak_star_dictionary():
-        ph1 = 2.0 * math.pi * (a * r1.points[:, 0] + b * r1.points[:, 1])
-        ph2 = 2.0 * math.pi * (a * r2.points[:, 0] + b * r2.points[:, 1])
-        dc = abs(float(np.dot(r1.weights, np.cos(ph1))
-                       - np.dot(r2.weights, np.cos(ph2))))
-        ds = abs(float(np.dot(r1.weights, np.sin(ph1))
-                       - np.dot(r2.weights, np.sin(ph2))))
-        best = max(best, dc, ds)
-    return best
 
 
 def antipodal_pairs(rho: SpectralMeasure):

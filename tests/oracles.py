@@ -10,7 +10,8 @@ of the positive set (``ndimage_plane_census``, fast enough for sampled
 grids at R = 40), the torus census from the half-edge successors of the
 marching segments (``half_edge_torus_census``) and the flips' candidate
 segments from every marching segment and its unique ports
-(``sign_changes_oracle``).  The package does
+(``sign_changes_oracle``).  ``circle_convolution`` builds composite circle
+measures for the pair-table tests.  The package does
 not import this module, and pytest does not collect it.
 """
 
@@ -22,7 +23,12 @@ import numpy as np
 from scipy import integrate, ndimage
 
 from nodalfields.fields import FieldSample, ScalarGrid, _philox, grid_axes
-from nodalfields.measures import SpectralMeasure, antipodal_pairs
+from nodalfields.measures import (
+    SpectralMeasure,
+    _circle_points,
+    antipodal_pairs,
+    make_atomic,
+)
 from nodalfields.topology import (
     NodalCensus,
     _census_values,
@@ -119,6 +125,17 @@ def abs_product_mean_quad(sigma1: float, sigma2: float, corr: float,
     val, _ = integrate.quad(integrand, -10.0 * sigma1, 10.0 * sigma1,
                             epsabs=tol, limit=200)
     return val
+
+
+def circle_convolution(mu1: SpectralMeasure,
+                       mu2: SpectralMeasure) -> SpectralMeasure:
+    """Convolution of two circle measures: atoms at the angle sums, weights
+    multiplied."""
+    th1 = np.arctan2(mu1.points[:, 1], mu1.points[:, 0])
+    th2 = np.arctan2(mu2.points[:, 1], mu2.points[:, 0])
+    sums = (th1[:, None] + th2[None, :]).ravel() % (2.0 * math.pi)
+    w = (mu1.weights[:, None] * mu2.weights[None, :]).ravel()
+    return make_atomic(zip(_circle_points(sums), w), kappa=mu1.kappa)
 
 
 def r2_divisor_oracle(n: int) -> int:

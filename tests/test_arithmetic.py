@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,12 @@ from nodalfields.arithmetic import (
     cilleruelo_torus_field,
     lattice_points,
     mu_n,
-    planar_rescale,
     r2,
     sample_torus_wave,
 )
 from nodalfields.errors import NotSumOfTwoSquares, TooLarge
-from nodalfields.fields import TorusDomain, evaluate, evaluate_grid
-from nodalfields.measures import covariance, preset, weak_star_distance
+from nodalfields.fields import TorusDomain, evaluate_batch, evaluate_grid
+from nodalfields.measures import antipodal_pairs, covariance, preset
 from oracles import r2_divisor_oracle, representation_covariance
 
 
@@ -53,10 +53,11 @@ def test_lattice_points_cap():
 
 
 def test_mu_n_geometry():
-    m1 = mu_n(1)
-    assert weak_star_distance(m1, preset("cilleruelo")) < 1e-12
-    m2 = mu_n(2)
-    assert weak_star_distance(m2, preset("tilted_cilleruelo")) < 1e-12
+    # the same atoms up to the last bit of 1/sqrt(2) against cos(pi/4)
+    for n, name in ((1, "cilleruelo"), (2, "tilted_cilleruelo")):
+        got, want = mu_n(n), preset(name)
+        assert np.abs(got.points - want.points).max() <= 1e-15, n
+        assert np.array_equal(got.weights, want.weights), n
     with pytest.raises(NotSumOfTwoSquares):
         mu_n(3)
     m2917 = mu_n(2917)
@@ -65,6 +66,13 @@ def test_mu_n_geometry():
     ang = np.arctan2(m2917.points[:, 1], m2917.points[:, 0])
     frac = np.abs((ang + math.pi / 4) % (math.pi / 2) - math.pi / 4)
     assert np.all(frac < 0.02)
+
+
+def test_torus_draws_of_one_n_share_one_measure():
+    a = sample_torus_wave(1105, seed=1)
+    b = sample_torus_wave(1105, seed=2, stream=3)
+    assert a.measure is b.measure is mu_n(1105)
+    assert antipodal_pairs(a.measure) is antipodal_pairs(b.measure)
 
 
 def test_mu_n_torus_symmetries_up_to_10000():
@@ -82,8 +90,8 @@ def test_torus_wave_unit_variance_and_periodicity():
     # representation variance is exactly 1 at any point
     assert representation_covariance(s, (0.3, 0.9), (0.3, 0.9)) == pytest.approx(1.0)
     for x in [(0.1, 0.2), (0.77, 0.31)]:
-        assert evaluate(s, x) == pytest.approx(
-            evaluate(s, (x[0] + 1.0, x[1] + 1.0)), abs=1e-12)
+        here, shifted = evaluate_batch(s, [x, (x[0] + 1.0, x[1] + 1.0)])
+        assert here == pytest.approx(shifted, abs=1e-12)
 
 
 def test_torus_wave_law_matches_cilleruelo_for_n1():
@@ -115,7 +123,7 @@ def test_eigenfunction_identity_spectral():
 
 def test_planar_rescale_covariance():
     s = sample_torus_wave(65, seed=3)
-    g = planar_rescale(s)
+    g = dataclasses.replace(s, freq_scale=1.0)
     rho = mu_n(65)
     for d in [(0.4, 0.1), (1.3, -0.6)]:
         assert representation_covariance(g, d, (0.0, 0.0)) == pytest.approx(
@@ -124,11 +132,12 @@ def test_planar_rescale_covariance():
 
 def test_cilleruelo_torus_field_structure():
     s = cilleruelo_torus_field(5, seed=2)
-    assert evaluate(s, (0.2, 0.9)) == pytest.approx(
-        evaluate(s, (0.2 + 1.0 / 5.0, 0.9)), abs=1e-12)  # 1/m-periodic in x1
-    from nodalfields.fields import cilleruelo_amplitudes
-    a1, e1, a2, e2 = cilleruelo_amplitudes(s)
     x = (0.13, 0.57)
+    here, shifted, value = evaluate_batch(
+        s, [(0.2, 0.9), (0.2 + 1.0 / 5.0, 0.9), x])
+    assert here == pytest.approx(shifted, abs=1e-12)  # 1/m-periodic in x1
+    a1, a2 = np.hypot(s.coeff_a, s.coeff_b)
+    e1, e2 = np.arctan2(-s.coeff_b, s.coeff_a)
     want = (a1 * math.cos(2 * math.pi * 5 * x[0] + e1)
             + a2 * math.cos(2 * math.pi * 5 * x[1] + e2)) / math.sqrt(2)
-    assert evaluate(s, x) == pytest.approx(want, abs=1e-12)
+    assert value == pytest.approx(want, abs=1e-12)

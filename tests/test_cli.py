@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -11,7 +12,7 @@ jsonschema = pytest.importorskip("jsonschema")
 from nodalfields.cli import main, parse_measure_spec
 from nodalfields.estimators import (EstimatorReport, TorusReport,
                                     torus_count_report)
-from nodalfields.measures import load_measure, preset, weak_star_distance
+from nodalfields.measures import load_measure, preset
 from nodalfields.stability import SandwichReport, StabilityProfile
 
 SCHEMA = json.loads(
@@ -221,11 +222,26 @@ def test_stability_report(tmp_path):
     assert payload["sandwich"]["violations"] == 0
 
 
+def test_stability_filter_off_is_strict_json(capsys):
+    # beta = inf, the documented filter-off mode, prints as null: JSON has
+    # no Infinity
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    assert main(["stability", "--preset", "uniform:16", "--preset2",
+                 "uniform:16", "--R", "3", "--M", "2", "--beta", "inf"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    validate(payload)
+    assert payload["sandwich"]["beta"] is None
+    assert payload["sandwich"]["filtered"] == 2
+
+
 def test_measure_roundtrip(tmp_path):
     out = tmp_path / "m.json"
     assert main(["measure", "--preset", "uniform:8", "--out", str(out)]) == 0
-    rho = load_measure(out)
-    assert weak_star_distance(rho, preset("uniform_circle", K=8)) == 0.0
+    rho, want = load_measure(out), preset("uniform_circle", K=8)
+    assert np.array_equal(rho.points, want.points)
+    assert np.array_equal(rho.weights, want.weights)
 
 
 def test_exit_codes(tmp_path):

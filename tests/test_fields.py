@@ -12,9 +12,7 @@ from nodalfields.errors import GridTooCoarse
 from nodalfields.fields import (
     SquareDomain,
     TorusDomain,
-    cilleruelo_amplitudes,
     cilleruelo_field,
-    evaluate,
     evaluate_batch,
     evaluate_grid,
     inject_sample,
@@ -46,8 +44,8 @@ def test_delta_zero_sample_is_constant():
 
 def test_injected_cilleruelo_values():
     inj = inject_sample(NU0, [(1.0, 0.0), (1.0, 0.0)])
-    assert evaluate(inj, (0.0, 0.0)) == pytest.approx(math.sqrt(2.0))
-    _, grad = evaluate(inj, (0.0, 0.0), order=1)
+    (v,), (grad,) = evaluate_batch(inj, [(0.0, 0.0)], order=1)
+    assert v == pytest.approx(math.sqrt(2.0))
     assert np.allclose(grad, 0.0)
 
 
@@ -57,12 +55,14 @@ def test_analytic_derivatives_match_finite_differences():
     h = 1e-5
     for _ in range(5):
         x = rng.uniform(-3, 3, 2)
-        v, grad, hess = evaluate(s, x, order=2)
-        fd1 = (evaluate(s, x + [h, 0]) - evaluate(s, x - [h, 0])) / (2 * h)
-        fd2 = (evaluate(s, x + [0, h]) - evaluate(s, x - [0, h])) / (2 * h)
+        (v,), (grad,), (hess,) = evaluate_batch(s, [x], order=2)
+        fp1, fm1, fp2, fm2 = evaluate_batch(
+            s, [x + [h, 0], x - [h, 0], x + [0, h], x - [0, h]])
+        fd1 = (fp1 - fm1) / (2 * h)
+        fd2 = (fp2 - fm2) / (2 * h)
         assert grad[0] == pytest.approx(fd1, abs=1e-6)
         assert grad[1] == pytest.approx(fd2, abs=1e-6)
-        fd11 = (evaluate(s, x + [h, 0]) - 2 * v + evaluate(s, x - [h, 0])) / h ** 2
+        fd11 = (fp1 - 2 * v + fm1) / h ** 2
         assert hess[0, 0] == pytest.approx(fd11, abs=1e-4)
         assert hess[0, 1] == pytest.approx(hess[1, 0])
 
@@ -85,7 +85,7 @@ def test_grid_matches_pointwise():
     g = evaluate_grid(s, SquareDomain(1.0), 0.5, order=2)
     assert g.values.shape == (5, 5)
     i, j = 3, 1
-    v, grad, hess = evaluate(s, (g.xs[i], g.ys[j]), order=2)
+    (v,), (grad,), (hess,) = evaluate_batch(s, [(g.xs[i], g.ys[j])], order=2)
     assert g.values[i, j] == pytest.approx(v, abs=1e-12)
     assert g.d1[i, j] == pytest.approx(grad[0], abs=1e-12)
     assert g.d2[i, j] == pytest.approx(grad[1], abs=1e-12)
@@ -98,8 +98,8 @@ def test_torus_grid_periodicity():
     from nodalfields.arithmetic import sample_torus_wave
     s = sample_torus_wave(65, seed=9)
     for x in [(0.2, 0.7), (0.0, 0.0), (0.9, 0.1)]:
-        assert evaluate(s, x) == pytest.approx(
-            evaluate(s, (x[0] + 1.0, x[1])), abs=1e-12)
+        here, shifted = evaluate_batch(s, [x, (x[0] + 1.0, x[1])])
+        assert here == pytest.approx(shifted, abs=1e-12)
 
 
 def test_grid_too_coarse_warning():
@@ -113,13 +113,15 @@ def test_grid_too_coarse_warning():
 
 def test_cilleruelo_amplitudes():
     s = cilleruelo_field(seed=5)
-    a1, e1, a2, e2 = cilleruelo_amplitudes(s)
-    # peak value (a1 + a2)/sqrt(2) is attained at the phase origin
-    assert evaluate(s, (-e1, -e2)) == pytest.approx((a1 + a2) / math.sqrt(2))
-    # reconstruction identity
+    a1, a2 = np.hypot(s.coeff_a, s.coeff_b)
+    e1, e2 = np.arctan2(-s.coeff_b, s.coeff_a)
     x = (0.37, -1.2)
+    peak, value = evaluate_batch(s, [(-e1, -e2), x])
+    # peak value (a1 + a2)/sqrt(2) is attained at the phase origin
+    assert peak == pytest.approx((a1 + a2) / math.sqrt(2))
+    # reconstruction identity
     want = (a1 * math.cos(x[0] + e1) + a2 * math.cos(x[1] + e2)) / math.sqrt(2)
-    assert evaluate(s, x) == pytest.approx(want, abs=1e-12)
+    assert value == pytest.approx(want, abs=1e-12)
 
 
 def test_cilleruelo_rayleigh_statistics():
@@ -128,9 +130,8 @@ def test_cilleruelo_rayleigh_statistics():
     a1s = np.empty(M)
     a2s = np.empty(M)
     for i in range(M):
-        a1, _, a2, _ = cilleruelo_amplitudes(cilleruelo_field(99, i))
-        a1s[i] = a1
-        a2s[i] = a2
+        s = cilleruelo_field(99, i)
+        a1s[i], a2s[i] = np.hypot(s.coeff_a, s.coeff_b)
     mean = a1s.mean()
     stderr = a1s.std(ddof=1) / math.sqrt(M)
     assert abs(mean - math.sqrt(math.pi / 2)) < 3 * stderr
@@ -173,7 +174,7 @@ def test_stationarity_and_value_gradient_independence():
     for i in range(M):
         s = sample(u16, seed=55, stream=i)
         for p, arr in rows.items():
-            v, g = evaluate(s, p, order=1)
+            (v,), (g,) = evaluate_batch(s, [p], order=1)
             arr[i] = (v, g[0], g[1])
     for col in range(3):
         a = rows[(0.0, 0.0)][:, col]
@@ -218,9 +219,9 @@ def _assert_same_grid(g, want):
 
 
 def test_grid_tables_follow_domain_spacing_and_freq_scale():
-    from nodalfields.arithmetic import planar_rescale, sample_torus_wave
+    from nodalfields.arithmetic import sample_torus_wave
     torus = sample_torus_wave(65, seed=3)       # freq_scale sqrt(65)
-    planar = planar_rescale(torus)              # same measure, freq_scale 1
+    planar = dataclasses.replace(torus, freq_scale=1.0)  # same measure
     other = sample(torus.measure, seed=4, freq_scale=torus.freq_scale)
     keys = [(torus, TorusDomain(), 1 / 128, 1),
             (planar, SquareDomain(2.0), 1 / 16, 0),

@@ -6,7 +6,6 @@ import pytest
 from scipy import integrate, special
 
 from nodalfields.errors import (
-    NotOnCircle,
     NotPiInvariant,
     NotProbability,
     SupportOutsideDisc,
@@ -17,9 +16,7 @@ from nodalfields.measures import (
     COORD_TOL,
     SpectralMeasure,
     antipodal_pairs,
-    convolve,
     covariance,
-    fourier_coefficient,
     gradient_covariance,
     load_measure,
     make_atomic,
@@ -28,8 +25,8 @@ from nodalfields.measures import (
     moment,
     preset,
     save_measure,
-    weak_star_distance,
 )
+from oracles import circle_convolution
 
 NU0 = preset("cilleruelo", kappa="one")
 
@@ -165,45 +162,6 @@ def test_moments():
         moment(NU0, 3, 2)
 
 
-def test_fourier_coefficients():
-    assert fourier_coefficient(NU0, 4) == pytest.approx(1.0, abs=1e-12)
-    assert fourier_coefficient(preset("uniform_circle", K=64), 4) == pytest.approx(0.0, abs=1e-12)
-    assert fourier_coefficient(preset("tilted_cilleruelo"), 4) == pytest.approx(-1.0, abs=1e-12)
-    with pytest.raises(NotOnCircle):
-        fourier_coefficient(preset("delta_zero"), 4)
-
-
-def test_convolution_identities():
-    nu0 = preset("cilleruelo")
-    tilted = preset("tilted_cilleruelo")
-    u64 = preset("uniform_circle", K=64)
-    assert weak_star_distance(convolve(nu0, nu0), nu0) < 1e-12
-    assert weak_star_distance(convolve(nu0, tilted), tilted) < 1e-12
-    assert weak_star_distance(convolve(nu0, u64), u64) < 1e-12
-    assert convolve(nu0, u64).n_atoms == 64
-
-
-def test_convolution_commutative_associative():
-    a = preset("cilleruelo")
-    b = preset("tilted_cilleruelo")
-    c = preset("uniform_circle", K=8)
-    assert weak_star_distance(convolve(a, b), convolve(b, a)) < 1e-12
-    assert weak_star_distance(convolve(convolve(a, b), c),
-                              convolve(a, convolve(b, c))) < 1e-12
-    assert convolve(a, b).has_torus_symmetries()
-
-
-def test_weak_star_distance():
-    assert weak_star_distance(NU0, NU0) == 0.0
-    assert weak_star_distance(preset("cilleruelo"), preset("tilted_cilleruelo")) > 0.1
-    # refinement convergence of the arc discretization
-    dists = [weak_star_distance(preset("arc_nu_a", a=0.3, K=K),
-                                preset("arc_nu_a", a=0.3, K=2 * K))
-             for K in (8, 16, 32, 64)]
-    assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
-    assert dists[-1] < 1e-2
-
-
 def test_torus_symmetries():
     assert NU0.has_torus_symmetries()
     assert preset("tilted_cilleruelo").has_torus_symmetries()
@@ -321,8 +279,9 @@ def _preset_zoo():
     rhos += [NU0, preset("cilleruelo", kappa="one")]
     a, b = preset("cilleruelo"), preset("tilted_cilleruelo")
     c, u64 = preset("uniform_circle", K=8), preset("uniform_circle", K=64)
-    rhos += [convolve(a, a), convolve(a, b), convolve(b, a), convolve(a, u64),
-             convolve(convolve(a, b), c), convolve(a, convolve(b, c))]
+    conv = circle_convolution
+    rhos += [conv(a, a), conv(a, b), conv(b, a), conv(a, u64),
+             conv(conv(a, b), c), conv(a, conv(b, c))]
     return rhos
 
 
@@ -416,7 +375,8 @@ def merge_checked(monkeypatch):
 def test_merge_equals_former_loop_on_presets_and_lattice_measures(merge_checked):
     from nodalfields.arithmetic import mu_n, r2
     zoo = _preset_zoo()
-    lattice = [mu_n(n) for n in range(1, 3001) if r2(n)]
+    # mu_n caches its measures; its undecorated builder merges afresh
+    lattice = [mu_n.__wrapped__(n) for n in range(1, 3001) if r2(n)]
     assert len(lattice) == 899
     assert len(merge_checked) > len(zoo) + len(lattice)
     # the convolutions merge coincident atom sums

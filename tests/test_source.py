@@ -67,8 +67,8 @@ def _loads(tree):
         + [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)])
 
 
-def _private_definitions(tree):
-    """(name, node) for each module-level def, class or assignment of _name."""
+def _definitions(tree):
+    """(name, node) for each module-level def, class or assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -80,8 +80,13 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level def, class or assignment of _name."""
+    return [(name, node) for name, node in _definitions(tree)
+            if name.startswith("_") and not name.startswith("__")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
@@ -93,6 +98,34 @@ def test_private_names_are_used(path):
                   for name, node in _private_definitions(tree)
                   if refs[name] - _loads(node)[name] <= 0)
     assert not dead, f"{path.name} defines private names nothing reads: {dead}"
+
+
+def _acceptance_imports():
+    """(module, name) for each package name tests/test_acceptance.py imports."""
+    path = PACKAGE.parents[1] / "tests" / "test_acceptance.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {(node.module.split(".")[-1], alias.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("nodalfields.")
+            for alias in node.names}
+
+
+def test_every_name_has_a_reader():
+    # a top-level name ships only if the package reads it, an acceptance
+    # criterion imports it, or it is an entry point; the __init__ re-exports
+    # do not count as readers
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in SOURCES}
+    refs = sum((_loads(tree) for stem, tree in trees.items()
+                if stem != "__init__"), Counter())
+    kept = _acceptance_imports() | {("cli", "main"),
+                                    ("__init__", "__version__")}
+    dead = sorted(f"{stem}.{name} (line {node.lineno})"
+                  for stem, tree in trees.items()
+                  for name, node in _definitions(tree)
+                  if refs[name] - _loads(node)[name] <= 0
+                  and (stem, name) not in kept)
+    assert not dead, f"names nothing in the package reads: {dead}"
 
 
 def _readers(name):

@@ -8,7 +8,7 @@ from nodalfields.errors import DomainMismatch
 from nodalfields.fields import (
     SquareDomain,
     default_spacing,
-    evaluate,
+    evaluate_batch,
     evaluate_grid,
     inject_sample,
     sample,
@@ -300,11 +300,11 @@ def test_section7_fields_formulas_and_counts():
     rng = np.random.default_rng(0)
     for _ in range(10):
         x, y = rng.uniform(-8, 8, 2)
-        assert evaluate(f, (x, y)) == pytest.approx(
+        assert evaluate_batch(f, [(x, y)])[0] == pytest.approx(
             math.sin(x) + 0.8 * math.sin(3 * x) + math.sin(y), abs=1e-12)
-        assert evaluate(g, (x, y)) == pytest.approx(
+        assert evaluate_batch(g, [(x, y)])[0] == pytest.approx(
             math.sin(x) + 0.8 * math.sin(3 * x) + 0.1 * math.sin(y), abs=1e-12)
-        assert evaluate(gm, (x, y)) == pytest.approx(
+        assert evaluate_batch(gm, [(x, y)])[0] == pytest.approx(
             2 * math.cos(x) + math.cos(y), abs=1e-12)
     dom = SquareDomain(20.0)
     assert count_components_plane(evaluate_grid(f, dom, 0.05)).interior_components > 20
@@ -330,14 +330,16 @@ def test_section7_perturbation_structure():
                 + eps[0] * math.sin(x) + eps[1] * math.cos(x)
                 + eps[2] * math.sin(3 * x) + eps[3] * math.cos(3 * x)
                 + eps[4] * math.sin(y) + eps[5] * math.cos(y))
-        assert evaluate(fp, (x, y)) == pytest.approx(want, abs=1e-12)
+        (got,) = evaluate_batch(fp, [(x, y)])
+        assert got == pytest.approx(want, abs=1e-12)
     gp = section7_field("monochromatic_g", perturbation=(0.01, -0.01, 0.02, 0.005))
     for _ in range(6):
         x, y = rng.uniform(-5, 5, 2)
         want = (2 * math.cos(x) + math.cos(y) + 0.01 * math.sin(x)
                 - 0.01 * math.sin(y) + 0.02 * math.cos((x + y) / math.sqrt(2))
                 + 0.005 * math.sin((x + y) / math.sqrt(2)))
-        assert evaluate(gp, (x, y)) == pytest.approx(want, abs=1e-12)
+        (got,) = evaluate_batch(gp, [(x, y)])
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_section7_measures():
