@@ -11,7 +11,10 @@ positive set as the runs of positive nodes along each grid row: a forest
 over the runs, merged across their other contacts, gives the positive
 domains, and the negative interior domains are the holes of the positive
 set, counted from its Euler number, a sum over the runs and their contacts
-with the row above.  On the torus, zero-set components are counted
+with the row above.  One flatnonzero of the row-change mask finds the runs;
+rank queries on that mask, packed into 64-bit words, find their contacts
+with the row above and, from the rank of each row's start, the runs on the
+border.  On the torus, zero-set components are counted
 directly from the marching segments: every port there has degree 2, so
 components are cycles.  Run with the positive side on their left, the
 segments of a cycle follow each other one way round it, and every crossed
@@ -150,6 +153,25 @@ def _merged_roots(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
             lab = jumped
 
 
+# _LOW_BITS[b] has bits 0..b-1 set
+_LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
+
+
+def _rank(words: np.ndarray, before: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The number of set bits below each position x >= 0 of a packed mask.
+
+    words holds the mask's bits, bit b of word k being position 64 k + b;
+    before[k] is the set bits of the words below k (G. Jacobson, Space-
+    efficient static trees and graphs, FOCS 1989, 549-554).
+    """
+    k = x >> 6
+    bits = words[k]
+    bits &= _LOW_BITS[x & 63]
+    rank = before[k]
+    rank += np.bitwise_count(bits)
+    return rank
+
+
 def count_components_plane(g: ScalarGrid) -> NodalCensus:
     """Census of a square-domain grid from the positive runs of its rows.
 
@@ -168,36 +190,55 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     positive domains are the components with no run in the first or last
     row or at either end of a row; every interior negative domain is a hole
     of P, and holes = components - chi(P).
+
+    The runs' starts and ends are the set bits of the row-change mask,
+    alternating, found by one flatnonzero.  Packed into 64-bit words, the
+    mask answers rank queries, the number of its set bits below a flat
+    position, without a search (``_rank``).  Halved, the ranks of a run's
+    start and end moved up one row bound the runs above that it touches,
+    and the ranks of the row starts give each row's first and last run,
+    which the border test reads.
     """
     values = _census_values(g, periodic=False)
     nx, ny = values.shape
     w = ny + 1
     # with a False column on each side, the sign changes along the rows are
     # the runs' starts and (exclusive) ends, alternating, as flat indices of
-    # an (nx, w) grid
+    # an (nx + 1, w) grid whose row 0 is empty, so a run's row above never
+    # lies below index 0; zero bits pad the mask to whole words past its
+    # end, so a rank at any position 0..(nx + 1) w reads a word
     padded = np.empty((nx, ny + 2), dtype=bool)
     padded[:, 0] = padded[:, -1] = False
     sign_grid(values, out=padded[:, 1:-1])
-    bounds = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    size = (nx + 1) * w
+    change = np.zeros((size // 64 + 1) * 64, dtype=bool)
+    np.not_equal(padded[:, 1:], padded[:, :-1],
+                 out=change[w:size].reshape(nx, w))
+    bounds = np.flatnonzero(change)
     start, end = bounds[0::2], bounds[1::2]
     n = len(start)
     if n == 0:
         return NodalCensus(interior_components=0)
+    words = np.packbits(change, bitorder="little").view("<u8")
+    counts = np.bitwise_count(words)
+    before = np.cumsum(counts, dtype=np.intp) - counts
 
     # runs lo..hi-1 of the row above touch run q: moved down one row, they
-    # end at or after its start and start at or before its end.  Of them,
-    # only the first and the last can meet q at a single corner.
-    down_start, down_end = start + w, end + w
-    lo = np.searchsorted(down_end, start)
-    hi = np.searchsorted(down_start, end, side="right")
+    # end at or after its start and start at or before its end.  With
+    # rank(x) boundaries below flat index x, the first rank(x) // 2 runs end
+    # below x and the first (rank(x) + 1) // 2 start below it.  Of the runs
+    # lo..hi-1, only the first and the last can meet q at a single corner.
+    lo = _rank(words, before, start - w) >> 1
+    hi = (_rank(words, before, end - (w - 1)) + 1) >> 1
     touch = lo < hi
-    left = np.flatnonzero(touch & (down_end[np.minimum(lo, n - 1)] == start))
-    right = np.flatnonzero(touch & (down_start[hi - 1] == end))
+    left = np.flatnonzero(touch & (end[np.minimum(lo, n - 1)] + w == start))
+    right = np.flatnonzero(touch & (start[hi - 1] + w == end))
 
     # each corner contact is one saddle cell, its top-left node in the row
     # above at column start - 1 (left) or end - 1 (right); a left contact
-    # meets on the main diagonal, a right one on the other
-    cells = np.concatenate([start[left], end[right]]) - (w + 1)
+    # meets on the main diagonal, a right one on the other.  Less the empty
+    # row, cells index the (nx, w) grid of the value rows.
+    cells = np.concatenate([start[left], end[right]]) - (2 * w + 1)
     i, j = np.divmod(cells, w)
     on_main = np.arange(len(cells)) < len(left)
     joined = _joins_main_diagonal(values, i, j) == on_main
@@ -230,10 +271,14 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     root = rep[parent]
     components = int(np.count_nonzero(root == np.arange(n)))
 
-    col = start % w
-    border = (col == 0) | (end - start + col == ny)
-    border[:np.searchsorted(start, w)] = True
-    border[np.searchsorted(start, (nx - 1) * w):] = True
+    # row r holds runs row[r]..row[r + 1] - 1: the first and last rows'
+    # runs lie on the border, and so does a row's first (last) run where
+    # the row's first (last) node is positive
+    row = _rank(words, before, np.arange(1, nx + 2) * w) >> 1
+    border = np.zeros(n, dtype=bool)
+    border[:row[1]] = border[row[-2]:] = True
+    border[row[:-1][padded[:, 1]]] = True
+    border[row[1:][padded[:, -2]] - 1] = True
     euler = n - int(overlaps.sum()) - len(diag_below)
     return NodalCensus(interior_components=2 * components - euler
                        - len(np.unique(root[border])))

@@ -191,6 +191,15 @@ def test_torus_census_sorts_only_marching_groups():
     assert ast.unparse(call.args[0]) == "group"
 
 
+def test_plane_census_searches_nothing():
+    # the runs a run touches in the row above, and each row's first and last
+    # run, are ranks on the packed row-change mask, not binary searches
+    reached, searches = _topology_calls("count_components_plane",
+                                        {"searchsorted"})
+    assert searches == []
+    assert {"_rank", "_joins_main_diagonal", "_merged_roots"} <= reached
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_no_warning_is_silenced(path):
     # a warning the package raises reaches the caller; recording one with

@@ -194,6 +194,96 @@ def test_census_matches_ndimage_oracle(monkeypatch):
             == ndimage_plane_census(sub).interior_components
 
 
+# The plane census keeps the row changes of its sign grid as a bit mask:
+# one empty row, then a row of ny + 1 bits per grid row, the change at
+# column c of row r (a run's start, or its end one past its last node)
+# being bit (r + 1)(ny + 1) + c.  The mask is read in 64-bit words, so the
+# grids below put run boundaries, row starts and the mask's end at and
+# next to word boundaries.
+
+def _mask_bits(values):
+    """The flat positions of the run starts and ends in the census mask."""
+    pos = np.pad(sign_grid(values), ((1, 0), (1, 1)))
+    bits = np.flatnonzero(pos[:, 1:] != pos[:, :-1])
+    return bits[0::2], bits[1::2]
+
+
+def _low_pass(rng, nx, ny, passes):
+    """Smooth random values: Gaussian noise averaged over 4-neighbours."""
+    values = rng.standard_normal((nx, ny))
+    for _ in range(passes):
+        values = 0.25 * (np.roll(values, 1, 0) + np.roll(values, -1, 0)
+                         + np.roll(values, 1, 1) + np.roll(values, -1, 1))
+    return values
+
+
+def _word_boundary_rows(rng, nx, ny):
+    """Values whose rows cycle through all positive, all negative, runs
+    that start and end only at bits 0 and 63 of a word, and those runs with
+    a few more boundaries between; magnitudes are random, so saddle cells
+    join either diagonal."""
+    w = ny + 1
+    sign = np.ones((nx, ny))
+    for r in range(nx):
+        kind = r % 4
+        if kind < 2:
+            sign[r] = 1.0 if kind == 0 else -1.0
+            continue
+        cuts = [c for c in range(w) if ((r + 1) * w + c) & 63 in (0, 63)]
+        if kind == 3:
+            cuts += rng.integers(0, w, size=3).tolist()
+        crossed = np.zeros(ny + 1, dtype=int)
+        np.add.at(crossed, cuts, 1)
+        sign[r] = np.where(np.cumsum(crossed)[:ny] % 2 == 1, 1.0, -1.0)
+    return sign * rng.uniform(0.5, 1.5, (nx, ny))
+
+
+def _word_boundary_shapes(widths, rows):
+    """(nx, ny) with mask rows of w bits and (nx + 1) w a multiple of 64
+    less one, that multiple and one more; an even w puts every size at a
+    multiple, so it takes rows, rows + 1 and rows + 2 grid rows."""
+    for w in widths:
+        if w % 2 == 0:
+            nxs = [rows, rows + 1, rows + 2]
+        else:
+            nxs = [next(nx for nx in range(rows, rows + 64)
+                        if ((nx + 1) * w - t) % 64 == 0) for t in (-1, 0, 1)]
+        yield from ((nx, w - 1) for nx in nxs)
+
+
+def test_census_at_word_boundaries():
+    rng = np.random.default_rng(2024)
+    widths = (63, 64, 65, 127, 128, 129)
+    word_bits = set()
+    for nx, ny in _word_boundary_shapes(widths, rows=60):
+        assert (nx + 1) * (ny + 1) % 64 in (63, 0, 1)
+        smooth = _low_pass(rng, nx, ny, passes=2)
+        parity = (-1.0) ** np.add.outer(np.arange(nx), np.arange(ny))
+        flip = np.where(rng.random((nx, ny)) < 0.15, -1.0, 1.0)
+        checker = (parity * flip * rng.uniform(0.5, 1.5, (nx, ny))
+                   + rng.uniform(-0.5, 0.5))
+        aligned = _word_boundary_rows(rng, nx, ny)
+        for values in (smooth, np.round(4 * smooth), checker, aligned):
+            g = _lattice_grid(values, periodic=False)
+            census = _assert_census_matches_oracles(g)
+            assert census.interior_components \
+                == ndimage_plane_census(g).interior_components
+        start, end = _mask_bits(aligned)
+        word_bits |= {("start", b & 63) for b in start.tolist()}
+        word_bits |= {("end", b & 63) for b in end.tolist()}
+    assert {(kind, b) for kind in ("start", "end") for b in (0, 63)} \
+        <= word_bits
+
+    # larger grids: more words and rows than the flood fill can take
+    for nx, ny in _word_boundary_shapes(widths[3:], rows=190):
+        smooth = _low_pass(rng, nx, ny, passes=3)
+        for values in (smooth, np.round(4 * smooth),
+                       _word_boundary_rows(rng, nx, ny)):
+            g = _lattice_grid(values, periodic=False)
+            assert count_components_plane(g).interior_components \
+                == ndimage_plane_census(g).interior_components
+
+
 def test_census_counts_closed_portrait_chains():
     from nodalfields.portraits import zero_polylines
     u64 = preset("uniform_circle", K=64)
