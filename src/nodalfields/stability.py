@@ -194,11 +194,19 @@ class SandwichReport:
 
 
 def _subcensus(grid: ScalarGrid, R_inner: float) -> int:
-    """Interior count on the centered subsquare of an already evaluated grid."""
+    """Interior count on the centered subsquare of an already evaluated grid.
+
+    Raises DomainMismatch where the subsquare is not grid-aligned or does not
+    fit in the grid.
+    """
     R_outer = grid.domain.R
     k = int(round((R_outer - R_inner) / grid.h))
     if abs(k * grid.h - (R_outer - R_inner)) > 1e-9:
         raise DomainMismatch("subsquare is not grid-aligned")
+    if k < 0:
+        # slice(k, n - k) would take the grid's last |k| rows and columns
+        raise DomainMismatch(f"subsquare R={R_inner:g} does not fit in the "
+                             f"grid's square R={R_outer:g}")
     sl = slice(k, grid.values.shape[0] - k)
     sub = ScalarGrid(domain=SquareDomain(R_inner), h=grid.h,
                      xs=grid.xs[sl], ys=grid.ys[sl],

@@ -11,10 +11,17 @@ positive set as the runs of positive nodes along each grid row: a forest
 over the runs, merged across their other contacts, gives the positive
 domains, and the negative interior domains are the holes of the positive
 set, counted from its Euler number, a sum over the runs and their contacts
-with the row above.  One flatnonzero of the row-change mask finds the runs;
-rank queries on that mask, packed into 64-bit words, find their contacts
-with the row above and, from the rank of each row's start, the runs on the
-border.  On the torus, zero-set components are counted
+with the row above.  The runs' starts and ends are the set bits of the
+row-change mask, found from its nonzero 16-bit pairs (``_run_boundaries``):
+numpy's boolean nonzero switches to a loop more than twice as fast above
+10% density, and the mask sits just below it (9.4-9.8% at 16 points per
+wavelength), its pairs at about twice that.  Rank queries on the mask,
+packed into 64-bit words, find the runs' contacts with the row above and,
+from the rank of each row's start, the runs on the border.  Both censuses
+check finiteness from the grid's row sums, one matrix-vector product: a
+sum is finite only if its terms are, and only where a sum is not, as when
+finite terms overflow, does the exact check read every value
+(``_census_values``).  On the torus, zero-set components are counted
 directly from the marching segments: every port there has degree 2, so
 components are cycles.  Run with the positive side on their left, the
 segments of a cycle follow each other one way round it, and every crossed
@@ -90,17 +97,21 @@ class NodalCensus:
         return self.interior_components + self.wrapping_components
 
 
-def sign_grid(values: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Boolean positivity grid under the tie rule (|f| < TIE_TOL counts +).
-
-    out, a boolean array shaped like values, receives it if given.
-    """
-    return np.greater(values, -TIE_TOL, out=out)
+def sign_grid(values: np.ndarray) -> np.ndarray:
+    """Boolean positivity grid under the tie rule (|f| < TIE_TOL counts +)."""
+    return np.greater(values, -TIE_TOL)
 
 
 def _census_values(g: ScalarGrid, periodic: bool) -> np.ndarray:
-    """The values of a torus (periodic) or square grid, or a loud failure."""
+    """The values of a torus (periodic) or square grid, or a loud failure.
+
+    EmptyGrid where values are absent or not all finite.  Finiteness comes
+    from the row sums values @ ones, one pass that BLAS makes over strided
+    views too, such as ``stability._subcensus``'s sub-squares: a sum of
+    finite terms can be non-finite only by overflow, so only where a sum is
+    not finite does np.isfinite read every value, and the grids rejected
+    are exactly those with a NaN or an infinity.
+    """
     if g.values is None or g.values.size == 0:
         raise EmptyGrid("no values")
     if g.periodic != periodic:
@@ -108,9 +119,12 @@ def _census_values(g: ScalarGrid, periodic: bool) -> np.ndarray:
                          if periodic else
                          "the plane census needs a square grid; "
                          "count torus grids with count_components_torus")
-    if not np.all(np.isfinite(g.values)):
+    values = g.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = values @ np.ones(values.shape[1])
+    if not (np.all(np.isfinite(sums)) or np.all(np.isfinite(values))):
         raise EmptyGrid("grid contains non-finite values")
-    return g.values
+    return values
 
 
 def _joins_main_diagonal(values: np.ndarray, i: np.ndarray,
@@ -172,6 +186,28 @@ def _rank(words: np.ndarray, before: np.ndarray, x: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _run_boundaries(change: np.ndarray) -> np.ndarray:
+    """np.flatnonzero(change) for a boolean mask of even length.
+
+    numpy finds the set entries of a 1-D boolean array with a memchr loop
+    up to 10% density and a branchless loop above it; the memchr loop is
+    more than twice as slow just below the switch, where the row-change
+    mask sits at 16 points per wavelength (9.4-9.8%).  Read as
+    little-endian 16-bit pairs, the mask is about twice as dense, so its
+    nonzero pairs come from the branchless loop.  A pair p equal to 1 sets
+    position 2 p, 256 sets 2 p + 1 and 257, a one-node run or gap, both.
+    """
+    pairs = change.view("<u2")
+    bounds = np.flatnonzero(pairs != 0)
+    v = pairs[bounds]
+    bounds <<= 1
+    bounds += v == 256
+    both = np.flatnonzero(v == 257)
+    if len(both):
+        bounds = np.insert(bounds, both + 1, bounds[both] + 1)
+    return bounds
+
+
 def count_components_plane(g: ScalarGrid) -> NodalCensus:
     """Census of a square-domain grid from the positive runs of its rows.
 
@@ -192,29 +228,32 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     of P, and holes = components - chi(P).
 
     The runs' starts and ends are the set bits of the row-change mask,
-    alternating, found by one flatnonzero.  Packed into 64-bit words, the
-    mask answers rank queries, the number of its set bits below a flat
-    position, without a search (``_rank``).  Halved, the ranks of a run's
-    start and end moved up one row bound the runs above that it touches,
-    and the ranks of the row starts give each row's first and last run,
-    which the border test reads.
+    alternating, built from a contiguous sign grid and enumerated from its
+    nonzero 16-bit pairs (``_run_boundaries``), since a flatnonzero of the
+    mask itself takes numpy's slow path below 10% density.  Packed into
+    64-bit words, the mask answers rank queries, the number of its set bits
+    below a flat position, without a search (``_rank``).  Halved, the ranks
+    of a run's start and end moved up one row bound the runs above that it
+    touches, and the ranks of the row starts give each row's first and last
+    run, which the border test reads.
     """
     values = _census_values(g, periodic=False)
     nx, ny = values.shape
     w = ny + 1
-    # with a False column on each side, the sign changes along the rows are
-    # the runs' starts and (exclusive) ends, alternating, as flat indices of
-    # an (nx + 1, w) grid whose row 0 is empty, so a run's row above never
-    # lies below index 0; zero bits pad the mask to whole words past its
-    # end, so a rank at any position 0..(nx + 1) w reads a word
-    padded = np.empty((nx, ny + 2), dtype=bool)
-    padded[:, 0] = padded[:, -1] = False
-    sign_grid(values, out=padded[:, 1:-1])
+    # with a False column on each side, the sign changes along the rows (the
+    # first and last columns' signs at either end) are the runs' starts and
+    # (exclusive) ends, alternating, as flat indices of an (nx + 1, w) grid
+    # whose row 0 is empty, so a run's row above never lies below index 0;
+    # zero bits pad the mask to whole words past its end, so a rank at any
+    # position 0..(nx + 1) w reads a word
+    pos = sign_grid(values)
     size = (nx + 1) * w
     change = np.zeros((size // 64 + 1) * 64, dtype=bool)
-    np.not_equal(padded[:, 1:], padded[:, :-1],
-                 out=change[w:size].reshape(nx, w))
-    bounds = np.flatnonzero(change)
+    rows = change[w:size].reshape(nx, w)
+    rows[:, 0] = pos[:, 0]
+    np.not_equal(pos[:, 1:], pos[:, :-1], out=rows[:, 1:ny])
+    rows[:, ny] = pos[:, -1]
+    bounds = _run_boundaries(change)
     start, end = bounds[0::2], bounds[1::2]
     n = len(start)
     if n == 0:
@@ -277,8 +316,8 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     row = _rank(words, before, np.arange(1, nx + 2) * w) >> 1
     border = np.zeros(n, dtype=bool)
     border[:row[1]] = border[row[-2]:] = True
-    border[row[:-1][padded[:, 1]]] = True
-    border[row[1:][padded[:, -2]] - 1] = True
+    border[row[:-1][pos[:, 0]]] = True
+    border[row[1:][pos[:, -1]] - 1] = True
     euler = n - int(overlaps.sum()) - len(diag_below)
     return NodalCensus(interior_components=2 * components - euler
                        - len(np.unique(root[border])))
@@ -325,7 +364,8 @@ def marching_segments(g: ScalarGrid, label: np.ndarray | None = None):
     code = (hx[:, :-1].view(np.uint8) | vy[1:, :].view(np.uint8) << 1
             | hx[:, 1:].view(np.uint8) << 2 | vy[:-1, :].view(np.uint8) << 3)
     if label is None:
-        cells = np.flatnonzero(code)
+        # numpy's nonzero loop over a boolean array is the fast one
+        cells = np.flatnonzero(code != 0)
     else:
         # the labels of the X- and Y-edges on the hx and vy lattices, kept
         # on crossed edges only

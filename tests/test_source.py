@@ -193,11 +193,13 @@ def test_torus_census_sorts_only_marching_groups():
 
 def test_plane_census_searches_nothing():
     # the runs a run touches in the row above, and each row's first and last
-    # run, are ranks on the packed row-change mask, not binary searches
+    # run, are ranks on the packed row-change mask, not binary searches; the
+    # runs themselves come from the mask's 16-bit pairs
     reached, searches = _topology_calls("count_components_plane",
                                         {"searchsorted"})
     assert searches == []
-    assert {"_rank", "_joins_main_diagonal", "_merged_roots"} <= reached
+    assert {"_run_boundaries", "_rank", "_joins_main_diagonal",
+            "_merged_roots"} <= reached
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])

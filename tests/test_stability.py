@@ -101,6 +101,23 @@ def test_c1_distance_domain_mismatch():
         c1_distance(g1, g2)
 
 
+def test_subcensus_needs_an_aligned_subsquare_that_fits():
+    s = sample(preset("uniform_circle", K=64), seed=3)
+    g = evaluate_grid(s, SquareDomain(9.0), 1 / 16)
+    assert g.values.shape == (289, 289)
+    assert stability._subcensus(g, 9.0) \
+        == count_components_plane(g).interior_components
+    inner = evaluate_grid(s, SquareDomain(8.0), 1 / 16)
+    assert stability._subcensus(g, 8.0) \
+        == count_components_plane(inner).interior_components > 0
+    # larger than the grid: the slice would wrap to its last rows and columns
+    for R in (9.0 + 1 / 16, 10.0, 20.0):
+        with pytest.raises(DomainMismatch, match="does not fit"):
+            stability._subcensus(g, R)
+    with pytest.raises(DomainMismatch, match="grid-aligned"):
+        stability._subcensus(g, 8.0 + 1 / 32)
+
+
 def test_coupled_sample_identical_measures():
     u = preset("uniform_circle", K=32)
     f0, f1 = coupled_sample(u, u, seed=7)

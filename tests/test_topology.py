@@ -1,12 +1,13 @@
 import hashlib
 import math
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nodalfields import stability, topology
-from nodalfields.arithmetic import mu_n
+from nodalfields.arithmetic import mu_n, sample_torus_wave, torus_spacing
 from nodalfields.errors import EmptyGrid, GridTooCoarse
 from nodalfields.fields import (
     ScalarGrid,
@@ -201,10 +202,18 @@ def test_census_matches_ndimage_oracle(monkeypatch):
 # grids below put run boundaries, row starts and the mask's end at and
 # next to word boundaries.
 
+def _census_mask(values):
+    """The census mask of a value grid, zero bits padding it past its end
+    to whole words, as the census pads it."""
+    pos = np.pad(sign_grid(values), ((1, 0), (1, 1)))
+    change = (pos[:, 1:] != pos[:, :-1]).ravel()
+    return np.concatenate([change, np.zeros(64 - len(change) % 64,
+                                            dtype=bool)])
+
+
 def _mask_bits(values):
     """The flat positions of the run starts and ends in the census mask."""
-    pos = np.pad(sign_grid(values), ((1, 0), (1, 1)))
-    bits = np.flatnonzero(pos[:, 1:] != pos[:, :-1])
+    bits = np.flatnonzero(_census_mask(values))
     return bits[0::2], bits[1::2]
 
 
@@ -282,6 +291,95 @@ def test_census_at_word_boundaries():
             g = _lattice_grid(values, periodic=False)
             assert count_components_plane(g).interior_components \
                 == ndimage_plane_census(g).interior_components
+
+
+def _one_node_pairs(mask):
+    """The number of 16-bit pairs of a mask with both bits set."""
+    return int(np.count_nonzero(mask.view("<u2") == 257))
+
+
+def test_run_boundaries_are_the_set_bits():
+    # hand-built masks: one-node runs and gaps at even and odd positions,
+    # alone and several in a row; boundaries at the first and last bit and
+    # next to word edges; no boundary at all
+    hand = [[], [2, 3], [5, 6], [2, 3, 4, 5, 6, 7], [9, 10, 11, 12, 13, 14],
+            [0, 1, 254, 255], [0, 255], [1, 254], [62, 63, 64, 65],
+            [63, 64], [64, 127], [127, 128, 129], [1, 63, 64, 126, 191, 192]]
+    masks = []
+    for bits in hand:
+        mask = np.zeros(256, dtype=bool)
+        mask[bits] = True
+        masks.append(mask)
+    # census masks of grids whose rows are runs and gaps of one node,
+    # positive or negative in the first and last column, with mask rows of
+    # 64 bits (each row starts a word) and 65 bits
+    for ny in (63, 64):
+        cols = np.arange(ny)
+        rows = [(-1.0) ** cols, -(-1.0) ** cols, np.ones(ny), -np.ones(ny),
+                np.where(cols % 3 == 0, 1.0, -1.0),
+                np.where((cols == 0) | (cols == ny - 1), 1.0, -1.0),
+                np.where((cols == 0) | (cols == ny - 1), -1.0, 1.0)]
+        masks.append(_census_mask(np.array(rows)))
+    assert _one_node_pairs(masks[3]) == 3 and _one_node_pairs(masks[-1]) > 60
+    for mask in masks:
+        assert np.array_equal(topology._run_boundaries(mask),
+                              np.flatnonzero(mask))
+
+    # sampled fields at every planar scale the estimators count
+    for rho in (preset("uniform_circle", K=64), mu_n(1105)):
+        for R in (10.0, 20.0, 40.0):
+            mask = _census_mask(evaluate_grid(sample(rho, seed=int(R)),
+                                              SquareDomain(R)).values)
+            assert _one_node_pairs(mask) > 0
+            assert np.array_equal(topology._run_boundaries(mask),
+                                  np.flatnonzero(mask))
+
+
+def test_census_rejects_exactly_the_non_finite_grids():
+    sq = grid_from_callable(lambda X, Y: X ** 2 + Y ** 2 - 0.25,
+                            SquareDomain(1.0), 0.1)
+    t = grid_from_callable(lambda X, Y: np.sin(2 * np.pi * X),
+                           TorusDomain(), 1 / 64)
+    for g, census in ((sq, count_components_plane),
+                      (t, count_components_torus)):
+        # +inf and -inf in one row make its sum NaN
+        for bad in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]):
+            values = g.values.copy()
+            values[3, 5:5 + len(bad)] = bad
+            with pytest.raises(EmptyGrid):
+                census(replace(g, values=values))
+        # finite values whose row sums overflow are counted
+        huge = np.where(sign_grid(g.values), 1e308, -1e308)
+        with np.errstate(over="ignore"):
+            assert np.isinf(huge.sum(axis=1)).any()
+        assert census(replace(g, values=huge)) \
+            == census(replace(g, values=np.sign(huge))) == census(g)
+    assert count_components_plane(sq).interior_components == 1
+    assert count_components_torus(t).wrapping_components == 2
+
+
+def test_census_of_strided_views_equals_contiguous_copy():
+    g = evaluate_grid(sample(preset("uniform_circle", K=64), seed=8),
+                      SquareDomain(10.0))
+    values = g.values.copy()
+    # outside the sub-square: its census must not read it
+    values[0, 0] = np.nan
+    views = [values[16:-16, 16:-16], g.values[::-1], g.values.T,
+             g.values[::2, ::-3]]
+    for view in views:
+        assert not view.flags.c_contiguous
+        assert count_components_plane(_lattice_grid(view, periodic=False)) \
+            == count_components_plane(_lattice_grid(np.ascontiguousarray(
+                view), periodic=False))
+    with pytest.raises(EmptyGrid):
+        count_components_plane(_lattice_grid(values[:-16, :-16],
+                                             periodic=False))
+    t = evaluate_grid(sample_torus_wave(65, seed=2), TorusDomain(),
+                      torus_spacing(65))
+    for view in (t.values[::-1], t.values.T):
+        assert count_components_torus(_lattice_grid(view, periodic=True)) \
+            == count_components_torus(_lattice_grid(np.ascontiguousarray(
+                view), periodic=True))
 
 
 def test_census_counts_closed_portrait_chains():
