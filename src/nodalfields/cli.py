@@ -7,6 +7,9 @@ CSV), images deterministic SVG / binary PPM.  The default seed is 1.
 Measure specs accept a file path (via --measure) or a preset string:
 cilleruelo | tilted_cilleruelo | uniform:K | arc:a,K | two_point:theta |
 delta_zero | section7_three_pair | section7_monochromatic_six_point | mu_n:n
+A command draws from one field source at most (--measure, --preset, and
+for portrait --torus-n or --section7), and --kappa goes with --preset only:
+anything else exits 2 rather than drop a flag.
 """
 
 from __future__ import annotations
@@ -203,10 +206,15 @@ def cmd_measure(args) -> int:
 
 
 def _add_measure_args(p):
-    p.add_argument("--preset", help="preset spec, e.g. uniform:64")
-    p.add_argument("--measure", help="measure JSON file")
+    """--preset and --measure, one field source at most, and --kappa.
+
+    Returns the group of field sources, so a command may add its own."""
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--preset", help="preset spec, e.g. uniform:64")
+    source.add_argument("--measure", help="measure JSON file")
     p.add_argument("--kappa", choices=["two_pi", "one"],
                    help="override the preset's exponent convention")
+    return source
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("portrait", parents=[run],
                        help="render the zero set as SVG (+ grid dump)")
-    _add_measure_args(p)
-    p.add_argument("--torus-n", type=int, default=None)
-    p.add_argument("--section7", choices=["f", "g", "monochromatic_g"])
+    source = _add_measure_args(p)
+    source.add_argument("--torus-n", type=int, default=None)
+    source.add_argument("--section7", choices=["f", "g", "monochromatic_g"])
     p.add_argument("--R", type=float, default=10.0)
     p.add_argument("--size", type=int, default=800)
     p.add_argument("--ppm", action="store_true")
@@ -299,6 +307,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)
     try:
+        if getattr(args, "kappa", None) and not args.preset:
+            raise NodalError("--kappa overrides a preset's convention; "
+                             "give it with --preset")
         return args.func(args)
     except NodalError as exc:
         print(f"error: {exc}", file=sys.stderr)

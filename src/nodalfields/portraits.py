@@ -2,10 +2,11 @@
 
 Zero curves are chained from marching-squares cell segments with linear
 interpolation on cell edges; saddle cells are resolved by the sign of the
-cell-center mean.  The chains follow the half-edge successors of the
-marching segments (``topology.half_edge_successors``); the torus census
-follows the same segments, oriented with the positive side on their left,
-so torus pictures and torus counts agree on the same grid, and at their
+cell-center mean.  The marching segments run with the positive side on
+their left, and the chains step along them through the tables of the
+segments leaving and entering each port (``topology.edge_table``); the
+torus census steps through the same table of segment starts, so torus
+pictures and torus counts agree on the same grid, and at their
 defaults they draw and count on the same one: both ``portrait --torus-n n``
 and ``torus_count_report`` take ``arithmetic.torus_spacing(n)`` (144^2
 nodes at n = 65, 544^2 at n = 1105).
@@ -18,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarGrid
-from .topology import (edge_ports, half_edge_successors,
-                       marching_segments, sign_grid)
+from .topology import edge_ports, edge_table, marching_segments, sign_grid
 
 
 def zero_polylines(grid: ScalarGrid):
@@ -36,14 +36,22 @@ def zero_polylines(grid: ScalarGrid):
     segA, segB = marching_segments(grid)
     if len(segA) == 0:
         return []
-    step = half_edge_successors(segA, segB)
-    ports = np.column_stack([segA, segB]).ravel()
-    coords = edge_ports(ports, grid)
-    # open chains leave their lower degree-1 port (h leaves one when its
-    # reverse has no successor), cycles their smallest port; both are met in
-    # port order
-    by_port = np.argsort(ports, kind="stable")
-    starts = np.concatenate([by_port[step[by_port ^ 1] < 0], by_port])
+    # half-edge 2k runs segA[k] -> segB[k] and 2k + 1 back; a port is left
+    # by the forward half-edge of the segment starting there and the
+    # backward one of the segment ending there (negative where none does),
+    # and a half-edge goes on along the other segment of the port it reaches
+    n_edges = 2 * grid.values.size
+    leaving = 2 * edge_table(segA, n_edges)
+    entering = 2 * edge_table(segB, n_edges) + 1
+    step = np.column_stack([leaving[segB], entering[segA]]).ravel()
+    coords = edge_ports(np.column_stack([segA, segB]).ravel(), grid)
+    # open chains leave their lower degree-1 port, cycles their smallest
+    # port along its lower-numbered segment, whose half-edge is the lower
+    # one; both are met in port order
+    end = (leaving < 0) != (entering < 0)
+    first = np.where(end, np.maximum(leaving, entering),
+                     np.minimum(leaving, entering))
+    starts = np.concatenate([first[end], first[first >= 0]])
 
     succ = step.tolist()
     used = bytearray(len(segA))

@@ -23,17 +23,19 @@ sum is finite only if its terms are, and only where a sum is not, as when
 finite terms overflow, does the exact check read every value
 (``_census_values``).  On the torus, zero-set components are counted
 directly from the marching segments: every port there has degree 2, so
-components are cycles.  Run with the positive side on their left, the
-segments of a cycle follow each other one way round it, and every crossed
-edge starts exactly one segment, so an edge-indexed table gives each segment
-its successor without a sort; a cycle wraps iff it crosses the x-seam or the
-y-seam an odd number of times.
+components are cycles.  The segments of a cycle follow each other one way
+round it, and every crossed edge starts exactly one segment, so an
+edge-indexed table (``edge_table``) gives each segment its successor
+without a sort; a cycle wraps iff it crosses the x-seam or the y-seam an
+odd number of times.
 
-The marching segments are the one zero-set graph of the package: the plane
-census counts its closed cycles as sign-domains, the torus census follows
-its oriented segments, and the portraits (``portraits.zero_polylines``) walk the
-half-edge successors of ``half_edge_successors``, which pairs the segments
-meeting at each crossing port.
+The marching segments are the one zero-set graph of the package.  Each runs
+from segA to segB with the positive side on its left, so every crossed edge
+starts at most one segment and ends at most one, both exactly one where it
+lies in two cells.  The plane census counts the graph's closed cycles as
+sign-domains; the torus census and the portraits
+(``portraits.zero_polylines``) step along it through the same two edge
+tables, of the segments leaving and of those entering each port.
 
 Values with |f| < TIE_TOL are treated as positive (measure-zero event,
 deterministic tie rule), through ``sign_grid`` only: at grid nodes, and at the
@@ -349,15 +351,26 @@ _FIRST_GROUP[[3, 5, 9, 6, 10, 12, 16, 15]] = [0, 1, 2, 3, 4, 5, 6, 8]
 def marching_segments(g: ScalarGrid, label: np.ndarray | None = None):
     """Zero-curve segments as paired edge ids: returns (segA, segB) arrays.
 
+    Segment k runs from edge segA[k] to edge segB[k] with the positive side
+    on its left.  Seen from inside its cell, a segment leaving side s has on
+    its left the corner that precedes s counter-clockwise: the first node of
+    an S or E side, the second of an N or W side.  The nodes of a crossed
+    edge differ in sign, so a segment runs from the side its group lists
+    first unless that edge's first node is positive exactly when the side
+    is N or W; then its ends swap.  A crossed edge shared by two cells is
+    left by the segment of one and entered by that of the other.
+
     label, a boolean array indexed by edge id (2 nx ny entries), keeps only
     the segments whose two edges differ in label, in the order the call
-    without it gives.  A cell with two crossed sides goes on to emission
-    only if their labels XOR to 1; a saddle cell always goes on, and its
-    two segments are tested once emitted.
+    without it gives; it takes square grids only.  A cell with two crossed
+    sides goes on to emission only if their labels XOR to 1; a saddle cell
+    always goes on, and its two segments are tested once emitted.
     """
     nx, ny = g.values.shape
     pos = sign_grid(g.values)
     if g.periodic:
+        if label is not None:
+            raise ValueError("labeled marching segments need a square grid")
         pos = np.pad(pos, ((0, 1), (0, 1)), mode="wrap")
     hx = pos[:-1, :] != pos[1:, :]
     vy = pos[:, :-1] != pos[:, 1:]
@@ -369,14 +382,8 @@ def marching_segments(g: ScalarGrid, label: np.ndarray | None = None):
     else:
         # the labels of the X- and Y-edges on the hx and vy lattices, kept
         # on crossed edges only
-        lx = label[0::2].reshape(nx, ny)
-        ly = label[1::2].reshape(nx, ny)
-        if g.periodic:
-            lx = np.pad(lx, ((0, 0), (0, 1)), mode="wrap")
-            ly = np.pad(ly, ((0, 1), (0, 0)), mode="wrap")
-        else:
-            lx, ly = lx[:-1, :], ly[:, :-1]
-        lx, ly = lx & hx, ly & vy
+        lx = label[0::2].reshape(nx, ny)[:-1, :] & hx
+        ly = label[1::2].reshape(nx, ny)[:, :-1] & vy
         odd = lx[:, :-1] ^ ly[1:, :] ^ lx[:, 1:] ^ ly[:-1, :]
         cells = np.flatnonzero(odd | (code == 15))
     if len(cells) == 0:
@@ -400,6 +407,10 @@ def marching_segments(g: ScalarGrid, label: np.ndarray | None = None):
     if g.periodic:
         seg[(sides == 2) & (jj[cell] == ny - 1)] -= 2 * ny
         seg[seg >= 2 * nx * ny] -= 2 * nx * ny
+    # swap where the first-listed edge's first node is positive exactly when
+    # that side is N or W, so that the positive side is on the left
+    back = sign_grid(np.take(g.values, seg[0] >> 1)) == (sides[0] >= 2)
+    seg[:, back] = seg[::-1, back]
     segA, segB = seg
     if label is not None:
         keep = label[segA] != label[segB]
@@ -440,50 +451,15 @@ def edge_ports(eids: np.ndarray, g: ScalarGrid):
     return _edge_zeros(eids, g)[0]
 
 
-def half_edge_successors(segA: np.ndarray, segB: np.ndarray) -> np.ndarray:
-    """Successor of each half-edge in the marching-segment graph.
+def edge_table(eids: np.ndarray, n_edges: int) -> np.ndarray:
+    """The index of each edge id in eids, -1 where it is absent.
 
-    Half-edge 2k runs segA[k] -> segB[k] and 2k + 1 runs back, so h ^ 1 is
-    the reverse of h and h >> 1 its segment.  The successor of h leaves the
-    end port of h along the port's other segment; it is -1 where that port
-    has degree 1 (a crossing on the boundary of a square grid).  Every port
-    has degree at most 2: an edge lies in at most two cells, each using it
-    once.
+    eids holds each edge id at most once, as the starts, or the ends, of the
+    marching segments do.
     """
-    ports = np.column_stack([segA, segB]).ravel()
-    order = np.argsort(ports, kind="stable")
-    pair = np.flatnonzero(ports[order[1:]] == ports[order[:-1]])
-    mate = np.full(len(ports), -1, dtype=np.int64)
-    mate[order[pair]] = order[pair + 1]
-    mate[order[pair + 1]] = order[pair]
-    return mate[np.arange(len(ports)) ^ 1]
-
-
-def _oriented_segments(values: np.ndarray, segA: np.ndarray,
-                       segB: np.ndarray):
-    """Torus segments run with the positive side on their left.
-
-    Returns (start, end, dr, dc): segment k runs from edge start[k] to edge
-    end[k], and dr and dc are the node row and column of segA's edge less
-    those of segB's.  Seen from inside a cell, a segment leaving side s has
-    on its left the corner that precedes s counter-clockwise: the first node
-    of an S or E side, the second of an N or W side.  The nodes of a crossed
-    edge differ in sign, so the segment runs from segA iff that edge's first
-    node is positive XOR segA is an N or W side.  segA is an N side iff it
-    is an X-edge and segB's column is one less (mod ny), a W side iff it is
-    a Y-edge and segB's row is not one less (mod nx); with >= 3 nodes per
-    axis no other side of the cell matches.  A crossed edge is then left by
-    the segment of one of its cells and entered by that of the other, so it
-    starts exactly one segment and ends exactly one.
-    """
-    nx, ny = values.shape
-    flatA, flatB = segA >> 1, segB >> 1
-    dr = flatA // ny - flatB // ny
-    dc = flatA - flatB - ny * dr
-    north_west = np.where((segA & 1) == 0, dc % ny == 1, dr % nx != 1)
-    forward = sign_grid(values.ravel()[flatA]) != north_west
-    return (np.where(forward, segA, segB), np.where(forward, segB, segA),
-            dr, dc)
+    table = np.full(n_edges, -1, dtype=np.intp)
+    table[eids] = np.arange(len(eids))
+    return table
 
 
 def count_components_torus(g: ScalarGrid) -> NodalCensus:
@@ -491,15 +467,15 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
 
     Every crossed edge lies in exactly two cells and each cell uses it once,
     so every port has degree 2 and the components are the cycles of the
-    segment graph.  Oriented with the positive side on their left
-    (``_oriented_segments``), the segments of a cycle run one way round it:
-    every crossed edge starts one segment, so a dense table over the edge
-    ids gives each segment its successor, the one starting where it ends.
-    Cycles are labeled by their smallest segment index with pointer
-    doubling over the segments.  A simple closed curve that does not
-    contract has a primitive homology class (p, q), so p or q is odd: a
-    component wraps iff it crosses the x-seam or the y-seam an odd number of
-    times.
+    segment graph.  Run with the positive side on their left, as
+    ``marching_segments`` gives them, the segments of a cycle follow each
+    other one way round it: every crossed edge starts one segment, so the
+    table of segment starts (``edge_table``) gives each segment its
+    successor, the one starting where it ends.  Cycles are labeled by their
+    smallest segment index with pointer doubling over the segments.  A
+    simple closed curve that does not contract has a primitive homology
+    class (p, q), so p or q is odd: a component wraps iff it crosses the
+    x-seam or the y-seam an odd number of times.
     """
     values = _census_values(g, periodic=True)
     nx, ny = values.shape
@@ -511,10 +487,7 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
     if K == 0:
         return NodalCensus(interior_components=0)
 
-    start, end, dr, dc = _oriented_segments(values, segA, segB)
-    successor = np.empty(2 * nx * ny, dtype=np.intp)
-    successor[start] = np.arange(K)
-    step = successor[end]
+    step = edge_table(segA, 2 * nx * ny)[segB]
     label = np.arange(K)
     for _ in range(K.bit_length()):
         label = np.minimum(label, label[step])
@@ -523,8 +496,10 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
 
     # a segment crosses a seam when its ports' node rows (or columns) are
     # not neighbours; with >= 3 nodes per axis they then differ by n - 1
+    flatA, flatB = segA >> 1, segB >> 1
+    dr = flatA // ny - flatB // ny
     cross_x = np.abs(dr) > 1
-    cross_y = np.abs(dc) > 1
+    cross_y = np.abs(flatA - flatB - ny * dr) > 1
     odd = ((np.bincount(label[cross_x], minlength=K) & 1)
            | (np.bincount(label[cross_y], minlength=K) & 1))
     wrap = int(np.count_nonzero(odd[roots]))

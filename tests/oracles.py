@@ -7,8 +7,10 @@ or by Monte Carlo (``covariance_mc``), E|XY| by quadrature
 (``abs_product_mean_quad``), r2(n) from the divisors of n
 (``r2_divisor_oracle``), the plane census from a 4-connected labeling
 of the positive set (``ndimage_plane_census``, fast enough for sampled
-grids at R = 40), the torus census from the half-edge successors of the
-marching segments (``half_edge_torus_census``) and the flips' candidate
+grids at R = 40), the half-edge successors of the marching segments from
+a sort of their ports, blind to orientation (``half_edge_successors``), and
+from them the torus census (``half_edge_torus_census``) and the portrait
+chains (``half_edge_polylines``), and the flips' candidate
 segments from every marching segment and its unique ports
 (``sign_changes_oracle``).  ``circle_convolution`` builds composite circle
 measures for the pair-table tests.  The package does
@@ -36,7 +38,7 @@ from nodalfields.topology import (
     _joins_main_diagonal,
     _port_slopes,
     _slope_weights,
-    half_edge_successors,
+    edge_ports,
     marching_segments,
     sign_grid,
 )
@@ -227,6 +229,26 @@ def ndimage_plane_census(g: ScalarGrid) -> NodalCensus:
         interior_components=int(np.count_nonzero(inner)) + components - euler)
 
 
+def half_edge_successors(segA: np.ndarray, segB: np.ndarray) -> np.ndarray:
+    """Successor of each half-edge in the marching-segment graph.
+
+    Half-edge 2k runs segA[k] -> segB[k] and 2k + 1 runs back, so h ^ 1 is
+    the reverse of h and h >> 1 its segment.  The successor of h leaves the
+    end port of h along the port's other segment; it is -1 where that port
+    has degree 1 (a crossing on the boundary of a square grid).  Every port
+    has degree at most 2: an edge lies in at most two cells, each using it
+    once.  The ports are paired by a sort, so the segments' orientation is
+    not read.
+    """
+    ports = np.column_stack([segA, segB]).ravel()
+    order = np.argsort(ports, kind="stable")
+    pair = np.flatnonzero(ports[order[1:]] == ports[order[:-1]])
+    mate = np.full(len(ports), -1, dtype=np.int64)
+    mate[order[pair]] = order[pair + 1]
+    mate[order[pair + 1]] = order[pair]
+    return mate[np.arange(len(ports)) ^ 1]
+
+
 def half_edge_torus_census(g: ScalarGrid) -> NodalCensus:
     """Zero-set components on the torus, split contractible vs wrapping.
 
@@ -266,6 +288,40 @@ def half_edge_torus_census(g: ScalarGrid) -> NodalCensus:
     wrap = int(np.count_nonzero(odd[roots]))
     return NodalCensus(interior_components=len(roots) - wrap,
                        wrapping_components=wrap)
+
+
+def half_edge_polylines(grid: ScalarGrid):
+    """The chains of ``portraits.zero_polylines``, walked over half-edges.
+
+    Open chains leave their lower degree-1 port (h leaves one when its
+    reverse has no successor), cycles their smallest port along its
+    lower-numbered segment: a stable argsort of the ports meets both in
+    port order.
+    """
+    segA, segB = marching_segments(grid)
+    if len(segA) == 0:
+        return []
+    step = half_edge_successors(segA, segB)
+    ports = np.column_stack([segA, segB]).ravel()
+    coords = edge_ports(ports, grid)
+    by_port = np.argsort(ports, kind="stable")
+    starts = np.concatenate([by_port[step[by_port ^ 1] < 0], by_port])
+    used = np.zeros(len(segA), dtype=bool)
+    chains = []
+    for h0 in starts:
+        if used[h0 >> 1]:
+            continue
+        path = []
+        h = h0
+        while True:
+            used[h >> 1] = True
+            path.append(h)
+            h = step[h]
+            if h < 0 or h == h0:
+                break
+        path.append(path[-1] ^ 1)
+        chains.append((coords[path], bool(h == h0)))
+    return chains
 
 
 def sign_changes_oracle(s, grid, d):

@@ -270,6 +270,24 @@ def test_exit_codes(tmp_path):
     for flags in (["--diagonal", "--axis", "2"], ["--axis", "1", "--diagonal"]):
         assert main(["flips", "--preset", "uniform:64", *flags]) == 2
     portrait = ["portrait", "--preset", "uniform:8", "--out", str(tmp_path / "p")]
+    # one field source at most, and --kappa with a preset only
+    measure = tmp_path / "m.json"
+    assert main(["measure", "--preset", "cilleruelo", "--out",
+                 str(measure)]) == 0
+    draw = ["portrait", "--out", str(tmp_path / "q")]
+    for sources in (["--preset", "uniform:64", "--torus-n", "65"],
+                    ["--section7", "f", "--torus-n", "65"],
+                    ["--preset", "uniform:64", "--section7", "g"],
+                    ["--measure", str(measure), "--section7", "f"],
+                    ["--torus-n", "65", "--kappa", "one"],
+                    ["--section7", "f", "--kappa", "one"]):
+        assert main(draw + sources) == 2
+    for command in ("cns", "dns", "flips"):
+        assert main([command, "--measure", str(measure), "--preset",
+                     "cilleruelo", "--kappa", "one"]) == 2
+        assert main([command, "--measure", str(measure), "--kappa",
+                     "one"]) == 2
+    assert not list(tmp_path.glob("q.*"))
     assert main(portrait + ["--R", "2", "--size", "0"]) == 2  # no pixels
     for R in ("-1", "inf"):
         assert main(portrait + ["--R", R]) == 2             # no square lattice

@@ -12,9 +12,12 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nodalfields"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = Path(__file__).resolve().parent
+ORACLES = TESTS / "oracles.py"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + [ORACLES],
+                         ids=[p.stem for p in MODULES + [ORACLES]])
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}
@@ -128,6 +131,18 @@ def test_every_name_has_a_reader():
     assert not dead, f"names nothing in the package reads: {dead}"
 
 
+def test_every_oracle_has_a_reader():
+    # the test-only helpers ship only what a test reads, so code moved out
+    # of the package leaves no unread oracle behind
+    refs = sum((_loads(ast.parse(p.read_text(), filename=str(p)))
+                for p in sorted(TESTS.glob("*.py"))), Counter())
+    tree = ast.parse(ORACLES.read_text(), filename=str(ORACLES))
+    dead = sorted(f"{name} (line {node.lineno})"
+                  for name, node in _definitions(tree)
+                  if refs[name] - _loads(node)[name] <= 0)
+    assert not dead, f"oracles nothing in the tests reads: {dead}"
+
+
 def _readers(name):
     """(module, top-level definition) pairs whose code reads ``name``."""
     for path in SOURCES:
@@ -142,12 +157,15 @@ def _readers(name):
     ("Philox", ("fields", "_philox")),          # the (seed, stream) key
     ("ROUNDING_MARGIN", ("topology", "_slope_weights")),  # flip-sign margin
     ("_GROUP_SIDES", ("topology", "marching_segments")),  # side pairing
-    # the torus census follows oriented segments; only the portraits pair
-    # half-edges
-    ("half_edge_successors", ("portraits", "zero_polylines")),
 ])
 def test_rule_has_one_reader(name, owner):
     assert sorted(set(_readers(name))) == [owner]
+
+
+def test_torus_census_and_portraits_share_the_edge_table():
+    # both walk the oriented marching segments through one edge table
+    assert sorted(set(_readers("edge_table"))) == [
+        ("portraits", "zero_polylines"), ("topology", "count_components_torus")]
 
 
 def _topology_calls(root, attrs):
@@ -185,10 +203,20 @@ def test_torus_census_sorts_only_marching_groups():
     # edge ids; the one sort left is marching_segments' sort of its groups
     reached, sorts = _topology_calls("count_components_torus",
                                      {"argsort", "unique", "sort", "lexsort"})
-    assert {"_oriented_segments", "marching_segments"} <= reached
+    assert {"edge_table", "marching_segments"} <= reached
     assert [name for name, _ in sorts] == ["marching_segments"]
     (_, call), = sorts
     assert ast.unparse(call.args[0]) == "group"
+
+
+def test_portraits_sort_nothing():
+    # the chains start in port order from the edge tables, not from a sort
+    tree = ast.parse((PACKAGE / "portraits.py").read_text())
+    sorts = [ast.unparse(call) for call in ast.walk(tree)
+             if isinstance(call, ast.Call)
+             and getattr(call.func, "attr", getattr(call.func, "id", None))
+             in {"argsort", "sort", "sorted", "unique", "lexsort"}]
+    assert sorts == []
 
 
 def test_plane_census_searches_nothing():

@@ -31,12 +31,13 @@ from nodalfields.topology import (
     count_curve_intersections,
     count_flips,
     edge_ports,
-    half_edge_successors,
     marching_segments,
     sign_grid,
 )
 from oracles import (
     grid_from_callable,
+    half_edge_polylines,
+    half_edge_successors,
     half_edge_torus_census,
     ndimage_plane_census,
     sign_changes_oracle,
@@ -584,15 +585,14 @@ def test_oriented_segments_start_and_end_every_crossed_edge_once():
         crossed = np.flatnonzero(np.stack(
             [pos != np.roll(pos, -1, 0), pos != np.roll(pos, -1, 1)], axis=-1))
         segA, segB = marching_segments(_lattice_grid(values, periodic=True))
-        start, end, _, _ = topology._oriented_segments(values, segA, segB)
-        assert np.array_equal(np.sort(start), crossed)
-        assert np.array_equal(np.sort(end), crossed)
+        assert np.array_equal(np.sort(segA), crossed)
+        assert np.array_equal(np.sort(segB), crossed)
 
 
 # ---------------------------------------------------------------------------
 # oracle: the ten-mask marching squares with its own periodic branch, as it
-# stood before the case table; the case table must give the same segments in
-# the same order, and the same port coordinates
+# stood before the case table; the case table must give the same segments,
+# as unordered pairs, in the same order, and the same port coordinates
 
 def _marching_segments_oracle(values, periodic):
     nx, ny = values.shape
@@ -682,15 +682,78 @@ def _lattice_grid(values, periodic):
 
 
 def _assert_marching_matches_oracle(g):
+    # the oracle does not orient its segments: compare them as unordered
+    # pairs, in the same order (``_assert_positive_side_on_left`` checks
+    # the orientation)
     segA, segB = marching_segments(g)
     wantA, wantB = _marching_segments_oracle(g.values, g.periodic)
     assert segA.dtype == wantA.dtype and segB.dtype == wantB.dtype
-    assert np.array_equal(segA, wantA) and np.array_equal(segB, wantB)
+    assert np.array_equal(np.minimum(segA, segB), np.minimum(wantA, wantB))
+    assert np.array_equal(np.maximum(segA, segB), np.maximum(wantA, wantB))
     ports = np.concatenate([segA, segB])
     assert np.array_equal(
         edge_ports(ports, g),
         _edge_ports_oracle(ports, g.values, g.xs, g.ys, g.periodic))
     return len(segA)
+
+
+def _assert_positive_side_on_left(values, periodic, segA, segB):
+    """Each segment segA -> segB has the positive node of segA's edge
+    strictly on its left, in lattice coordinates unwrapped within its cell.
+
+    An edge runs from its first node one step along its axis, and its
+    midpoint lies half a step along.  On a torus with >= 3 nodes per axis,
+    segB's midpoint is moved by whole periods to the image nearest segA's:
+    the two sides of one cell lie within one step of each other on each
+    axis, any other image two or more steps away.  Returns the number of
+    segments checked.
+    """
+    nx, ny = values.shape
+    pos = sign_grid(values)
+
+    def first_node_and_axis(eids):
+        i, j = np.divmod(eids >> 1, ny)
+        axis = np.where((eids & 1)[:, None] == 0, [1, 0], [0, 1])
+        return np.column_stack([i, j]), axis
+
+    first, axis = first_node_and_axis(segA)
+    second = first + axis
+    # segA's edge is crossed: its nodes differ in sign
+    first_pos = pos[first[:, 0], first[:, 1]]
+    assert np.all(first_pos != pos[second[:, 0] % nx, second[:, 1] % ny])
+    positive = np.where(first_pos[:, None], first, second)
+    midA = first + 0.5 * axis
+    firstB, axisB = first_node_and_axis(segB)
+    midB = firstB + 0.5 * axisB
+    if periodic:
+        period = np.array([nx, ny])
+        midB -= period * np.round((midB - midA) / period)
+    assert np.all(np.abs(midB - midA) <= 1.0)
+    run, left = midB - midA, positive - midA
+    assert np.all(run[:, 0] * left[:, 1] - run[:, 1] * left[:, 0] > 0)
+    return len(segA)
+
+
+def test_marching_segments_run_with_the_positive_side_on_the_left():
+    rng = np.random.default_rng(1313)
+    checked = 0
+    # every 2 x 2 square grid over {-1, 0, 1}: all cases, ties and saddles
+    for flat in np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 4)).reshape(4, -1).T:
+        values = flat.reshape(2, 2)
+        checked += _assert_positive_side_on_left(
+            values, False, *marching_segments(_lattice_grid(values, False)))
+    for values in _random_lattice_values(rng, 200):
+        g = _lattice_grid(values, periodic=False)
+        checked += _assert_positive_side_on_left(values, False,
+                                                 *marching_segments(g))
+        label = rng.random(2 * values.size) < 0.5
+        checked += _assert_positive_side_on_left(
+            values, False, *marching_segments(g, label=label))
+        if min(values.shape) >= 3:
+            checked += _assert_positive_side_on_left(
+                values, True,
+                *marching_segments(_lattice_grid(values, periodic=True)))
+    assert checked > 1000000
 
 
 def _random_lattice_values(rng, trials):
@@ -742,27 +805,25 @@ def test_labeled_marching_segments_are_the_masked_unlabeled_ones():
     # label, in the unlabeled order; labels on uncrossed edges are random
     # too and must not matter, and the caller's label array is left as is
     rng = np.random.default_rng(1919)
-    kept = saddles = wraps = 0
+    kept = saddles = 0
     for values in _random_lattice_values(rng, 150):
-        for periodic in (False, True):
-            g = _lattice_grid(values, periodic)
-            segA, segB = marching_segments(g)
-            label = rng.random(2 * values.size) < 0.5
-            before = label.copy()
-            gotA, gotB = marching_segments(g, label=label)
-            assert np.array_equal(label, before)
-            keep = label[segA] != label[segB]
-            assert gotA.dtype == segA.dtype and gotB.dtype == segB.dtype
-            assert np.array_equal(gotA, segA[keep])
-            assert np.array_equal(gotB, segB[keep])
-            kept += int(keep.sum())
-            if periodic:
-                nx, ny = values.shape
-                wraps += int(np.count_nonzero(
-                    (np.abs((gotA >> 1) // ny - (gotB >> 1) // ny) > 1)
-                    | (np.abs((gotA >> 1) % ny - (gotB >> 1) % ny) > 1)))
+        g = _lattice_grid(values, periodic=False)
+        segA, segB = marching_segments(g)
+        label = rng.random(2 * values.size) < 0.5
+        before = label.copy()
+        gotA, gotB = marching_segments(g, label=label)
+        assert np.array_equal(label, before)
+        keep = label[segA] != label[segB]
+        assert gotA.dtype == segA.dtype and gotB.dtype == segB.dtype
+        assert np.array_equal(gotA, segA[keep])
+        assert np.array_equal(gotB, segB[keep])
+        kept += int(keep.sum())
         saddles += _saddle_cells(values)
-    assert kept > 10000 and saddles > 5000 and wraps > 100
+        # count_flips, the one labeled caller, takes square domains only
+        with pytest.raises(ValueError, match="square grid"):
+            marching_segments(_lattice_grid(values, periodic=True),
+                              label=label)
+    assert kept > 10000 and saddles > 5000
 
 
 def test_marching_segments_match_ten_mask_oracle_on_sampled_fields():
@@ -782,6 +843,33 @@ def test_half_edge_successors_of_a_path_and_a_cycle():
     # triangle 1 - 3 - 5 - 1 in both directions
     assert half_edge_successors(np.array([1, 3, 5]), np.array([3, 5, 1])
                                 ).tolist() == [2, 5, 4, 1, 0, 3]
+
+
+def test_portrait_chains_match_half_edge_oracle():
+    # the chains stepped through the edge tables against the chains walked
+    # over half-edges paired by a sort, on square grids and on tori down to
+    # 2 x 2 and 1 node wide
+    from nodalfields.portraits import zero_polylines
+    rng = np.random.default_rng(2424)
+    grids = [_lattice_grid(flat.reshape(2, 2), periodic)
+             for flat in np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 4)
+                                  ).reshape(4, -1).T
+             for periodic in (False, True)]
+    grids += [_lattice_grid(values, periodic)
+              for values in _random_lattice_values(rng, 100)
+              for periodic in (False, True)]
+    grids += [_lattice_grid(values, periodic=True)
+              for values in _random_torus_values(rng, 100)]
+    chains = opened = 0
+    for g in grids:
+        got, want = zero_polylines(g), half_edge_polylines(g)
+        assert len(got) == len(want)
+        for (pts, closed), (want_pts, want_closed) in zip(got, want):
+            assert closed == want_closed
+            assert np.array_equal(pts, want_pts)
+            opened += not closed
+        chains += len(got)
+    assert chains > 20000 and opened > 5000
 
 
 @pytest.mark.parametrize("stream", [0, 1, 2])
