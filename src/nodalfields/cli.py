@@ -8,7 +8,8 @@ Measure specs accept a file path (via --measure) or a preset string:
 cilleruelo | tilted_cilleruelo | uniform:K | arc:a,K | two_point:theta |
 delta_zero | section7_three_pair | section7_monochromatic_six_point | mu_n:n
 A command draws from one field source at most (--measure, --preset, and
-for portrait --torus-n or --section7), and --kappa goes with --preset only:
+for portrait --torus-n or --section7), --kappa goes with --preset only, and
+a portrait takes no --R on the torus and no --seed for --section7:
 anything else exits 2 rather than drop a flag.
 """
 
@@ -67,20 +68,29 @@ def _emit(payload: dict, out: str | None) -> None:
 def cmd_portrait(args) -> int:
     from .stability import section7_field
 
+    # --seed and --R default to None, so a flag the source cannot use is
+    # seen rather than dropped
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    R = 10.0 if args.R is None else args.R
     h = args.h
     if args.torus_n is not None:
         from .arithmetic import sample_torus_wave, torus_spacing
-        s = sample_torus_wave(args.torus_n, args.seed)
+        if args.R is not None:
+            raise NodalError("--R sets a square's half-side; --torus-n "
+                             "draws on the unit torus")
+        s = sample_torus_wave(args.torus_n, seed)
         domain = TorusDomain()
         if h is None:
             h = torus_spacing(args.torus_n)
     elif args.section7:
+        if args.seed is not None:
+            raise NodalError("--section7 fields are fixed; they take no --seed")
         s = section7_field(args.section7)
-        domain = SquareDomain(args.R)
+        domain = SquareDomain(R)
     else:
         rho = _resolve_measure(args)
-        s = sample(rho, args.seed)
-        domain = SquareDomain(args.R)
+        s = sample(rho, seed)
+        domain = SquareDomain(R)
     grid = evaluate_grid(s, domain, h)
     render_svg(grid, args.out + ".svg", size=args.size)
     dump_grid_csv(grid, args.out + ".csv")
@@ -230,12 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output path prefix")
 
-    p = sub.add_parser("portrait", parents=[run],
+    p = sub.add_parser("portrait",
                        help="render the zero set as SVG (+ grid dump)")
+    # not parents=[run]: the subparsers share run's actions, so a None
+    # default for the portrait's --seed would reach every command
+    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"default {DEFAULT_SEED}")
     source = _add_measure_args(p)
     source.add_argument("--torus-n", type=int, default=None)
     source.add_argument("--section7", choices=["f", "g", "monochromatic_g"])
-    p.add_argument("--R", type=float, default=10.0)
+    p.add_argument("--R", type=float, default=None,
+                   help="square half-side (default 10)")
     p.add_argument("--size", type=int, default=800)
     p.add_argument("--ppm", action="store_true")
     p.add_argument("--out", required=True, help="output path prefix")
@@ -311,10 +327,7 @@ def main(argv=None) -> int:
             raise NodalError("--kappa overrides a preset's convention; "
                              "give it with --preset")
         return args.func(args)
-    except NodalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (NodalError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

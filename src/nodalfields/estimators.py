@@ -191,9 +191,12 @@ class TorusReport:
 
 
 def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
-                       planar_schedule=(10.0, 20.0, 40.0),
                        planar_M: int | None = None) -> TorusReport:
-    """Mean total component count of degree-n torus waves vs c(mu_n) * n."""
+    """Mean total component count of degree-n torus waves vs c(mu_n) * n.
+
+    c(mu_n) is ``estimate_cns`` of mu_n over R = 10, 20, 40 with planar_M
+    (default M) draws per R; the torus grid spacing h defaults to
+    ``torus_spacing(n)``."""
     from .arithmetic import mu_n, sample_torus_wave, torus_spacing
 
     if M < 2:
@@ -203,7 +206,6 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
     if planar_M < 10:
         # estimate_cns would fail only after the whole torus batch
         raise ValueError(f"need planar_M >= 10 (default: M), got {planar_M}")
-    planar_schedule = _checked_schedule(planar_schedule)
     rho = mu_n(n)
     if h is None:
         h = torus_spacing(n)
@@ -212,7 +214,7 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
     totals = np.array([c.total_components for c in censuses], dtype=float)
     wraps = np.array([c.wrapping_components for c in censuses], dtype=float)
 
-    planar = estimate_cns(rho, planar_schedule, planar_M, seed)
+    planar = estimate_cns(rho, (10.0, 20.0, 40.0), planar_M, seed)
     mean_total = float(totals.mean())
     resid = (mean_total - planar.cns_estimate * n) / math.sqrt(n)
     return TorusReport(

@@ -9,7 +9,6 @@ conditioning computations with an explicit |product| moment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +22,14 @@ CONDITIONING_EPS = 1e-12
 JET_DERIVATIVES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-@dataclass(frozen=True)
-class JetCovariance:
-    """6x6 covariance of (f, f1, f2, f11, f12, f22) at a point."""
+def build_jet_covariance(rho: SpectralMeasure) -> np.ndarray:
+    """6x6 covariance of (f, f1, f2, f11, f12, f22) at a point.
 
-    matrix: np.ndarray
-
-
-def build_jet_covariance(rho: SpectralMeasure) -> JetCovariance:
-    """Assemble the jet covariance from support moments up to order 4.
-
-    Entry for derivative multi-indices (alpha, beta) is
+    Assembled from support moments up to order 4: the entry for derivative
+    multi-indices (alpha, beta) is
     (-1)^|beta| * kappa^|g| * sign(|g|) * moment(g), g = alpha + beta, where
     the sign pattern is +1, -1, +1 for |g| = 0, 2, 4 and odd orders vanish by
-    pi-symmetry.
+    pi-symmetry.  The rows and columns follow JET_DERIVATIVES.
     """
     k = rho.kappa_value
     n = len(JET_DERIVATIVES)
@@ -55,7 +48,7 @@ def build_jet_covariance(rho: SpectralMeasure) -> JetCovariance:
     lam = float(np.linalg.eigvalsh(M)[0])
     if lam < -1e-10:
         raise ValueError(f"jet covariance not PSD (lambda_min={lam:.3g})")
-    return JetCovariance(matrix=M)
+    return M
 
 
 def abs_product_mean(sigma1: float, sigma2: float, corr: float) -> float:
@@ -82,7 +75,7 @@ def _conditioned_pair(rho: SpectralMeasure, direction):
     d = ``unit_direction(direction)``.
     """
     d = unit_direction(direction)
-    jet = build_jet_covariance(rho).matrix
+    jet = build_jet_covariance(rho)
     # rows: conditioning functionals C = (f, d.grad f); observables W = (T, Q)
     L = np.zeros((4, 6))
     L[0, 0] = 1.0

@@ -67,19 +67,21 @@ class SpectralMeasure:
     def n_atoms(self) -> int:
         return len(self.weights)
 
-    def is_monochromatic(self, tol: float = CIRCLE_TOL) -> bool:
-        """True when every atom sits on the unit circle."""
+    def is_monochromatic(self) -> bool:
+        """True when every atom sits on the unit circle (within CIRCLE_TOL)."""
         norms = np.hypot(self.points[:, 0], self.points[:, 1])
-        return bool(np.all(np.abs(norms - 1.0) <= tol))
+        return bool(np.all(np.abs(norms - 1.0) <= CIRCLE_TOL))
 
-    def has_torus_symmetries(self, tol: float = CIRCLE_TOL) -> bool:
-        """Monochromatic + invariant under pi/2-rotation and conjugation."""
-        if not self.is_monochromatic(tol):
+    def has_torus_symmetries(self) -> bool:
+        """Monochromatic + invariant under pi/2-rotation and conjugation.
+
+        Atoms and weights match within CIRCLE_TOL."""
+        if not self.is_monochromatic():
             return False
         quarter = np.column_stack([-self.points[:, 1], self.points[:, 0]])
         conj = np.column_stack([self.points[:, 0], -self.points[:, 1]])
-        return (_is_invariant_under(self, quarter, tol)
-                and _is_invariant_under(self, conj, tol))
+        return (_is_invariant_under(self, quarter, CIRCLE_TOL)
+                and _is_invariant_under(self, conj, CIRCLE_TOL))
 
     @cached_property
     def pair_table(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -206,15 +208,15 @@ def _is_invariant_under(rho: SpectralMeasure, mapped: np.ndarray, tol: float) ->
 
 def make_atomic(atoms: Iterable[tuple[Sequence[float], float]],
                 kappa: str = "two_pi",
-                symmetrize: bool = False,
                 normalize: bool = False,
                 provenance: dict | None = None) -> SpectralMeasure:
     """Build a validated measure from (point, weight) pairs.
 
-    Weights must sum to 1 (within 1e-12) unless ``normalize`` is set; the atom
-    set must already be pi-rotation invariant unless ``symmetrize`` is set, in
-    which case weights are averaged over each {xi, -xi} pair.  Coincident
-    atoms are merged.  Raises NotProbability / SupportOutsideDisc /
+    Weights must sum to 1 (within 1e-12) unless ``normalize`` is set, which
+    divides them by their sum.  Coincident atoms are merged.  The merged
+    atom set must be pi-rotation invariant: every atom away from the origin
+    needs an antipode (within COORD_TOL) whose weight is within WEIGHT_TOL
+    of its own.  Raises NotProbability / SupportOutsideDisc /
     NotPiInvariant accordingly.
     """
     if kappa not in KAPPA_VALUES:
@@ -251,26 +253,14 @@ def make_atomic(atoms: Iterable[tuple[Sequence[float], float]],
     j = _match(points, -points, COORD_TOL)
     lonely = ~centre & (j < 0)
     gap = np.where(centre | lonely, 0.0, np.abs(weights - weights[j]))
-    uneven = gap > WEIGHT_TOL
-    bad = np.flatnonzero(lonely | (uneven & (not symmetrize)))
+    bad = np.flatnonzero(lonely | (gap > WEIGHT_TOL))
     if len(bad):
         i = bad[0]
         p = points[i]
-        if not lonely[i]:
-            raise NotPiInvariant(
-                f"weights at {tuple(p)} and antipode differ by {gap[i]:.3g}")
-        if not symmetrize:
+        if lonely[i]:
             raise NotPiInvariant(f"atom {tuple(p)} has no antipode")
         raise NotPiInvariant(
-            f"atom {tuple(p)} has no antipode; symmetrize can only average "
-            "weights over existing pairs, not invent atoms")
-    # atom i sets both ends of (i, j[i]) to their mean; where several atoms
-    # share an antipode, the highest-indexed writer's mean stands
-    src = np.flatnonzero(uneven)
-    writer = np.full(len(weights), -1)
-    np.maximum.at(writer, np.concatenate([src, j[src]]), np.tile(src, 2))
-    weights = np.where(writer >= 0,
-                       0.5 * (weights[writer] + weights[j[writer]]), weights)
+            f"weights at {tuple(p)} and antipode differ by {gap[i]:.3g}")
 
     return SpectralMeasure(points=points, weights=weights, kappa=kappa,
                            provenance=provenance)
@@ -299,20 +289,19 @@ def preset(name: str, **params) -> SpectralMeasure:
     section7_monochromatic_six_point
                           uniform on +-(1,0),(0,+-1),+-(1,1)/sqrt(2), kappa "one"
     """
-    kappa = params.pop("kappa", None)
+    kappa = params.pop("kappa", None) or (
+        "one" if name in ("section7_three_pair",
+                          "section7_monochromatic_six_point") else "two_pi")
 
     if name == "cilleruelo":
-        kappa = kappa or "two_pi"
         pts = _circle_points(np.array([0.0, 0.5, 1.0, 1.5]) * math.pi)
         meas = make_atomic([(p, 0.25) for p in pts], kappa=kappa,
                            provenance={"name": name})
     elif name == "tilted_cilleruelo":
-        kappa = kappa or "two_pi"
         pts = _circle_points(math.pi / 4 + np.array([0.0, 0.5, 1.0, 1.5]) * math.pi)
         meas = make_atomic([(p, 0.25) for p in pts], kappa=kappa,
                            provenance={"name": name})
     elif name == "uniform_circle":
-        kappa = kappa or "two_pi"
         K = int(params.pop("K"))
         if K < 4:
             raise UnknownPreset("uniform_circle needs K >= 4")
@@ -322,7 +311,6 @@ def preset(name: str, **params) -> SpectralMeasure:
         meas = make_atomic([(p, 1.0 / K) for p in _circle_points(angles)],
                            kappa=kappa, provenance={"name": name, "K": K})
     elif name == "arc_nu_a":
-        kappa = kappa or "two_pi"
         a = float(params.pop("a"))
         K = int(params.pop("K"))
         if K < 4 or K % 4:
@@ -336,17 +324,14 @@ def preset(name: str, **params) -> SpectralMeasure:
         meas = make_atomic([(p, 1.0 / K) for p in _circle_points(angles)],
                            kappa=kappa, provenance={"name": name, "a": a, "K": K})
     elif name == "two_point":
-        kappa = kappa or "two_pi"
         theta = float(params.pop("theta", 0.0))
         p = (math.cos(theta), math.sin(theta))
         meas = make_atomic([(p, 0.5), ((-p[0], -p[1]), 0.5)], kappa=kappa,
                            provenance={"name": name, "theta": theta})
     elif name == "delta_zero":
-        kappa = kappa or "two_pi"
         meas = make_atomic([((0.0, 0.0), 1.0)], kappa=kappa,
                            provenance={"name": name})
     elif name == "section7_three_pair":
-        kappa = kappa or "one"
         amps2 = np.array([1.0, 0.8 ** 2, 1.0])
         w = amps2 / (2.0 * amps2.sum())  # per-atom weight of each pair
         atoms = [((1 / 3, 0.0), w[0]), ((-1 / 3, 0.0), w[0]),
@@ -354,7 +339,6 @@ def preset(name: str, **params) -> SpectralMeasure:
                  ((0.0, 1 / 3), w[2]), ((0.0, -1 / 3), w[2])]
         meas = make_atomic(atoms, kappa=kappa, provenance={"name": name})
     elif name == "section7_monochromatic_six_point":
-        kappa = kappa or "one"
         c = 1.0 / math.sqrt(2.0)
         pts = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (c, c), (-c, -c)]
         meas = make_atomic([(p, 1.0 / 6.0) for p in pts], kappa=kappa,

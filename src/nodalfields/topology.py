@@ -68,7 +68,6 @@ from .fields import (
     FieldSample,
     ScalarGrid,
     SquareDomain,
-    checked_spacing,
     default_spacing,
     evaluate_batch,
     evaluate_grid,
@@ -630,16 +629,45 @@ def _bisect(s: FieldSample, d: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return 0.5 * (lo + hi)
 
 
+def _flip_locations(s: FieldSample, domain: SquareDomain, h: float | None,
+                    direction) -> np.ndarray:
+    """The (n, 2) locations of the n flips ``count_flips`` counts: in the
+    closed domain, the first in segment order of each bucket of side h/4."""
+    d = unit_direction(direction)
+    if not isinstance(domain, SquareDomain):
+        raise TypeError(f"count_flips needs a square domain, got {domain!r}")
+    R = domain.R
+    if not R > 0:
+        raise ValueError("square half-side R must be positive")
+    if h is None:
+        h = default_spacing(s)
+    # the grid dies with _sign_changes, before the phase tables are built
+    lo, hi, slo, margin = _sign_changes(
+        s, evaluate_grid(s, SquareDomain(R + 2.0 * h), h, order=1), d)
+    locs = _bisect(s, d, lo, hi, slo, margin)
+
+    # closed-domain filter at the bisection resolution (boundary flips are
+    # approached from either side, so an exact-R cut would drop them)
+    tol = max(1e-9, h / 256.0)
+    inside = (np.abs(locs[:, 0]) <= R + tol) & (np.abs(locs[:, 1]) <= R + tol)
+    locs = locs[inside]
+    # dedup detections of one flip seen from adjacent degenerate cells
+    buckets = np.round(locs / (h / 4.0)).astype(np.int64)
+    _, keep = np.unique(buckets, axis=0, return_index=True)
+    return locs[np.sort(keep)]
+
+
 def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
-                direction=(1.0, 0.0), return_locations: bool = False):
+                direction=(1.0, 0.0)) -> int:
     """Count points of the closed square where f and d.grad f both vanish.
 
     d = ``unit_direction(direction)`` (the default counts axis-1 flips).
     Cells are scanned for a zero segment of f whose endpoints see opposite
     signs of g = d.grad f; each such segment is refined by 10 bisection
     steps (``_bisect``) and contributes one flip if the refined location
-    lies in the closed domain.  A crossing port ends two segments, so each
-    port (crossed edge) is signed once, and ``marching_segments`` labeled by
+    lies in the closed domain; the count is the number of
+    ``_flip_locations``.  A crossing port ends two segments, so each port
+    (crossed edge) is signed once, and ``marching_segments`` labeled by
     the port signs emits only the segments whose two signs differ (about 3%
     of them at 16 points per wavelength), in the order of the unlabeled
     call.  A port's sign comes from g interpolated along its edge from the
@@ -652,43 +680,14 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
     by one cell so boundary flips are caught; the tie rule makes
     exactly-zero corners deterministic.
     """
-    d = unit_direction(direction)
-    if not isinstance(domain, SquareDomain):
-        raise TypeError(f"count_flips needs a square domain, got {domain!r}")
-    R = domain.R
-    if not R > 0:
-        raise ValueError("square half-side R must be positive")
-    if h is None:
-        h = default_spacing(s)
-    # the grid dies with _sign_changes, before the phase tables are built
-    lo, hi, slo, margin = _sign_changes(
-        s, evaluate_grid(s, SquareDomain(R + 2.0 * h), h, order=1), d)
-    if len(lo) == 0:
-        return (0, np.zeros((0, 2))) if return_locations else 0
-    locs = _bisect(s, d, lo, hi, slo, margin)
-
-    # closed-domain filter at the bisection resolution (boundary flips are
-    # approached from either side, so an exact-R cut would drop them)
-    tol = max(1e-9, h / 256.0)
-    inside = (np.abs(locs[:, 0]) <= R + tol) & (np.abs(locs[:, 1]) <= R + tol)
-    locs = locs[inside]
-    if len(locs) == 0:
-        return (0, np.zeros((0, 2))) if return_locations else 0
-    # dedup detections of one flip seen from adjacent degenerate cells
-    buckets = np.round(locs / (h / 4.0)).astype(np.int64)
-    _, keep = np.unique(buckets, axis=0, return_index=True)
-    locs = locs[np.sort(keep)]
-    n = len(locs)
-    return (n, locs) if return_locations else n
+    return len(_flip_locations(s, domain, h, direction))
 
 
-def count_curve_intersections(s: FieldSample, p0, p1,
-                              h: float | None = None) -> int:
+def count_curve_intersections(s: FieldSample, p0, p1) -> int:
     """Sign-change count of f along the closed segment p0 -> p1.
 
-    f is sampled every h along the segment; h is checked as
-    ``evaluate_grid`` checks it (``checked_spacing``), so a spacing the
-    resolution rule calls too coarse warns GridTooCoarse.
+    f is sampled at both ends and at most ``default_spacing(s)`` apart
+    between them, the resolution of the default grids.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -697,8 +696,7 @@ def count_curve_intersections(s: FieldSample, p0, p1,
     length = float(np.hypot(*(p1 - p0)))
     if length <= 0:
         raise ValueError("segment length must be positive")
-    h = checked_spacing(s, h)
-    n = max(2, int(math.ceil(length / h)) + 1)
+    n = max(2, int(math.ceil(length / default_spacing(s))) + 1)
     ts = np.linspace(0.0, 1.0, n)
     pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
     pos = sign_grid(evaluate_batch(s, pts, order=0))

@@ -132,15 +132,17 @@ def test_dns_report(tmp_path):
 
 
 def test_torus_planar_m_zero_fails(monkeypatch):
-    # planar_M is checked before any torus draw is made
+    # planar_M is checked before mu_n is built or any torus draw is made
     import nodalfields.arithmetic as arithmetic
 
-    def no_draw(*args, **kwargs):
-        raise AssertionError("sample_torus_wave was called")
+    def no_call(*args, **kwargs):
+        raise AssertionError("mu_n or sample_torus_wave was called")
 
-    monkeypatch.setattr(arithmetic, "sample_torus_wave", no_draw)
-    with pytest.raises(ValueError, match="planar_M >= 10"):
-        torus_count_report(65, 2, seed=1, planar_M=0)
+    monkeypatch.setattr(arithmetic, "mu_n", no_call)
+    monkeypatch.setattr(arithmetic, "sample_torus_wave", no_call)
+    for planar_M in (0, 9):
+        with pytest.raises(ValueError, match="need planar_M >= 10"):
+            torus_count_report(65, 2, seed=1, planar_M=planar_M)
     assert main(["torus", "--n", "65", "--M", "2", "--planar-M", "0"]) == 2
 
 
@@ -280,7 +282,12 @@ def test_exit_codes(tmp_path):
                     ["--preset", "uniform:64", "--section7", "g"],
                     ["--measure", str(measure), "--section7", "f"],
                     ["--torus-n", "65", "--kappa", "one"],
-                    ["--section7", "f", "--kappa", "one"]):
+                    ["--section7", "f", "--kappa", "one"],
+                    # the section 7 fields take no seed, the torus no R
+                    ["--section7", "f", "--seed", "5"],
+                    ["--section7", "f", "--seed", "1"],
+                    ["--torus-n", "5", "--R", "7"],
+                    ["--torus-n", "5", "--R", "10"]):
         assert main(draw + sources) == 2
     for command in ("cns", "dns", "flips"):
         assert main([command, "--measure", str(measure), "--preset",

@@ -72,20 +72,6 @@ def test_estimate_cns_validation():
         estimate_cns(U32, [10.0, 5.0, 20.0], M=10, seed=1)
 
 
-def test_torus_planar_schedule_checked_before_any_draw(monkeypatch):
-    import nodalfields.arithmetic as arithmetic
-
-    def no_call(*args, **kwargs):
-        raise AssertionError("mu_n or sample_torus_wave was called")
-
-    monkeypatch.setattr(arithmetic, "mu_n", no_call)
-    monkeypatch.setattr(arithmetic, "sample_torus_wave", no_call)
-    for schedule in ((10.0,), (10.0, 20.0, 20.0)):
-        with pytest.raises(ScheduleTooShort):
-            torus_count_report(65, 2, seed=1, planar_schedule=schedule,
-                               planar_M=10)
-
-
 def test_determinism():
     r1 = estimate_mean_count(U32, R=6.0, M=16, seed=9)
     r2 = estimate_mean_count(U32, R=6.0, M=16, seed=9)
@@ -146,8 +132,7 @@ def test_batches_pass_warnings_through(monkeypatch):
     runs = [
         lambda: estimate_mean_count(U32, 2.0, 10, h=coarse, seed=1),
         lambda: estimate_dns(U32, 2.0, 3, 1, 0.05, h=coarse),
-        lambda: torus_count_report(65, 5, h=1 / 40, planar_M=10,
-                                   planar_schedule=(2.0, 4.0, 8.0)),
+        lambda: torus_count_report(65, 5, h=1 / 40, planar_M=10),
     ]
     for run in runs:
         with warnings.catch_warnings():
@@ -162,8 +147,7 @@ def test_batches_pass_warnings_through(monkeypatch):
 
 
 def test_torus_count_report_smoke():
-    rep = torus_count_report(65, M=20, seed=3, planar_schedule=(5.0, 8.0, 12.0),
-                             planar_M=20)
+    rep = torus_count_report(65, M=20, seed=3, planar_M=20)
     assert rep.mean_total > 0
     assert rep.cns_mu_n > 0
     assert abs(rep.residual_over_sqrt_n) < 3.0
@@ -173,8 +157,7 @@ def test_torus_count_report_smoke():
 
 def test_torus_count_report_needs_two_draws():
     with pytest.raises(ValueError, match="need M >= 2"):
-        torus_count_report(65, 1, planar_M=10,
-                           planar_schedule=(2.0, 4.0, 8.0))
+        torus_count_report(65, 1, planar_M=10)
 
 
 def test_torus_report_cilleruelo_type_n1():

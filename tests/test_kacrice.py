@@ -36,8 +36,7 @@ def random_measure(rng, monochromatic=False):
 
 
 def test_jet_covariance_entries():
-    jet = build_jet_covariance(NU0_ONE)
-    M = jet.matrix
+    M = build_jet_covariance(NU0_ONE)
     assert M[0, 0] == pytest.approx(1.0)
     assert M[0, 1] == 0.0 and M[0, 2] == 0.0          # value indep. of gradient
     assert M[0, 3] == pytest.approx(-moment(NU0_ONE, 2, 0))
@@ -45,7 +44,7 @@ def test_jet_covariance_entries():
     assert M[1, 1] == pytest.approx(0.5)
     assert M[3, 3] == pytest.approx(0.5)              # moment(4,0)
     # delta at origin: every derivative entry vanishes
-    dz = build_jet_covariance(preset("delta_zero")).matrix
+    dz = build_jet_covariance(preset("delta_zero"))
     assert np.allclose(dz[1:, 1:], 0.0)
     assert dz[0, 0] == pytest.approx(1.0)
 
@@ -55,7 +54,7 @@ def test_jet_covariance_ratio_bound_on_circle_measures():
     rng = np.random.default_rng(5)
     for _ in range(20):
         rho = random_measure(rng, monochromatic=True)
-        jet = build_jet_covariance(rho).matrix
+        jet = build_jet_covariance(rho)
         if jet[1, 1] > 1e-12:
             assert jet[3, 3] / jet[1, 1] <= rho.kappa_value ** 2 + 1e-9
 
@@ -64,7 +63,7 @@ def test_jet_covariance_matches_finite_difference_of_covariance():
     # oracle: numerically differentiate the covariance function
     from nodalfields.measures import covariance
     rho = preset("tilted_cilleruelo", kappa="one")
-    jet = build_jet_covariance(rho).matrix
+    jet = build_jet_covariance(rho)
     h = 1e-3
 
     def r(x, y):
@@ -81,8 +80,8 @@ def test_jet_invariant_under_atom_relabeling():
     w = [0.3, 0.3, 0.2, 0.2]
     a = make_atomic(list(zip(pts, w)))
     b = make_atomic(list(zip(reversed(pts), reversed(w))))
-    assert np.allclose(build_jet_covariance(a).matrix,
-                       build_jet_covariance(b).matrix)
+    assert np.allclose(build_jet_covariance(a),
+                       build_jet_covariance(b))
 
 
 def test_abs_product_mean_formula_against_quadrature_and_mc():
@@ -200,7 +199,7 @@ def test_conditioning_shrinks_variance():
     for _ in range(25):
         rho = random_measure(rng, monochromatic=bool(rng.integers(2)))
         d = rng.normal(size=2)
-        jet = build_jet_covariance(rho).matrix
+        jet = build_jet_covariance(rho)
         try:
             _, cond = _conditioned_pair(rho, d)
         except DegenerateConditioning:
@@ -220,7 +219,7 @@ def test_flip_density_bounded_by_variance_chain():
     rng = np.random.default_rng(17)
     for _ in range(25):
         rho = random_measure(rng, monochromatic=bool(rng.integers(2)))
-        jet = build_jet_covariance(rho).matrix
+        jet = build_jet_covariance(rho)
         if jet[1, 1] < 1e-10:
             continue
         dens = flip_density(rho, 1)
@@ -232,5 +231,5 @@ def test_flip_density_bounded_by_variance_chain():
 
 def test_jet_order_is_six():
     assert len(JET_DERIVATIVES) == 6
-    PSD = build_jet_covariance(U64).matrix
+    PSD = build_jet_covariance(U64)
     assert np.linalg.eigvalsh(PSD)[0] >= -1e-10

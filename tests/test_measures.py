@@ -50,23 +50,11 @@ def test_make_atomic_rejects_outside_disc():
 
 
 def test_make_atomic_rejects_asymmetric():
-    with pytest.raises(NotPiInvariant):
+    with pytest.raises(NotPiInvariant, match="antipode differ by 0.6$"):
         make_atomic([((1.0, 0.0), 0.7), ((-1.0, 0.0), 0.1), ((0.0, 0.0), 0.2)])
-    # symmetrize averages the weights over the pair
-    rho = make_atomic([((1.0, 0.0), 0.7), ((-1.0, 0.0), 0.1), ((0.0, 0.0), 0.2)],
-                      symmetrize=True)
-    assert np.allclose(sorted(rho.weights), [0.2, 0.4, 0.4])
-
-
-def test_symmetrize_with_a_shared_antipode():
-    # (0.5, 0) and (0.5 + 1.3e-12, 0) stay apart (gap > COORD_TOL) but both
-    # match the antipode of the first atom; atoms are averaged with their
-    # first match in index order, and the last average written stands
-    rho = make_atomic([((-0.5 - 0.6e-12, 0.0), 0.2), ((0.5, 0.0), 0.3),
-                       ((0.5 + 1.3e-12, 0.0), 0.5)], symmetrize=True)
-    assert rho.weights.tolist() == [0.5 * (0.5 + 0.2), 0.5 * (0.2 + 0.3),
-                                    0.5 * (0.5 + 0.2)]
-    _assert_table_is_oracle(rho)
+    # the origin atom is its own antipode; (0.5, 0) has none
+    with pytest.raises(NotPiInvariant, match=r"0\.5.*has no antipode$"):
+        make_atomic([((0.5, 0.0), 0.5), ((0.0, 0.0), 0.5)])
 
 
 def test_make_atomic_merges_duplicates():
@@ -90,6 +78,18 @@ def test_presets_cilleruelo_geometry():
     u8 = preset("uniform_circle", K=8)
     assert u8.n_atoms == 8
     assert np.allclose(u8.weights, 1 / 8)
+
+
+def test_preset_default_kappa():
+    # "one" for the two section 7 presets, "two_pi" otherwise; kappa= wins
+    params = {"uniform_circle": {"K": 8}, "arc_nu_a": {"a": 0.5, "K": 8}}
+    section7 = {"section7_three_pair", "section7_monochromatic_six_point"}
+    for name in sorted(measures.PRESET_NAMES):
+        kw = params.get(name, {})
+        want = "one" if name in section7 else "two_pi"
+        assert preset(name, **kw).kappa == want
+        other = "two_pi" if name in section7 else "one"
+        assert preset(name, kappa=other, **kw).kappa == other
 
 
 def test_preset_validation():
@@ -225,7 +225,8 @@ def _pairs_oracle(rho):
 
 
 def _torus_symmetries_oracle(rho, tol=1e-12):
-    if not rho.is_monochromatic(tol):
+    norms = np.hypot(rho.points[:, 0], rho.points[:, 1])
+    if not np.all(np.abs(norms - 1.0) <= tol):
         return False
     quarter = np.column_stack([-rho.points[:, 1], rho.points[:, 0]])
     conj = np.column_stack([rho.points[:, 0], -rho.points[:, 1]])

@@ -131,6 +131,63 @@ def test_every_name_has_a_reader():
     assert not dead, f"names nothing in the package reads: {dead}"
 
 
+def _options(tree):
+    """(function, parameter, position) for each parameter with a default.
+
+    position is the number of positional arguments a call passes to set it,
+    self not counted, or None for a keyword-only parameter."""
+    methods = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = id(node) in methods
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            yield node.name, positional[i].arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _calls(tree):
+    """(name, call) for each call, the name seen through import aliases."""
+    alias = {a.asname: a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for a in node.names
+             if a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            yield alias.get(name, name), node
+
+
+def _sets(call, param, position):
+    """Whether call may set param: by keyword, **, * or position."""
+    return (any(k.arg in (None, param) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position))
+
+
+def test_every_option_has_a_setter():
+    # an optional parameter ships only if a call in the package or in an
+    # acceptance criterion sets it; the entry point cli.main is exempt.
+    # Calls match functions by name, so a namesake's call counts as a setter
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in SOURCES}
+    acceptance = PACKAGE.parents[1] / "tests" / "test_acceptance.py"
+    calls = {}
+    for tree in [*trees.values(), ast.parse(acceptance.read_text())]:
+        for name, call in _calls(tree):
+            calls.setdefault(name, []).append(call)
+    unset = sorted(f"{stem}.{fn}({param}=)" for stem, tree in trees.items()
+                   for fn, param, position in _options(tree)
+                   if (stem, fn) != ("cli", "main")
+                   and not any(_sets(call, param, position)
+                               for call in calls.get(fn, [])))
+    assert not unset, f"options nothing but the tests sets: {unset}"
+
+
 def test_every_oracle_has_a_reader():
     # the test-only helpers ship only what a test reads, so code moved out
     # of the package leaves no unread oracle behind
@@ -190,10 +247,10 @@ def _topology_calls(root, attrs):
 def test_flips_sort_only_their_locations():
     # the flip path takes its ports from the crossing mask and its candidate
     # segments from the labeled marching segments; the one np.unique left is
-    # count_flips' dedup of the refined locations
+    # _flip_locations' dedup of the refined locations
     reached, uniques = _topology_calls("count_flips", {"unique"})
     assert {"_sign_changes", "marching_segments", "_bisect"} <= reached
-    assert [name for name, _ in uniques] == ["count_flips"]
+    assert [name for name, _ in uniques] == ["_flip_locations"]
     (_, call), = uniques
     assert ast.unparse(call.args[0]) == "buckets"
 

@@ -25,6 +25,7 @@ from nodalfields.measures import preset
 from nodalfields.topology import (
     _bisect,
     _certified_signs,
+    _flip_locations,
     _port_slopes,
     count_components_plane,
     count_components_torus,
@@ -890,9 +891,9 @@ def test_flips_of_injected_sum_of_cosines():
     # (f, d1 f) in the closed square D_pi sit at (+-pi, 0), (0, +-pi)
     inj = inject_sample(preset("cilleruelo", kappa="one"),
                         [(1.0, 0.0), (1.0, 0.0)])
-    n, locs = count_flips(inj, SquareDomain(math.pi), h=math.pi / 40,
-                          direction=(1.0, 0.0), return_locations=True)
-    assert n == 4
+    locs = _flip_locations(inj, SquareDomain(math.pi), math.pi / 40,
+                           (1.0, 0.0))
+    assert len(locs) == 4
     want = {(-1, 0), (1, 0), (0, -1), (0, 1)}
     got = {(round(x / math.pi), round(y / math.pi)) for x, y in locs}
     assert got == want
@@ -947,12 +948,9 @@ def test_count_flips_scales_direction_to_unit_length():
     assert count_flips(s, SquareDomain(3.0), direction=(1e-300, 0.0)) == want
     for i in range(3):
         s = sample(u16, 4, i)
-        a = count_flips(s, SquareDomain(4.0), direction=(1.0, 1.0),
-                        return_locations=True)
-        b = count_flips(s, SquareDomain(4.0), direction=(3.0, 3.0),
-                        return_locations=True)
-        assert a[0] == b[0]
-        assert np.array_equal(a[1], b[1])
+        a = _flip_locations(s, SquareDomain(4.0), None, (1.0, 1.0))
+        b = _flip_locations(s, SquareDomain(4.0), None, (3.0, 3.0))
+        assert np.array_equal(a, b)
 
 
 U64 = preset("uniform_circle", K=64)
@@ -964,9 +962,9 @@ def test_count_flips_locations_digest():
     digest = hashlib.sha256()
     for d in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
         for i in range(3):
-            n, locs = count_flips(sample(U64, 2, i), SquareDomain(6.0),
-                                  direction=d, return_locations=True)
-            digest.update(np.int64(n).tobytes())
+            locs = _flip_locations(sample(U64, 2, i), SquareDomain(6.0),
+                                   None, d)
+            digest.update(np.int64(len(locs)).tobytes())
             digest.update(np.ascontiguousarray(locs).tobytes())
     assert digest.hexdigest() == (
         "91ae55cfee8d5a513938e73f8e3da6f79c5a0b94993cc0c37aee78c93ba13c10")
@@ -1110,7 +1108,7 @@ def _exact_bisection(s, d, lo, hi, slo, margin):
 
 
 def _assert_bisection_matches_oracle(monkeypatch, s, R, h, direction):
-    """Byte-equal (count, locations) with the exact bisection; returns the
+    """Byte-equal flip locations with the exact bisection; returns the
     number of points the bisection evaluated."""
     calls = []
 
@@ -1125,14 +1123,10 @@ def _assert_bisection_matches_oracle(monkeypatch, s, R, h, direction):
 
     with monkeypatch.context() as m:
         m.setattr(topology, "_bisect", counted_bisect)
-        n, locs = count_flips(s, SquareDomain(R), h=h, direction=direction,
-                              return_locations=True)
+        locs = _flip_locations(s, SquareDomain(R), h, direction)
     with monkeypatch.context() as m:
         m.setattr(topology, "_bisect", _exact_bisection)
-        want_n, want_locs = count_flips(s, SquareDomain(R), h=h,
-                                        direction=direction,
-                                        return_locations=True)
-    assert n == want_n
+        want_locs = _flip_locations(s, SquareDomain(R), h, direction)
     assert np.ascontiguousarray(locs).tobytes() == \
         np.ascontiguousarray(want_locs).tobytes()
     return sum(calls)
@@ -1270,6 +1264,9 @@ def test_curve_intersections_sine():
         sin_field, (-0.1, 0.0), (3 * math.pi + 0.1, 0.0)) == 4
     # segment inside one sign domain
     assert count_curve_intersections(sin_field, (0.5, 0.0), (2.5, 0.0)) == 0
+    # a draw, sampled at default_spacing along the segment
+    s = sample(preset("uniform_circle", K=16), 1)
+    assert count_curve_intersections(s, (0.0, 0.0), (3.0, 0.0)) == 4
     with pytest.raises(ValueError):
         count_curve_intersections(sin_field, (1.0, 1.0), (1.0, 1.0))
     for p1 in ((math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0)):
@@ -1277,20 +1274,6 @@ def test_curve_intersections_sine():
             count_curve_intersections(sin_field, (0.0, 0.0), p1)
         with pytest.raises(ValueError, match="endpoints must be finite"):
             count_curve_intersections(sin_field, p1, (0.0, 0.0))
-
-
-def test_curve_intersections_warn_on_a_coarse_spacing():
-    # sampled only at its two ends, the segment shows none of its 4 crossings
-    s = sample(preset("uniform_circle", K=16), 1)
-    assert count_curve_intersections(s, (0.0, 0.0), (3.0, 0.0)) == 4
-    with pytest.warns(GridTooCoarse, match="points per minimal wavelength"):
-        assert count_curve_intersections(s, (0.0, 0.0), (3.0, 0.0),
-                                         h=10.0) == 0
-    # a spacing evaluate_grid rejects is rejected here too: h = -1 used to
-    # count 0 without a warning
-    for h in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite and positive"):
-            count_curve_intersections(s, (0.0, 0.0), (3.0, 0.0), h=h)
 
 
 def test_tiling_inequality():
