@@ -85,6 +85,7 @@ def cmd_portrait(args) -> int:
     elif args.section7:
         if args.seed is not None:
             raise NodalError("--section7 fields are fixed; they take no --seed")
+        seed = None
         s = section7_field(args.section7)
         domain = SquareDomain(R)
     else:
@@ -93,7 +94,7 @@ def cmd_portrait(args) -> int:
         domain = SquareDomain(R)
     grid = evaluate_grid(s, domain, h)
     render_svg(grid, args.out + ".svg", size=args.size)
-    dump_grid_csv(grid, args.out + ".csv")
+    dump_grid_csv(grid, args.out + ".csv", seed, s.measure.kappa)
     if args.ppm:
         render_ppm(grid, args.out + ".ppm")
     return 0
@@ -167,6 +168,8 @@ def cmd_flips(args) -> int:
         direction = (1.0, 0.0) if axis == 1 else (0.0, 1.0)
     payload["closed_form"] = directional_flip_density(rho, direction)
     if args.empirical:
+        # looked up per call, not at import: perfbench traces these calls
+        # by wrapping fields.sample and topology.count_flips in place
         from .fields import sample as draw
         from .topology import count_flips
 
@@ -191,13 +194,12 @@ def cmd_flips(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    from .fields import sample as draw
     from .stability import sandwich_check, stability_profile
 
     rho0 = parse_measure_spec(args.preset, args.kappa)
     payload = {"kind": "stability_report_bundle", "seed": args.seed}
     payload["profile"] = stability_profile(
-        draw(rho0, args.seed), SquareDomain(args.R), args.h).to_dict()
+        sample(rho0, args.seed), SquareDomain(args.R), args.h).to_dict()
     if args.preset2:
         rho1 = parse_measure_spec(args.preset2, args.kappa)
         rep = sandwich_check(rho0, rho1, args.R, args.M, args.beta,

@@ -6,8 +6,8 @@ of mean/(4R^2) against 1/R over an increasing R schedule.  The absolute
 discrepancy statistic plugs the fitted c back into single-R counts.
 
 Everything is deterministic in (measure, schedule, M, seed): sample i of the
-R_k block uses the counter-based stream k*M + i.  Sample loops run serially:
-a thread pool measured slower than one thread on this per-draw workload.
+R_k block uses the counter-based stream k*M + i.  Sample loops run serially;
+threads over draws wait for ROADMAP direction 8.
 """
 
 from __future__ import annotations
@@ -197,6 +197,8 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
     c(mu_n) is ``estimate_cns`` of mu_n over R = 10, 20, 40 with planar_M
     (default M) draws per R; the torus grid spacing h defaults to
     ``torus_spacing(n)``."""
+    # looked up per call, not at import: perfbench traces torus draws by
+    # wrapping arithmetic.sample_torus_wave in place
     from .arithmetic import mu_n, sample_torus_wave, torus_spacing
 
     if M < 2:

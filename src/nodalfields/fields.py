@@ -52,7 +52,7 @@ class TorusDomain:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """One realization: a measure plus drawn Gaussian coefficients.
+    """One realization: a measure plus Gaussian coefficients, drawn or given.
 
     Evaluation formula (kappa the measure's exponent factor, s = freq_scale):
 
@@ -60,16 +60,15 @@ class FieldSample:
              + sum_k sqrt(W_k) * (a_k cos(kappa*s*<xi_k, x>)
                                   + b_k sin(kappa*s*<xi_k, x>))
 
-    xi_k (reps), W_k (pair_weights) and w0 (origin_weight) are the measure's
-    antipodal pair table, read from the measure rather than copied; coeff_a
-    and coeff_b hold one entry per pair in that table's order.
+    xi_k (reps), W_k (pair_weights), w0 (origin_weight) and kappa are read
+    from the measure, not copied; coeff_a and coeff_b hold one entry per pair
+    of its antipodal pair table, in order.  It keeps no seed.
     """
 
     measure: SpectralMeasure
     coeff_a: np.ndarray
     coeff_b: np.ndarray
     origin_coeff: float = 0.0
-    seed: int | None = None
     freq_scale: float = 1.0
 
     def __post_init__(self):
@@ -93,14 +92,9 @@ class FieldSample:
         """(m, 2) angular frequency vectors kappa * freq_scale * xi_k."""
         return self.measure.kappa_value * self.freq_scale * self.reps
 
-    @property
-    def max_frequency(self) -> float:
-        if len(self.reps) == 0:
-            return 0.0
-        return float(np.hypot(*self.frequencies.T).max())
-
     def min_wavelength(self) -> float:
-        fmax = self.max_frequency
+        """2 pi over the largest frequency norm; inf if none or it is 0."""
+        fmax = float(np.hypot(*self.frequencies.T).max(initial=0.0))
         return math.inf if fmax == 0.0 else 2.0 * math.pi / fmax
 
     def amplitudes(self) -> np.ndarray:
@@ -109,10 +103,11 @@ class FieldSample:
 
 @dataclass
 class ScalarGrid:
-    """Field values (and optional derivative grids) on a regular lattice.
+    """Field values, and the jet grids an order asks for, on a regular lattice.
 
-    values[i, j] is the field at (xs[i], ys[j]).  Grids from evaluate_grid
-    share their read-only axes with every grid of the same lattice.
+    values[i, j] is the field at (xs[i], ys[j]); d1, d2, d11, d12, d22 are
+    its derivatives there, or None.  Grids from evaluate_grid share their
+    read-only axes with every grid of the same lattice.
     """
 
     domain: object
@@ -125,8 +120,6 @@ class ScalarGrid:
     d11: np.ndarray | None = None
     d12: np.ndarray | None = None
     d22: np.ndarray | None = None
-    seed: int | None = None
-    kappa: str = "two_pi"
 
     @property
     def periodic(self) -> bool:
@@ -147,16 +140,15 @@ def sample(rho: SpectralMeasure, seed: int, stream: int = 0,
     return FieldSample(
         measure=rho,
         coeff_a=coeffs[0:2 * m:2].copy(), coeff_b=coeffs[1:2 * m:2].copy(),
-        origin_coeff=float(coeffs[2 * m]),
-        seed=seed, freq_scale=freq_scale)
+        origin_coeff=float(coeffs[2 * m]), freq_scale=freq_scale)
 
 
 def inject_sample(rho: SpectralMeasure, coeffs, origin_coeff: float = 0.0,
                   freq_scale: float = 1.0) -> FieldSample:
-    """Bypass the RNG with explicit (a_k, b_k) pairs, in canonical pair order.
+    """A sample with given (a_k, b_k) pairs, in canonical pair order.
 
-    Analysis/test hook: canonical order is lexicographically descending
-    representatives (see measures.antipodal_pairs).
+    Coupled draws and section 7 fields come from here; canonical order is
+    lexicographically descending representatives (measures.antipodal_pairs).
     """
     m = len(antipodal_pairs(rho)[1])
     coeffs = np.asarray(coeffs, dtype=float)
@@ -168,7 +160,10 @@ def inject_sample(rho: SpectralMeasure, coeffs, origin_coeff: float = 0.0,
 
 
 def evaluate_batch(s: FieldSample, pts, order: int = 0):
-    """Values (and gradients, Hessians up to order 2) at (N, 2) points."""
+    """Values at (N, 2) points, and gradients with order 1; any other order
+    raises ValueError."""
+    if order not in (0, 1):
+        raise ValueError(f"evaluate_batch takes order 0 or 1, got {order!r}")
     pts = np.asarray(pts, dtype=float)
     C = s.frequencies
     amp = s.amplitudes()
@@ -178,11 +173,7 @@ def evaluate_batch(s: FieldSample, pts, order: int = 0):
     vals = ca @ wa + sa @ wb + s.origin_coeff * math.sqrt(s.origin_weight)
     if order == 0:
         return vals
-    grads = (ca * wb - sa * wa) @ C   # d/dphase of each pair term
-    if order == 1:
-        return vals, grads
-    curv = -(ca * wa + sa * wb)       # second derivative in phase
-    return vals, grads, np.einsum("nk,ki,kj->nij", curv, C, C)
+    return vals, (ca * wb - sa * wa) @ C   # d/dphase of each pair term
 
 
 def unit_direction(direction) -> np.ndarray:
@@ -313,8 +304,7 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
         d22 = combine(-c2 * c2 * S1, -c2 * c2 * S2)
 
     return ScalarGrid(domain=domain, h=h_eff, xs=xs, ys=ys, values=val,
-                      d1=d1, d2=d2, d11=d11, d12=d12, d22=d22,
-                      seed=s.seed, kappa=s.measure.kappa)
+                      d1=d1, d2=d2, d11=d11, d12=d12, d22=d22)
 
 
 def cilleruelo_field(seed: int, stream: int = 0) -> FieldSample:

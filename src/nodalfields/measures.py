@@ -256,11 +256,11 @@ def make_atomic(atoms: Iterable[tuple[Sequence[float], float]],
     bad = np.flatnonzero(lonely | (gap > WEIGHT_TOL))
     if len(bad):
         i = bad[0]
-        p = points[i]
+        p = tuple(points[i].tolist())
         if lonely[i]:
-            raise NotPiInvariant(f"atom {tuple(p)} has no antipode")
+            raise NotPiInvariant(f"atom {p} has no antipode")
         raise NotPiInvariant(
-            f"weights at {tuple(p)} and antipode differ by {gap[i]:.3g}")
+            f"weights at {p} and antipode differ by {gap[i]:.3g}")
 
     return SpectralMeasure(points=points, weights=weights, kappa=kappa,
                            provenance=provenance)

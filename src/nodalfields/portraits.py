@@ -103,7 +103,7 @@ def render_svg(grid: ScalarGrid, path, size: int = 800) -> int:
     paths = []
     for pts, closed in chains:
         pieces = _wrap_split(pts) if grid.periodic else [pts]
-        for k, piece in enumerate(pieces):
+        for piece in pieces:
             d = "M " + " L ".join(f"{fmt(p[0])} {fmt(p[1])}" for p in piece)
             if closed and len(pieces) == 1:
                 d += " Z"
@@ -142,11 +142,11 @@ def render_ppm(grid: ScalarGrid, path):
         fh.write(img.tobytes())
 
 
-def dump_grid_csv(grid: ScalarGrid, path):
-    """Matrix dump with a one-line provenance header."""
-    seed = grid.seed if grid.seed is not None else "none"
+def dump_grid_csv(grid: ScalarGrid, path, seed: int | None, kappa: str):
+    """Matrix dump with a one-line header: the grid's domain and spacing,
+    the draw's seed ("none" for a fixed field) and the measure's kappa."""
     header = (f"# domain={grid.domain.descriptor()} h={grid.h:.17g} "
-              f"seed={seed} kappa={grid.kappa}")
+              f"seed={'none' if seed is None else seed} kappa={kappa}")
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in grid.values:

@@ -3,7 +3,8 @@
 ``grid_from_callable`` grids a closed-form function for the census tests.
 The others compute what the package computes another way: the covariance
 of a sample from its coefficient structure (``representation_covariance``)
-or by Monte Carlo (``covariance_mc``), E|XY| by quadrature
+or by Monte Carlo (``covariance_mc``), a sample's Hessians at points from
+its trigonometric sum (``point_hessians``), E|XY| by quadrature
 (``abs_product_mean_quad``), r2(n) from the divisors of n
 (``r2_divisor_oracle``), the plane census from a 4-connected labeling
 of the positive set (``ndimage_plane_census``, fast enough for sampled
@@ -64,6 +65,15 @@ def representation_covariance(s: FieldSample, x, y) -> float:
     y = np.asarray(y, dtype=float)
     ph = s.frequencies @ (x - y)
     return float(np.dot(s.pair_weights, np.cos(ph))) + s.origin_weight
+
+
+def point_hessians(s: FieldSample, pts) -> np.ndarray:
+    """(N, 2, 2) Hessians of a sample at (N, 2) points, each pair term
+    differentiated twice in closed form; the reference for order-2 grids."""
+    ph = np.asarray(pts, dtype=float) @ s.frequencies.T
+    amp = s.amplitudes()
+    curv = -(np.cos(ph) * (amp * s.coeff_a) + np.sin(ph) * (amp * s.coeff_b))
+    return np.einsum("nk,ki,kj->nij", curv, s.frequencies, s.frequencies)
 
 
 def covariance_mc(rho: SpectralMeasure, x, M: int, seed: int):

@@ -62,7 +62,8 @@ def test_portrait_outputs_and_determinism(tmp_path):
     svg = Path(str(out1) + ".svg").read_text()
     assert svg.count(" Z") == 0  # axis-measure samples have no closed loops
     header = Path(str(out1) + ".csv").read_text().splitlines()[0]
-    assert header.startswith("#") and "seed=7" in header and "kappa=one" in header
+    assert header == ("# domain=square R=12 h=0.39269908169872414 seed=7 "
+                      "kappa=one")
 
 
 def test_portrait_section7_has_loops(tmp_path):
@@ -81,25 +82,33 @@ def test_portrait_torus_with_ppm(tmp_path):
     assert data.startswith(b"P6\n")
 
 
-@pytest.mark.parametrize("args, nodes, digest, paths, closed, ppm_digest", [
+@pytest.mark.parametrize("args, nodes, digest, paths, closed, ppm_digest, "
+                         "header", [
     (["--preset", "uniform:64", "--R", "6", "--seed", "3"], 193,
      "2540f068c25755f1ce5cb97637a8765deffb715823027b00059938993858bcde", 53, 15,
-     "a7e4ba42456d5c516105c6491f9a9eb1d68b38ab367d7b0a6ace29eb0cf5673a"),
+     "a7e4ba42456d5c516105c6491f9a9eb1d68b38ab367d7b0a6ace29eb0cf5673a",
+     "# domain=square R=6 h=0.062499999999999993 seed=3 kappa=two_pi"),
     (["--section7", "f", "--R", "15"], 230,
      "5963d555bb50b69d886f2c807052f0523db5dbdfbfa44b499cc978b139bdb765", 59, 40,
-     "043de9d9aa52bf506ca1781a5feb6766bb90112d494714bdc92dfa97dd6030f4"),
+     "043de9d9aa52bf506ca1781a5feb6766bb90112d494714bdc92dfa97dd6030f4",
+     "# domain=square R=15 h=0.1308996938995747 seed=none kappa=one"),
     # the torus grid of torus_count_report: torus_spacing(65) = 1/144
     (["--torus-n", "65", "--seed", "1"], 144,
      "cfd3c8c9e9003440ac8bf6c6726b8229b3ab1f52335b68caf935da0dbb4f99c7", 41, 11,
-     "2939a22d8993c7c3a5d1d31cdd8d8feda253185431a9c1c838ea91a34803453b"),
+     "2939a22d8993c7c3a5d1d31cdd8d8feda253185431a9c1c838ea91a34803453b",
+     "# domain=torus h=0.0069444444444444441 seed=1 kappa=two_pi"),
 ], ids=["uniform64", "section7-f", "torus65"])
 def test_portrait_svg_digests(tmp_path, args, nodes, digest, paths, closed,
-                              ppm_digest):
+                              ppm_digest, header):
     # pinned bytes of the portrait chain order and coordinates, and of the
-    # sign raster with its crossing pixels, on a pinned nodes x nodes grid
+    # sign raster with its crossing pixels, on a pinned nodes x nodes grid;
+    # the CSV header names the draw's seed ("none" for a fixed field) and
+    # its measure's kappa
     out = tmp_path / "p"
     assert main(["portrait", *args, "--ppm", "--out", str(out)]) == 0
-    rows = Path(str(out) + ".csv").read_text().splitlines()[1:]
+    lines = Path(str(out) + ".csv").read_text().splitlines()
+    assert lines[0] == header
+    rows = lines[1:]
     assert (len(rows), len(rows[0].split(","))) == (nodes, nodes)
     svg = Path(str(out) + ".svg").read_text()
     assert (svg.count("<path"), svg.count(" Z")) == (paths, closed)

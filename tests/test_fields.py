@@ -19,7 +19,7 @@ from nodalfields.fields import (
     sample,
 )
 from nodalfields.measures import SpectralMeasure, covariance, preset
-from oracles import covariance_mc, representation_covariance
+from oracles import covariance_mc, point_hessians, representation_covariance
 
 NU0 = preset("cilleruelo", kappa="one")
 
@@ -55,7 +55,8 @@ def test_analytic_derivatives_match_finite_differences():
     h = 1e-5
     for _ in range(5):
         x = rng.uniform(-3, 3, 2)
-        (v,), (grad,), (hess,) = evaluate_batch(s, [x], order=2)
+        (v,), (grad,) = evaluate_batch(s, [x], order=1)
+        (hess,) = point_hessians(s, [x])
         fp1, fm1, fp2, fm2 = evaluate_batch(
             s, [x + [h, 0], x - [h, 0], x + [0, h], x - [0, h]])
         fd1 = (fp1 - fm1) / (2 * h)
@@ -85,13 +86,21 @@ def test_grid_matches_pointwise():
     g = evaluate_grid(s, SquareDomain(1.0), 0.5, order=2)
     assert g.values.shape == (5, 5)
     i, j = 3, 1
-    (v,), (grad,), (hess,) = evaluate_batch(s, [(g.xs[i], g.ys[j])], order=2)
+    x = (g.xs[i], g.ys[j])
+    (v,), (grad,) = evaluate_batch(s, [x], order=1)
+    (hess,) = point_hessians(s, [x])
     assert g.values[i, j] == pytest.approx(v, abs=1e-12)
     assert g.d1[i, j] == pytest.approx(grad[0], abs=1e-12)
     assert g.d2[i, j] == pytest.approx(grad[1], abs=1e-12)
     assert g.d11[i, j] == pytest.approx(hess[0, 0], abs=1e-10)
     assert g.d12[i, j] == pytest.approx(hess[0, 1], abs=1e-10)
     assert g.d22[i, j] == pytest.approx(hess[1, 1], abs=1e-10)
+
+
+def test_batch_evaluates_values_and_gradients_only():
+    s = sample(preset("uniform_circle", K=16), seed=2)
+    with pytest.raises(ValueError, match="order 0 or 1, got 2$"):
+        evaluate_batch(s, [(0.0, 0.0)], order=2)
 
 
 def test_torus_grid_periodicity():
