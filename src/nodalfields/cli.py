@@ -8,9 +8,9 @@ Measure specs accept a file path (via --measure) or a preset string:
 cilleruelo | tilted_cilleruelo | uniform:K | arc:a,K | two_point:theta |
 delta_zero | section7_three_pair | section7_monochromatic_six_point | mu_n:n
 A command draws from one field source at most (--measure, --preset, and
-for portrait --torus-n or --section7), --kappa goes with --preset only, and
-a portrait takes no --R on the torus and no --seed for --section7:
-anything else exits 2 rather than drop a flag.
+for portrait --torus-n or --section7), --kappa goes with --preset only, not
+with mu_n:n, and a portrait takes no --R on the torus and no --seed for
+--section7: anything else exits 2 rather than drop a flag.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from contextlib import nullcontext
 from . import __version__
 from .errors import NodalError
 from .fields import SquareDomain, TorusDomain, evaluate_grid, sample
-from .measures import SpectralMeasure, load_measure, preset, save_measure
+from .measures import (KAPPA_VALUES, SpectralMeasure, load_measure, preset,
+                       save_measure)
 from .portraits import dump_grid_csv, render_ppm, render_svg
 
 DEFAULT_SEED = 1
@@ -42,6 +43,8 @@ def parse_measure_spec(spec: str, kappa: str | None = None) -> SpectralMeasure:
         return preset("two_point", theta=float(arg) if arg else 0.0, **kw)
     if name == "mu_n":
         from .arithmetic import mu_n
+        if kappa:
+            raise NodalError("mu_n:n is two_pi; it takes no --kappa")
         return mu_n(int(arg))
     if arg:
         raise NodalError(f"preset {name} takes no argument")
@@ -80,8 +83,7 @@ def cmd_portrait(args) -> int:
                              "draws on the unit torus")
         s = sample_torus_wave(args.torus_n, seed)
         domain = TorusDomain()
-        if h is None:
-            h = torus_spacing(args.torus_n)
+        h = torus_spacing(args.torus_n) if h is None else h
     elif args.section7:
         if args.seed is not None:
             raise NodalError("--section7 fields are fixed; they take no --seed")
@@ -224,7 +226,7 @@ def _add_measure_args(p):
     source = p.add_mutually_exclusive_group()
     source.add_argument("--preset", help="preset spec, e.g. uniform:64")
     source.add_argument("--measure", help="measure JSON file")
-    p.add_argument("--kappa", choices=["two_pi", "one"],
+    p.add_argument("--kappa", choices=KAPPA_VALUES,
                    help="override the preset's exponent convention")
     return source
 
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stability profile and sandwich check")
     p.add_argument("--preset", required=True)
     p.add_argument("--preset2", default=None)
-    p.add_argument("--kappa", choices=["two_pi", "one"])
+    p.add_argument("--kappa", choices=KAPPA_VALUES)
     p.add_argument("--R", type=float, default=10.0)
     p.add_argument("--M", type=int, default=50)
     p.add_argument("--beta", type=float, default=0.05)
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="write a preset measure to a JSON file")
     p.add_argument("--preset", required=True)
-    p.add_argument("--kappa", choices=["two_pi", "one"])
+    p.add_argument("--kappa", choices=KAPPA_VALUES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_measure)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ScheduleTooShort
 from .fields import (SquareDomain, TorusDomain, default_spacing, evaluate_grid,
-                     grid_too_coarse, sample)
+                     grid_axes, grid_too_coarse, sample)
 from .measures import SpectralMeasure, measure_to_dict
 from .topology import count_components_plane, count_components_torus
 
@@ -195,8 +195,8 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
     """Mean total component count of degree-n torus waves vs c(mu_n) * n.
 
     c(mu_n) is ``estimate_cns`` of mu_n over R = 10, 20, 40 with planar_M
-    (default M) draws per R; the torus grid spacing h defaults to
-    ``torus_spacing(n)``."""
+    (default M) draws per R; the torus spacing h defaults to
+    ``torus_spacing(n)``, and the report gives the lattice's, 1/round(1/h)."""
     # looked up per call, not at import: perfbench traces torus draws by
     # wrapping arithmetic.sample_torus_wave in place
     from .arithmetic import mu_n, sample_torus_wave, torus_spacing
@@ -209,8 +209,7 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
         # estimate_cns would fail only after the whole torus batch
         raise ValueError(f"need planar_M >= 10 (default: M), got {planar_M}")
     rho = mu_n(n)
-    if h is None:
-        h = torus_spacing(n)
+    h = torus_spacing(n) if h is None else h
     censuses = _batch(lambda i: sample_torus_wave(n, seed, i), M,
                       TorusDomain(), h, count_components_torus)
     totals = np.array([c.total_components for c in censuses], dtype=float)
@@ -220,7 +219,8 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
     mean_total = float(totals.mean())
     resid = (mean_total - planar.cns_estimate * n) / math.sqrt(n)
     return TorusReport(
-        n=n, M=M, h=h, seed=seed, mean_total=mean_total,
+        n=n, M=M, h=grid_axes(TorusDomain(), h)[2], seed=seed,
+        mean_total=mean_total,
         stderr_total=float(totals.std(ddof=1) / math.sqrt(M)),
         mean_wrapping=float(wraps.mean()),
         cns_mu_n=planar.cns_estimate, cns_stderr=planar.cns_stderr,

@@ -204,32 +204,11 @@ def grid_axes(domain, h: float):
 
 
 def grid_too_coarse(s: FieldSample, h: float) -> bool:
-    """Resolution rule: spacing h gives fewer than MIN_POINTS_PER_WAVELENGTH
-    nodes per minimal wavelength."""
+    """Resolution rule: fewer than MIN_POINTS_PER_WAVELENGTH nodes per
+    minimal wavelength on a lattice of spacing h (the lattice's own)."""
     lam = s.min_wavelength()
     return (math.isfinite(lam)
             and h > lam / MIN_POINTS_PER_WAVELENGTH * (1 + 1e-9))
-
-
-def checked_spacing(s: FieldSample, h: float | None) -> float:
-    """The spacing h, ``default_spacing(s)`` if None, or a loud failure.
-
-    Raises ValueError unless h is finite and positive, and warns
-    GridTooCoarse where ``grid_too_coarse(s, h)`` holds.  The warning names
-    the caller of the function that calls this one, so a batch shows it
-    once per call site under the default filter.
-    """
-    if h is None:
-        h = default_spacing(s)
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be finite and positive, got {h}")
-    if grid_too_coarse(s, h):
-        warnings.warn(
-            f"grid spacing {h:.4g} gives fewer than "
-            f"{MIN_POINTS_PER_WAVELENGTH} points per minimal wavelength "
-            f"{s.min_wavelength():.4g}",
-            GridTooCoarse, stacklevel=3)
-    return h
 
 
 def default_spacing(s: FieldSample) -> float:
@@ -264,15 +243,25 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
                   order: int = 0) -> ScalarGrid:
     """Evaluate on the lattice of a square or torus domain.
 
-    order 0 fills values; 1 adds first-derivative grids; 2 adds the three
-    second-derivative grids.  Each jet grid is one matrix product of the 1-D
-    cos/sin tables.  The axes and the tables come from one slot on the
-    measure keyed by (freq_scale, domain, h): built on the first grid of a
-    key, shared read-only (the grid's xs and ys too) until another key
-    replaces them.
+    h (default ``default_spacing(s)``) must be finite and positive.  The
+    grid's h is the lattice's, which the torus snaps to 1/n; where that h is
+    ``grid_too_coarse``, GridTooCoarse warns at the caller, so a batch
+    warns once per call site.  order 0 fills values, 1 adds the
+    first-derivative grids and 2 the three second-derivative grids, each
+    one matrix product of the 1-D cos/sin tables.  The axes and the tables
+    come from one slot on the measure keyed by (freq_scale, domain, h):
+    built on the first grid of a key, shared read-only (the grid's xs and
+    ys too) until another key replaces them.
     """
-    h = checked_spacing(s, h)
+    h = default_spacing(s) if h is None else h
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h}")
     xs, ys, h_eff, U, cy, sy = _axis_tables(s, domain, h)
+    if grid_too_coarse(s, h_eff):
+        warnings.warn(f"grid spacing {h_eff:.4g} gives fewer than "
+                      f"{MIN_POINTS_PER_WAVELENGTH} points per minimal "
+                      f"wavelength {s.min_wavelength():.4g}", GridTooCoarse,
+                      stacklevel=2)
     C = s.frequencies
     amp = s.amplitudes()
     wa, wb = amp * s.coeff_a, amp * s.coeff_b

@@ -222,7 +222,10 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
     Filters: min-max of the reference field above 2*beta on the outer square
     (stability) and grid C^1 distance below beta (closeness); beta = inf
     disables both filters.  Among filtered draws the perturbed counts at
-    R -/+ 1 must bracket the reference count at R.
+    R -/+ 1 must bracket the reference count at R, all cut from one grid
+    on R + 1 whose spacing h divides 1: the default, the pair's finer
+    ``default_spacing``, is refined to 1/ceil(1/h) where it does not, and
+    any other h raises ValueError before the first draw.
     """
     if R < 1:
         raise ValueError("need R >= 1")
@@ -230,6 +233,9 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
         raise ValueError("need M >= 1")
     if not beta > 0:
         raise ValueError(f"need beta > 0 (inf: no filters), got {beta}")
+    if h is not None and not (0 < h <= 1
+                              and abs(math.remainder(1 / h, 1)) <= 1e-9):
+        raise ValueError(f"need a spacing h that divides 1, got {h}")
     # only the filters read derivative grids
     order = 1 if math.isfinite(beta) else 0
     filtered = violations = 0
@@ -237,6 +243,8 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
         f0, f1 = coupled_sample(rho0, rho1, seed, stream=i)
         if h is None:
             h = min(default_spacing(f0), default_spacing(f1))
+            if abs(math.remainder(1 / h, 1)) > 1e-9:
+                h = 1 / math.ceil(1 / h)
         outer = SquareDomain(R + 1.0)
         g0 = evaluate_grid(f0, outer, h, order=order)
         g1 = evaluate_grid(f1, outer, h, order=order)

@@ -264,6 +264,11 @@ def test_exit_codes(tmp_path):
         assert main(["flips", "--preset", "uniform:64", "--R", R, "--axis",
                      "1", "--empirical", "--M", "2"]) == 2  # empty square
     assert main(["torus", "--n", "65", "--M", "1"]) == 2     # no stderr
+    # mu_n:n keeps the torus convention rather than drop --kappa
+    assert main(["measure", "--preset", "mu_n:65", "--kappa", "one",
+                 "--out", str(tmp_path / "mu.json")]) == 2
+    assert main(["cns", "--preset", "mu_n:5", "--kappa", "one", "--M", "10",
+                 "--schedule", "2,3,4"]) == 2
     assert main(["cns", "--preset", "arc:0.5,8", "--M", "10",
                  "--schedule", "1,2,3"]) == 2               # a flat R block
     assert main(["stability", "--preset", "uniform:16", "--preset2",

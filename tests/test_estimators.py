@@ -153,6 +153,10 @@ def test_torus_count_report_smoke():
     assert abs(rep.residual_over_sqrt_n) < 3.0
     d = rep.to_dict()
     assert d["kind"] == "torus_report"
+    # the report's h is the one its censuses ran on: the lattice's 1/33
+    with pytest.warns(GridTooCoarse):
+        rep = torus_count_report(65, 2, h=0.03, seed=1, planar_M=10)
+    assert rep.h == 1 / 33
 
 
 def test_torus_count_report_needs_two_draws():

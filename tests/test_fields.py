@@ -120,6 +120,17 @@ def test_grid_too_coarse_warning():
         evaluate_grid(s, SquareDomain(2.0), 1.0 / 16.0)  # fine grid: no warning
 
 
+def test_torus_grid_checks_the_spacing_it_runs_on():
+    # 1/43.4 alone passes the rule on mu_13; the torus snaps it to 1/43,
+    # 11.9 nodes per wavelength
+    from nodalfields.arithmetic import sample_torus_wave
+    s = sample_torus_wave(13, 1)
+    with pytest.warns(GridTooCoarse, match="grid spacing 0.02326 "):
+        g = evaluate_grid(s, TorusDomain(), 1 / 43.4)
+    assert g.h == 1 / 43
+    assert 11.8 < s.min_wavelength() / g.h < 12
+
+
 def test_cilleruelo_amplitudes():
     s = cilleruelo_field(seed=5)
     a1, a2 = np.hypot(s.coeff_a, s.coeff_b)

@@ -214,6 +214,7 @@ def _readers(name):
     ("Philox", ("fields", "_philox")),          # the (seed, stream) key
     ("ROUNDING_MARGIN", ("topology", "_slope_weights")),  # flip-sign margin
     ("_GROUP_SIDES", ("topology", "marching_segments")),  # side pairing
+    ("GridTooCoarse", ("fields", "evaluate_grid")),  # the coarse-grid warning
 ])
 def test_rule_has_one_reader(name, owner):
     assert sorted(set(_readers(name))) == [owner]

@@ -310,6 +310,29 @@ def test_sandwich_needs_a_draw():
             sandwich_check(u, u, R=4.0, M=M, beta=math.inf, seed=1)
 
 
+def test_sandwich_default_spacing_divides_one():
+    # kappa "one" gives a default spacing of 2 pi / 16, which does not
+    # divide 1, so the squares R and R - 1 miss its grid; it runs on 1/3
+    u16, u32 = (preset("uniform_circle", K=K, kappa="one") for K in (16, 32))
+    rep = sandwich_check(u16, u32, R=3.0, M=3, beta=math.inf, seed=1)
+    assert rep.filtered == 3
+
+
+def test_sandwich_rejects_a_spacing_before_drawing(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return coupled_sample(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "coupled_sample", counting)
+    u16, u32 = (preset("uniform_circle", K=K, kappa="one") for K in (16, 32))
+    for h in (0.03, 0.0):
+        with pytest.raises(ValueError, match="divides 1"):
+            sandwich_check(u16, u32, R=3.0, M=3, beta=math.inf, seed=1, h=h)
+    assert calls == []
+
+
 def test_section7_fields_formulas_and_counts():
     f = section7_field("f")
     g = section7_field("g")
