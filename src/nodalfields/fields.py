@@ -13,6 +13,10 @@ Grid evaluation is separable: the lattice axes and their 1-D cos/sin tables
 depend on (measure, freq_scale, domain, h) only.  They are kept read-only in
 one slot on the measure, keyed by (freq_scale, domain, h), so a batch of draws
 over one measure and one lattice builds them once; a new key replaces them.
+The x table U is (nx, 2m) and the y tables are C-ordered (m, ny) pair rows.
+A draw folds its coefficients into the y rows in place, writing one (2m, ny)
+right factor V, so each grid is one product U @ V; the derivative grids
+refill one jet buffer of V's shape in turn.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .measures import SpectralMeasure, _slot, antipodal_pairs, preset
 # sign-based counting is trusted; the default grid uses POINTS_PER_WAVELENGTH.
 MIN_POINTS_PER_WAVELENGTH = 12
 POINTS_PER_WAVELENGTH = 16
+# Products of at most this many multiply-adds may run in OpenBLAS's AVX-512
+# small-matrix kernels, whose bits depend on the operands' layout.
+SMALL_GEMM = 10**6
 
 
 @dataclass(frozen=True)
@@ -222,8 +229,8 @@ def default_spacing(s: FieldSample) -> float:
 def _axis_tables(s: FieldSample, domain, h: float):
     """(xs, ys, h_eff, U, cy, sy), read-only, from the measure's table slot.
 
-    U = [cos, sin](xs c1) and cy, sy = cos, sin(ys c2) for the frequency
-    columns c1, c2 of s.
+    U = [cos, sin](xs c1), (nx, 2m), and cy, sy = cos, sin(c2 ys), C-ordered
+    (m, ny) pair rows, for the frequency columns c1, c2 of s.
     """
     def build():
         xs, ys, h_eff = grid_axes(domain, h)
@@ -231,7 +238,7 @@ def _axis_tables(s: FieldSample, domain, h: float):
         phx = np.outer(xs, C[:, 0])
         phy = np.outer(ys, C[:, 1])
         U = np.hstack([np.cos(phx), np.sin(phx)])
-        cy, sy = np.cos(phy), np.sin(phy)
+        cy, sy = np.cos(phy).T.copy(), np.sin(phy).T.copy()
         for arr in (xs, ys, U, cy, sy):
             arr.setflags(write=False)
         return xs, ys, h_eff, U, cy, sy
@@ -247,12 +254,18 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
     grid's h is the lattice's, which the torus snaps to 1/n; where that h is
     ``grid_too_coarse``, GridTooCoarse warns at the caller, so a batch
     warns once per call site.  order 0 fills values, 1 adds the
-    first-derivative grids and 2 the three second-derivative grids, each
-    one matrix product of the 1-D cos/sin tables.  The axes and the tables
-    come from one slot on the measure keyed by (freq_scale, domain, h):
-    built on the first grid of a key, shared read-only (the grid's xs and
-    ys too) until another key replaces them.
+    first-derivative grids and 2 the three second-derivative grids; any
+    other order raises ValueError.  Each grid is one matrix product of the
+    x table U (nx, 2m) with a (2m, ny) right factor: the values' V holds
+    S1 = wa cy + wb sy over S2 = wb cy - wa sy, written in place from the
+    (m, ny) y rows, and each derivative grid refills one jet buffer W of
+    V's shape from S1 and S2 (c S2 over -c S1 for a first derivative).  The
+    axes and the tables come from one slot on the measure keyed by
+    (freq_scale, domain, h): built on the first grid of a key, shared
+    read-only (the grid's xs and ys too) until another key replaces them.
     """
+    if order not in (0, 1, 2):
+        raise ValueError(f"evaluate_grid takes order 0, 1 or 2, got {order!r}")
     h = default_spacing(s) if h is None else h
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h}")
@@ -264,33 +277,46 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
                       stacklevel=2)
     C = s.frequencies
     amp = s.amplitudes()
-    wa, wb = amp * s.coeff_a, amp * s.coeff_b
+    wa, wb = (amp * s.coeff_a)[:, None], (amp * s.coeff_b)[:, None]
 
     # separability: cos(c1 x + c2 y) splits into outer products of the 1-D
     # cos/sin tables, so every jet grid is one matrix product
-    # U (nx, 2m) @ V (2m, ny) instead of a per-pair lattice sweep.
-    S1 = (wa * cy + wb * sy).T              # pairs along rows
-    S2 = (wb * cy - wa * sy).T
-
-    def combine(top, bottom):
-        return U @ np.vstack([top, bottom])
-
-    val = combine(S1, S2)
+    # U (nx, 2m) @ V (2m, ny) instead of a per-pair lattice sweep.  In a
+    # C-ordered V each pair's coefficient scales one contiguous row.  BLAS
+    # rounds the product alike for either layout of V except in OpenBLAS's
+    # small-matrix kernels, so a small product takes a Fortran-ordered V:
+    # seeded grids of every size keep their bits.
+    m, ny = len(wa), len(ys)
+    small = 2 * m * len(xs) * ny <= SMALL_GEMM
+    V = np.empty((2 * m, ny), order="F" if small else "C")
+    S1, S2 = V[:m], V[m:]                   # pairs along rows
+    np.multiply(wa, cy, out=S1)
+    S1 += wb * sy
+    np.multiply(wb, cy, out=S2)
+    S2 -= wa * sy
+    val = U @ V
     origin = s.origin_coeff * math.sqrt(s.origin_weight)
     if origin:
         # a zero constant could only turn a -0.0 node into +0.0, which the
         # tie rule and every reader treat alike
         val += origin
     d1 = d2 = d11 = d12 = d22 = None
-    c1 = C[:, 0][:, None]
-    c2 = C[:, 1][:, None]
     if order >= 1:
-        d1 = combine(c1 * S2, -c1 * S1)
-        d2 = combine(c2 * S2, -c2 * S1)
-    if order >= 2:
-        d11 = combine(-c1 * c1 * S1, -c1 * c1 * S2)
-        d12 = combine(-c1 * c2 * S1, -c1 * c2 * S2)
-        d22 = combine(-c2 * c2 * S1, -c2 * c2 * S2)
+        W = np.empty_like(V)
+        c1, c2 = C[:, 0][:, None], C[:, 1][:, None]
+
+        def jet(k_top, top, k_bottom, bottom):
+            np.multiply(k_top, top, out=W[:m])
+            np.multiply(k_bottom, bottom, out=W[m:])
+            return U @ W
+
+        d1 = jet(c1, S2, -c1, S1)
+        d2 = jet(c2, S2, -c2, S1)
+        if order == 2:
+            k11, k12, k22 = -c1 * c1, -c1 * c2, -c2 * c2
+            d11 = jet(k11, S1, k11, S2)
+            d12 = jet(k12, S1, k12, S2)
+            d22 = jet(k22, S1, k22, S2)
 
     return ScalarGrid(domain=domain, h=h_eff, xs=xs, ys=ys, values=val,
                       d1=d1, d2=d2, d11=d11, d12=d12, d22=d22)

@@ -233,7 +233,7 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
         raise ValueError("need M >= 1")
     if not beta > 0:
         raise ValueError(f"need beta > 0 (inf: no filters), got {beta}")
-    if h is not None and not (0 < h <= 1
+    if h is not None and not (0 < h <= 1 and math.isfinite(1 / h)
                               and abs(math.remainder(1 / h, 1)) <= 1e-9):
         raise ValueError(f"need a spacing h that divides 1, got {h}")
     # only the filters read derivative grids

@@ -4,9 +4,10 @@
 The others compute what the package computes another way: the covariance
 of a sample from its coefficient structure (``representation_covariance``)
 or by Monte Carlo (``covariance_mc``), a sample's Hessians at points from
-its trigonometric sum (``point_hessians``), E|XY| by quadrature
-(``abs_product_mean_quad``), r2(n) from the divisors of n
-(``r2_divisor_oracle``), the plane census from a 4-connected labeling
+its trigonometric sum (``point_hessians``), its jet grids from
+transposed y tables and stacked right factors (``stacked_jet_grids``),
+E|XY| by quadrature (``abs_product_mean_quad``), r2(n) from the divisors
+of n (``r2_divisor_oracle``), the plane census from a 4-connected labeling
 of the positive set (``ndimage_plane_census``, fast enough for sampled
 grids at R = 40), the half-edge successors of the marching segments from
 a sort of their ports, blind to orientation (``half_edge_successors``), and
@@ -74,6 +75,50 @@ def point_hessians(s: FieldSample, pts) -> np.ndarray:
     amp = s.amplitudes()
     curv = -(np.cos(ph) * (amp * s.coeff_a) + np.sin(ph) * (amp * s.coeff_b))
     return np.einsum("nk,ki,kj->nij", curv, s.frequencies, s.frequencies)
+
+
+def stacked_jet_grids(s: FieldSample, xs, ys, order: int):
+    """(values, d1, d2, d11, d12, d22) of s on the lattice xs x ys, None
+    past order; the reference for evaluate_grid's in-place fold.
+
+    The y tables are (ny, m) and each right factor is the vstack of two
+    transposed coefficient folds, as evaluate_grid built them before it
+    wrote every fold in place into one (2m, ny) buffer.
+    """
+    C = s.frequencies
+    phx = np.outer(xs, C[:, 0])
+    phy = np.outer(ys, C[:, 1])
+    U = np.hstack([np.cos(phx), np.sin(phx)])
+    cy, sy = np.cos(phy), np.sin(phy)
+    amp = s.amplitudes()
+    wa, wb = amp * s.coeff_a, amp * s.coeff_b
+
+    # separability: cos(c1 x + c2 y) splits into outer products of the 1-D
+    # cos/sin tables, so every jet grid is one matrix product
+    # U (nx, 2m) @ V (2m, ny) instead of a per-pair lattice sweep.
+    S1 = (wa * cy + wb * sy).T              # pairs along rows
+    S2 = (wb * cy - wa * sy).T
+
+    def combine(top, bottom):
+        return U @ np.vstack([top, bottom])
+
+    val = combine(S1, S2)
+    origin = s.origin_coeff * math.sqrt(s.origin_weight)
+    if origin:
+        # a zero constant could only turn a -0.0 node into +0.0, which the
+        # tie rule and every reader treat alike
+        val += origin
+    d1 = d2 = d11 = d12 = d22 = None
+    c1 = C[:, 0][:, None]
+    c2 = C[:, 1][:, None]
+    if order >= 1:
+        d1 = combine(c1 * S2, -c1 * S1)
+        d2 = combine(c2 * S2, -c2 * S1)
+    if order >= 2:
+        d11 = combine(-c1 * c1 * S1, -c1 * c1 * S2)
+        d12 = combine(-c1 * c2 * S1, -c1 * c2 * S2)
+        d22 = combine(-c2 * c2 * S1, -c2 * c2 * S2)
+    return val, d1, d2, d11, d12, d22
 
 
 def covariance_mc(rho: SpectralMeasure, x, M: int, seed: int):

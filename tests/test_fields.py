@@ -18,8 +18,18 @@ from nodalfields.fields import (
     inject_sample,
     sample,
 )
-from nodalfields.measures import SpectralMeasure, covariance, preset
-from oracles import covariance_mc, point_hessians, representation_covariance
+from nodalfields.measures import (
+    SpectralMeasure,
+    covariance,
+    make_atomic,
+    preset,
+)
+from oracles import (
+    covariance_mc,
+    point_hessians,
+    representation_covariance,
+    stacked_jet_grids,
+)
 
 NU0 = preset("cilleruelo", kappa="one")
 
@@ -101,6 +111,68 @@ def test_batch_evaluates_values_and_gradients_only():
     s = sample(preset("uniform_circle", K=16), seed=2)
     with pytest.raises(ValueError, match="order 0 or 1, got 2$"):
         evaluate_batch(s, [(0.0, 0.0)], order=2)
+
+
+def test_grid_rejects_an_order_outside_0_to_2():
+    s = sample(preset("uniform_circle", K=16), seed=2)
+    for order in (3, -1):
+        with pytest.raises(ValueError, match=f"order 0, 1 or 2, got {order}$"):
+            evaluate_grid(s, SquareDomain(1.0), 1 / 16, order=order)
+
+
+JETS = ("values", "d1", "d2", "d11", "d12", "d22")
+
+
+def _assert_matches_stacked_oracle(s, domain, h):
+    """The multiply-adds of each of the grid's products."""
+    for order in (0, 1, 2):
+        g = evaluate_grid(s, domain, h, order)
+        for name, want in zip(JETS, stacked_jet_grids(s, g.xs, g.ys, order)):
+            got = getattr(g, name)
+            assert (got is None) == (want is None), (name, order)
+            if want is not None:
+                assert np.array_equal(got, want), (name, order)
+                assert got.tobytes() == want.tobytes(), (name, order)
+    return 2 * len(s.coeff_a) * g.values.size
+
+
+def test_grid_matches_stacked_oracle(monkeypatch):
+    # the coefficients folded in place into one right factor give the bits
+    # of the former transposed and stacked factors, on products small
+    # enough for OpenBLAS's small-matrix kernels (a Fortran-ordered factor)
+    # and on larger ones (a C-ordered factor)
+    from nodalfields.arithmetic import mu_n, sample_torus_wave, torus_spacing
+    from nodalfields.stability import section7_field
+    with_origin = sample(make_atomic([((0.0, 0.0), 0.4), ((0.6, 0.8), 0.3),
+                                      ((-0.6, -0.8), 0.3)]), seed=4)
+    assert with_origin.origin_coeff != 0 and with_origin.origin_weight > 0
+    cases = [(sample(preset("uniform_circle", K=K), seed=K),
+              SquareDomain(2.0), None) for K in (16, 64, 128, 256)]
+    # a coupled_sandwich grid: 289^2 nodes, 64 pairs
+    cases.append((sample(preset("uniform_circle", K=128), seed=1),
+                  SquareDomain(9.0), 1 / 16))
+    for n in (65, 1105):
+        cases.append((sample(mu_n(n), seed=n), SquareDomain(3.0), None))
+        cases.append((sample_torus_wave(n, seed=n), TorusDomain(),
+                      torus_spacing(n)))
+    cases += [(section7_field("f"), SquareDomain(3.0), None),
+              (sample(preset("delta_zero"), seed=3), SquareDomain(1.0), 0.25),
+              (with_origin, SquareDomain(2.0), None),
+              (sample(preset("uniform_circle", K=64), seed=5),   # 1 x 1
+               SquareDomain(0.0), 1 / 16)]
+    madds = [_assert_matches_stacked_oracle(s, domain, h)
+             for s, domain, h in cases]
+    assert min(madds) <= fields.SMALL_GEMM < max(madds)
+    # 1 x n and n x 1 lattices, which no domain builds
+    line = -1.0 + np.arange(23) / 16
+    for nx, ny in ((1, 23), (23, 1)):
+        monkeypatch.setattr(fields, "grid_axes",
+                            lambda domain, h, nx=nx, ny=ny:
+                            (line[:nx].copy(), line[:ny].copy(), h))
+        s = sample(preset("uniform_circle", K=32), seed=nx)  # fresh slot
+        g = evaluate_grid(s, SquareDomain(1.0), 1 / 16)
+        assert g.values.shape == (nx, ny)
+        _assert_matches_stacked_oracle(s, SquareDomain(1.0), 1 / 16)
 
 
 def test_torus_grid_periodicity():

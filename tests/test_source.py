@@ -277,6 +277,23 @@ def test_portraits_sort_nothing():
     assert sorts == []
 
 
+def test_grid_products_stack_nothing():
+    # each draw folds its coefficients in place into one right factor per
+    # product: no transposed temporaries, no stacked copies
+    tree = ast.parse((PACKAGE / "fields.py").read_text())
+    fn, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+           and node.name == "evaluate_grid"]
+    banned = [ast.unparse(node) for node in ast.walk(fn)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "attr", getattr(node.func, "id", None))
+              in {"vstack", "hstack", "concatenate"}
+              or isinstance(node, ast.Attribute) and node.attr == "T"]
+    assert banned == []
+    assert [ast.unparse(node) for node in ast.walk(fn)
+            if isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.MatMult)] == ["U @ V", "U @ W"]
+
+
 def test_plane_census_searches_nothing():
     # the runs a run touches in the row above, and each row's first and last
     # run, are ranks on the packed row-change mask, not binary searches; the

@@ -327,7 +327,8 @@ def test_sandwich_rejects_a_spacing_before_drawing(monkeypatch):
 
     monkeypatch.setattr(stability, "coupled_sample", counting)
     u16, u32 = (preset("uniform_circle", K=K, kappa="one") for K in (16, 32))
-    for h in (0.03, 0.0):
+    # 1/h overflows for a subnormal h
+    for h in (0.03, 0.0, 1e-320, 5e-324):
         with pytest.raises(ValueError, match="divides 1"):
             sandwich_check(u16, u32, R=3.0, M=3, beta=math.inf, seed=1, h=h)
     assert calls == []
