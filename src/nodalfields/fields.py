@@ -4,6 +4,10 @@ A sample is a finite trigonometric sum: one (cos, sin) coefficient pair per
 antipodal atom pair, so values and derivatives are available in closed form
 anywhere.  With i.i.d. standard normal coefficients the sample reproduces the
 measure's covariance function exactly; there is no discretization in the law.
+A derivative d.grad f along a fixed direction is again such a sum over the
+same atoms, with pairs (d.c_k)(b_k, -a_k) and no origin term, so its grids
+and point values come from the same evaluators; the flips in ``topology``
+read it that way, and ``evaluate_batch`` gives values only.
 
 Coefficients come from a counter-based generator (Philox) keyed by
 (seed, stream index), so Monte Carlo batches are reproducible independently of
@@ -166,21 +170,17 @@ def inject_sample(rho: SpectralMeasure, coeffs, origin_coeff: float = 0.0,
         origin_coeff=float(origin_coeff), freq_scale=freq_scale)
 
 
-def evaluate_batch(s: FieldSample, pts, order: int = 0):
-    """Values at (N, 2) points, and gradients with order 1; any other order
-    raises ValueError."""
-    if order not in (0, 1):
-        raise ValueError(f"evaluate_batch takes order 0 or 1, got {order!r}")
+def evaluate_batch(s: FieldSample, pts) -> np.ndarray:
+    """Values at (N, 2) points, each pair term summed in closed form.
+
+    A derivative along a direction is a sample of its own (see the module
+    docstring), so this gives values only.
+    """
     pts = np.asarray(pts, dtype=float)
-    C = s.frequencies
+    ph = pts @ s.frequencies.T        # (N, m)
     amp = s.amplitudes()
-    ph = pts @ C.T                    # (N, m)
-    ca, sa = np.cos(ph), np.sin(ph)
-    wa, wb = amp * s.coeff_a, amp * s.coeff_b
-    vals = ca @ wa + sa @ wb + s.origin_coeff * math.sqrt(s.origin_weight)
-    if order == 0:
-        return vals
-    return vals, (ca * wb - sa * wa) @ C   # d/dphase of each pair term
+    return (np.cos(ph) @ (amp * s.coeff_a) + np.sin(ph) @ (amp * s.coeff_b)
+            + s.origin_coeff * math.sqrt(s.origin_weight))
 
 
 def unit_direction(direction) -> np.ndarray:

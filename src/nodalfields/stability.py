@@ -22,6 +22,7 @@ from .fields import (
     _philox,
     default_spacing,
     evaluate_grid,
+    grid_axes,
     inject_sample,
 )
 from .measures import SpectralMeasure, _slot, antipodal_pairs, preset
@@ -225,7 +226,8 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
     R -/+ 1 must bracket the reference count at R, all cut from one grid
     on R + 1 whose spacing h divides 1: the default, the pair's finer
     ``default_spacing``, is refined to 1/ceil(1/h) where it does not, and
-    any other h raises ValueError before the first draw.
+    any other h, or one whose lattice on R + 1 numpy cannot allocate,
+    raises ValueError before the first draw.
     """
     if R < 1:
         raise ValueError("need R >= 1")
@@ -233,9 +235,16 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
         raise ValueError("need M >= 1")
     if not beta > 0:
         raise ValueError(f"need beta > 0 (inf: no filters), got {beta}")
-    if h is not None and not (0 < h <= 1 and math.isfinite(1 / h)
-                              and abs(math.remainder(1 / h, 1)) <= 1e-9):
-        raise ValueError(f"need a spacing h that divides 1, got {h}")
+    outer = SquareDomain(R + 1.0)
+    if h is not None:
+        if not (0 < h <= 1 and math.isfinite(1 / h)
+                and abs(math.remainder(1 / h, 1)) <= 1e-9):
+            raise ValueError(f"need a spacing h that divides 1, got {h}")
+        try:
+            grid_axes(outer, h)
+        except ValueError as exc:
+            raise ValueError(f"spacing h={h} gives no lattice on the outer "
+                             f"square of half-side {R + 1.0}: {exc}") from None
     # only the filters read derivative grids
     order = 1 if math.isfinite(beta) else 0
     filtered = violations = 0
@@ -245,7 +254,6 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
             h = min(default_spacing(f0), default_spacing(f1))
             if abs(math.remainder(1 / h, 1)) > 1e-9:
                 h = 1 / math.ceil(1 / h)
-        outer = SquareDomain(R + 1.0)
         g0 = evaluate_grid(f0, outer, h, order=order)
         g1 = evaluate_grid(f1, outer, h, order=order)
         if math.isfinite(beta):

@@ -41,19 +41,25 @@ Values with |f| < TIE_TOL are treated as positive (measure-zero event,
 deterministic tie rule), through ``sign_grid`` only: at grid nodes, and at the
 ports, bisection midpoints and line samples of flips and intersections.
 
-Flips sign g = d.grad f at each crossing port from the order-1 grid: the
-ports are the crossed edges, read off the crossing mask, g is interpolated
-linearly along the port's edge, and the interpolation error is at most
+Flips sign g = d.grad f at each crossing port.  g is itself a sample of
+the measure, with pairs (d.c_k)(b_k, -a_k) and no origin term
+(``_slope_sample``), so its value grid comes from f's axis tables and
+``evaluate_batch`` of it is its exact evaluator.  The ports are the crossed
+edges of f's value grid, read off the crossing mask.  A port whose two
+nodes' g clear the larger port bound on one side takes that sign (6-9% of
+the ports at 16 points per wavelength are left); on the others g is
+interpolated linearly along the edge, within
 (h^2/8) sum_k sqrt(W_k) |(a_k, b_k)| |d.c_k| c_kj^2 (j the edge's axis),
-inflated by 1e-6 and widened by a rounding margin (``_slope_weights``).
-``marching_segments``, labeled by those signs, emits only the segments whose
-ports get opposite signs, and each is bisected ten times; g at a midpoint
-is read off a phase table exp(i c_k.x) rotated along the segment
-(``_bisect``), good to the same margin.  Where both ends of the interval
-around an estimate get one sign, so does the exact value; the few other
-ports and midpoints are evaluated with ``evaluate_batch``
-(``_certified_signs``).  So every flip count and location equals the one
-an exact evaluation at every port and midpoint gives.
+inflated by 1e-6 and widened by a rounding margin (``_port_bounds``,
+``_slope_weights``).  ``marching_segments``, labeled by those signs, emits
+only the segments whose ports get opposite signs, and each is bisected ten
+times; g at a midpoint is read off a Taylor polynomial in the segment
+parameter whose degree keeps truncation and rounding within a thousandth
+of the margin (``_bisect``).  Where both ends of the interval around an
+estimate get one sign, so does the exact value; the few other ports and
+midpoints are evaluated with ``evaluate_batch`` (``_certified_signs``).  So
+every flip count and location equals the one an exact evaluation at every
+port and midpoint gives.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ from .fields import (
 )
 
 TIE_TOL = 1e-14
+EPS = float(np.finfo(float).eps)
 # relative rounding margin of a certified sign of d.grad f (_slope_weights)
 ROUNDING_MARGIN = 1e-9
 
@@ -509,25 +516,58 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
 # ---------------------------------------------------------------------------
 # Flips: simultaneous zeros of (f, directional derivative of f).
 
-def _slope_weights(s: FieldSample, grid: ScalarGrid, d: np.ndarray):
-    """(w, margin): the weights and rounding margin of signs of g = d.grad f.
+def _slope_sample(s: FieldSample, d: np.ndarray) -> FieldSample:
+    """g = d.grad f as a sample of the same measure.
 
-    w_k = sqrt(W_k) |(a_k, b_k)| |d.c_k|, so sum_k w_k bounds |g|, and
+    d.grad of a_k cos phi_k + b_k sin phi_k is
+    (d.c_k)(b_k cos phi_k - a_k sin phi_k), so g has the pairs
+    (d.c_k)(b_k, -a_k) and no origin term: its grids read f's axis tables,
+    and ``evaluate_batch`` of it is g's exact evaluator.
+    """
+    dc = s.frequencies @ d
+    return FieldSample(measure=s.measure, coeff_a=dc * s.coeff_b,
+                       coeff_b=-dc * s.coeff_a, freq_scale=s.freq_scale)
+
+
+def _slope_weights(gs: FieldSample, grid: ScalarGrid):
+    """(w, margin): the weights and rounding margin of signs of g.
+
+    For the slope sample gs of g = d.grad f, w_k = sqrt(W_k) |(a_k, b_k)|
+    |d.c_k|, so sum_k w_k bounds |g|, and
     margin = ROUNDING_MARGIN sum_k w_k (1 + |c_k| X), X the largest
     coordinate of the grid: cos and sin of a phase c.x are good to about
     eps |c.x|, in the grid tables, in ``evaluate_batch``, at a placed port
-    and in the rotated phase tables of ``_bisect`` alike.
+    and in the Taylor polynomials of ``_bisect`` alike.
     """
-    C = s.frequencies
-    w = s.amplitudes() * np.hypot(s.coeff_a, s.coeff_b) * np.abs(C @ d)
+    C = gs.frequencies
+    w = gs.amplitudes() * np.hypot(gs.coeff_a, gs.coeff_b)
     reach = max(np.abs(grid.xs).max(), np.abs(grid.ys).max())
     spread = 1.0 + reach * np.hypot(C[:, 0], C[:, 1])
     return w, ROUNDING_MARGIN * (w @ spread)
 
 
-def _certified_signs(s: FieldSample, d: np.ndarray, pts: np.ndarray,
-                     g: np.ndarray, bound) -> np.ndarray:
-    """sign_grid of d.grad f at pts, given estimates g within bound of it.
+def _port_bounds(gs: FieldSample, grid: ScalarGrid):
+    """(bounds, margin, clear) of the ports of g = d.grad f on grid.
+
+    Along an X-edge (y fixed) g = sum_k sqrt(W_k) (d.c_k) (b_k cos phi_k
+    - a_k sin phi_k), so |g''| <= B_x = sum_k w_k c_k1^2 and g departs from
+    its linear interpolant by at most (h^2 / 8) B_x; Y-edges take c_k2^2.
+    bounds holds that for X- and Y-edges, inflated by (1 + 1e-6), plus
+    margin, the rounding margin of ``_slope_weights``.  clear is the larger
+    bound plus room for the rounding of an interpolant, 8 eps (sum_k w_k +
+    bound): a port whose nodes' g both clear it on one side gets the sign
+    the interpolant would certify.
+    """
+    w, margin = _slope_weights(gs, grid)
+    C = gs.frequencies
+    bounds = grid.h * grid.h / 8.0 * (w @ (C * C)) * (1.0 + 1e-6) + margin
+    top = bounds.max()
+    return bounds, margin, top + 8.0 * EPS * (w.sum() + top)
+
+
+def _certified_signs(gs: FieldSample, pts: np.ndarray, g: np.ndarray,
+                     bound) -> np.ndarray:
+    """sign_grid of the sample gs at pts, given estimates g within bound.
 
     sign_grid is monotone: where both ends of g +- bound get one sign, so
     does every value within bound, the one ``evaluate_batch`` gives
@@ -537,47 +577,37 @@ def _certified_signs(s: FieldSample, d: np.ndarray, pts: np.ndarray,
     sg = sign_grid(g + bound)
     unsure = np.flatnonzero(sg != sign_grid(g - bound))
     if len(unsure):
-        _, grads = evaluate_batch(s, pts[unsure], order=1)
-        sg[unsure] = sign_grid(grads @ d)
+        sg[unsure] = sign_grid(evaluate_batch(gs, pts[unsure]))
     return sg
 
 
-def _port_slopes(s: FieldSample, grid: ScalarGrid, d: np.ndarray,
-                 eids: np.ndarray):
-    """Ports of edges eids, d.grad f interpolated there, and its error bound.
+def _port_slopes(grid: ScalarGrid, eids: np.ndarray, ga: np.ndarray,
+                 gb: np.ndarray, bounds: np.ndarray):
+    """Ports of edges eids, g interpolated there, and its error bound.
 
-    Returns (points, slope, bound, margin).  slope interpolates d.grad f
-    of the order-1 grid linearly between the two nodes of the edge, at the
-    port's edge parameter.  Along an X-edge (y fixed)
-    g = sum_k sqrt(W_k) (d.c_k) (b_k cos phi_k - a_k sin phi_k), so
-    |g''| <= B_x = sum_k w_k c_k1^2 and |g - slope| <= (h^2 / 8) B_x;
-    Y-edges take c_k2^2.  bound is that, inflated by (1 + 1e-6), plus
-    margin, the rounding margin of ``_slope_weights``.
+    Returns (points, slope, bound): slope interpolates g linearly from ga at
+    the first node of each edge to gb at the second, at the port's edge
+    parameter, and bound is the edge type's entry of bounds
+    (``_port_bounds``).
     """
-    pts, typ, a, b, t = _edge_zeros(eids, grid)
-
-    def node_slope(n):
-        return d[0] * np.take(grid.d1, n) + d[1] * np.take(grid.d2, n)
-
-    ga = node_slope(a)
-    slope = ga + t * (node_slope(b) - ga)
-    C = s.frequencies
-    w, margin = _slope_weights(s, grid, d)
-    curvature = grid.h * grid.h / 8.0 * (w @ (C * C))     # X-edge, Y-edge
-    return pts, slope, curvature[typ] * (1.0 + 1e-6) + margin, margin
+    pts, typ, _, _, t = _edge_zeros(eids, grid)
+    return pts, ga + t * (gb - ga), bounds[typ]
 
 
-def _sign_changes(s: FieldSample, grid: ScalarGrid, d: np.ndarray):
+def _sign_changes(gs: FieldSample, grid: ScalarGrid):
     """(lo, hi, slo, margin) of the zero segments whose ports differ in sign.
 
-    The ports are the crossed edges, in edge-id order, from one flatnonzero
-    of the (nx, ny, 2) crossing mask: every crossed edge ends a segment.
-    Each is signed once, from its interpolated slope where ``_port_slopes``
-    certifies it.  The signs fill a dense edge table, and
-    ``marching_segments`` labeled by it emits only the segments whose two
-    ports get opposite signs of g = d.grad f: lo and hi are their ports,
-    slo the sign at lo and margin the rounding margin of ``_slope_weights``
-    on this grid.
+    The ports are the crossed edges of f's grid, in edge-id order, from one
+    flatnonzero of the (nx, ny, 2) crossing mask: every crossed edge ends a
+    segment.  g = d.grad f, the slope sample gs, is evaluated on the same
+    lattice and read at the ports' nodes only, so its grid dies before the
+    marching.  Each port is signed once: by its nodes' g where both clear
+    ``_port_bounds``' clear on one side, else from its interpolated slope
+    where ``_port_slopes``' bound certifies it, else by evaluation.  The
+    signs fill a dense edge table, and ``marching_segments`` labeled by it
+    emits only the segments whose two ports get opposite signs of g: lo and
+    hi are their ports (``_edge_zeros``), slo the sign at lo and margin the
+    rounding margin of ``_slope_weights`` on this grid.
     """
     nx, ny = grid.values.shape
     pos = sign_grid(grid.values)
@@ -585,47 +615,123 @@ def _sign_changes(s: FieldSample, grid: ScalarGrid, d: np.ndarray):
     np.not_equal(pos[:-1, :], pos[1:, :], out=crossed[:-1, :, 0])
     np.not_equal(pos[:, :-1], pos[:, 1:], out=crossed[:, :-1, 1])
     ports = np.flatnonzero(crossed)
-    pts, slope, bound, margin = _port_slopes(s, grid, d, ports)
+    del pos, crossed
+    # g's grid is read at the ports' nodes and freed at once: kept alive
+    # with f's through the marching, it raised a draw's heap peak from 2.4
+    # to 3.8 MB, and in some processes glibc then trimmed and re-faulted
+    # the heap on every draw
+    node = ports >> 1
+    slopes = evaluate_grid(gs, grid.domain, grid.h).values
+    ga = np.take(slopes, node)
+    node += np.where(ports & 1, 1, ny)
+    gb = np.take(slopes, node)
+    del slopes, node
+    bounds, margin, clear = _port_bounds(gs, grid)
+    # a port's g lies within its bound of its interpolant, which lies
+    # between its nodes' g
+    up = sign_grid(ga - clear) & sign_grid(gb - clear)
+    rest = np.flatnonzero(~up & (sign_grid(ga + clear)
+                                 | sign_grid(gb + clear)))
     signs = np.zeros(2 * nx * ny, dtype=bool)
-    signs[ports] = _certified_signs(s, d, pts, slope, bound)
+    signs[ports] = up
+    ports = ports[rest]
+    pts, slope, bound = _port_slopes(grid, ports, ga[rest], gb[rest], bounds)
+    signs[ports] = _certified_signs(gs, pts, slope, bound)
     segA, segB = marching_segments(grid, label=signs)
-    return (pts[np.searchsorted(ports, segA)],
-            pts[np.searchsorted(ports, segB)], signs[segA], margin)
+    return (_edge_zeros(segA, grid)[0], _edge_zeros(segB, grid)[0],
+            signs[segA], margin)
 
 
-def _bisect(s: FieldSample, d: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def _taylor_degree(w: np.ndarray, spread: float, reach: float,
+                   tol: float):
+    """The least degree P whose Taylor polynomials of g = Re sum_k p_k
+    exp(i Delta_k tau), |Delta_k| <= reach, err by at most tol on
+    0 <= tau <= 1, or None where no degree does.
+
+    The truncation is at most sum_k w_k reach^(P+1) / (P+1)!.  The
+    coefficients and Horner's rule sum terms of total size at most
+    sum_k w_k exp(reach) (1 + |c_k| X) = exp(reach) spread, with about
+    4 P + m + 32 roundings each (m pairs, the phases and the float
+    midpoints included), eps apiece.
+    """
+    m = len(w)
+    growth = EPS * math.exp(min(reach, 700.0)) * spread
+    truncation, P = w.sum(), 0
+    while True:
+        truncation *= reach / (P + 1)
+        rounding = (4 * P + m + 32) * growth
+        if rounding > tol:
+            return None
+        if truncation + rounding <= tol:
+            return P
+        P += 1
+
+
+def _bisect(gs: FieldSample, lo: np.ndarray, hi: np.ndarray,
             slo: np.ndarray, margin: float) -> np.ndarray:
     """Midpoints of [lo, hi] after ten bisection steps on the sign of g.
 
-    slo is the sign of g = d.grad f at lo, the opposite one at hi.  Each
-    step signs the float midpoint 0.5 (lo + hi) with ``_certified_signs``
-    and keeps the half where the sign changes.  The estimate of g comes from
-    a rotated phase table.  z_k = exp(i c_k.lo) and the step ratios
-    r_j = exp(i c_k.(hi - lo) / 2^(j+1)) cost two complex exponentials per
-    candidate: r_9 is computed and r_8, ..., r_0 are its repeated squares,
-    which are right at any phase step (a half-angle recursion by square
-    roots takes the wrong branch once a step passes pi).  The midpoint of
-    step j has the table z r_j and g = Re(sum_k z_k r_jk q_k),
-    q_k = (d.c_k) sqrt(W_k) (b_k + i a_k); z moves there when the midpoint
-    becomes lo.  The rotations' rounding stays below
-    1e-12 sum_k w_k (1 + |c_k| X), far inside margin, so every sign and
-    midpoint is the one exact evaluation at every step gives.
+    gs is the slope sample of g = d.grad f; slo is the sign of g at lo, the
+    opposite one at hi.  Each step signs the float midpoint 0.5 (lo + hi)
+    with ``_certified_signs`` and keeps the half where the sign changes.
+    The estimate of g comes from one Taylor polynomial per candidate in the
+    segment parameter tau: along lo + tau (hi - lo),
+    g = Re sum_k p_k exp(i Delta_k tau) = sum_n A_n tau^n with
+    p_k = q_k exp(i c_k.lo), q_k = sqrt(W_k) (a'_k - i b'_k) for the pairs
+    (a', b') of gs, Delta_k = c_k.(hi - lo) and
+    A_n = Re sum_k p_k (i Delta_k)^n / n!, read by Horner's rule at the
+    step's dyadic tau.  The degree is the least for which truncation and
+    rounding (``_taylor_degree``) stay within 1e-3 margin,
+    1e-12 sum_k w_k (1 + |c_k| X), far inside the margin every estimate is
+    signed with, so every sign and midpoint is the one exact evaluation at
+    every step gives.  Where no degree does (segments spanning about a
+    wavelength), the estimate is 0 with an infinite bound, so every
+    midpoint is evaluated.
     """
-    C = s.frequencies
-    q = (C @ d) * s.amplitudes() * (s.coeff_b + 1j * s.coeff_a)
-    z = np.exp(1j * (lo @ C.T))
-    rot = [np.exp((1j / 1024.0) * ((hi - lo) @ C.T))]
-    for _ in range(9):
-        rot.append(rot[-1] * rot[-1])
-    for r in reversed(rot):
+    C = gs.frequencies
+    amp = gs.amplitudes()
+    wa, wb = amp * gs.coeff_a, amp * gs.coeff_b
+    w = np.hypot(wa, wb)
+    delta = (hi - lo) @ C.T               # (N, m)
+    spread = w @ (1.0 + np.abs(lo).max(initial=0.0)
+                  * np.hypot(C[:, 0], C[:, 1]))
+    degree = _taylor_degree(w, spread, np.abs(delta).max(initial=0.0),
+                            1e-3 * margin)
+    if degree is not None:
+        # Re(p_k i^n) is Re p_k, -Im p_k, -Re p_k, Im p_k for n = 0, 1, 2, 3
+        # (mod 4): even and odd carry Re p_k Delta_k^n and -Im p_k Delta_k^n
+        ph = lo @ C.T
+        cp, sp = np.cos(ph), np.sin(ph, out=ph)
+        even = wa * cp
+        even += wb * sp
+        odd = wb * cp
+        odd -= wa * sp
+        odd *= delta
+        delta *= delta
+        ones = np.ones(len(wa))
+        A = np.empty((degree + 1, len(lo)))
+        for n in range(degree + 1):
+            t = odd if n & 1 else even
+            if n >= 2:
+                t *= delta
+            np.matmul(t, ones, out=A[n])
+            A[n] *= (-1.0) ** (n >> 1) / math.factorial(n)
+    tlo = np.zeros(len(lo))
+    for j in range(1, 11):
         mid = 0.5 * (lo + hi)
-        zmid = z * r
+        tmid = tlo + 0.5 ** j
+        if degree is None:
+            g, bound = np.zeros(len(lo)), math.inf
+        else:
+            g, bound = A[degree].copy(), margin
+            for n in range(degree - 1, -1, -1):
+                g *= tmid
+                g += A[n]
         # where mid has lo's sign, the sign change sits in [mid, hi]
-        up = (_certified_signs(s, d, mid, (zmid @ q).real, margin)
-              == slo)[:, None]
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-        z = np.where(up, zmid, z)
+        up = _certified_signs(gs, mid, g, bound) == slo
+        lo = np.where(up[:, None], mid, lo)
+        hi = np.where(up[:, None], hi, mid)
+        tlo = np.where(up, tmid, tlo)
     return 0.5 * (lo + hi)
 
 
@@ -641,10 +747,12 @@ def _flip_locations(s: FieldSample, domain: SquareDomain, h: float | None,
         raise ValueError("square half-side R must be positive")
     if h is None:
         h = default_spacing(s)
-    # the grid dies with _sign_changes, before the phase tables are built
+    gs = _slope_sample(s, d)
+    # the grid dies with _sign_changes, before the Taylor coefficients are
+    # built
     lo, hi, slo, margin = _sign_changes(
-        s, evaluate_grid(s, SquareDomain(R + 2.0 * h), h, order=1), d)
-    locs = _bisect(s, d, lo, hi, slo, margin)
+        gs, evaluate_grid(s, SquareDomain(R + 2.0 * h), h))
+    locs = _bisect(gs, lo, hi, slo, margin)
 
     # closed-domain filter at the bisection resolution (boundary flips are
     # approached from either side, so an exact-R cut would drop them)
@@ -666,16 +774,19 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
     signs of g = d.grad f; each such segment is refined by 10 bisection
     steps (``_bisect``) and contributes one flip if the refined location
     lies in the closed domain; the count is the number of
-    ``_flip_locations``.  A crossing port ends two segments, so each port
-    (crossed edge) is signed once, and ``marching_segments`` labeled by
-    the port signs emits only the segments whose two signs differ (about 3%
-    of them at 16 points per wavelength), in the order of the unlabeled
-    call.  A port's sign comes from g interpolated along its edge from the
-    order-1 grid wherever the interpolation bound of ``_port_slopes`` gives
-    every value g can take one sign; a midpoint's from g rotated along its
-    segment wherever the rounding margin does.  Only the other points (2-3%
-    of the ports at 16 points per wavelength, about one midpoint in 3,000)
-    are evaluated exactly, so every sign, count and location is the one an
+    ``_flip_locations``.  g is the slope sample of f (``_slope_sample``),
+    so the call evaluates the value grids of f and of g, and no derivative
+    grid.  A crossing port ends two segments, so each port (crossed edge)
+    is signed once, and ``marching_segments`` labeled by the port signs
+    emits only the segments whose two signs differ (about 3% of them at 16
+    points per wavelength), in the order of the unlabeled call.  A port's
+    sign comes from its nodes' g where both clear the larger port bound
+    (``_port_bounds``), else from g interpolated along its edge where the
+    interpolation bound of ``_port_slopes`` gives every value g can take
+    one sign; a midpoint's from a Taylor polynomial of g along its segment
+    wherever the rounding margin does.  Only the other points (2-3% of the
+    ports at 16 points per wavelength, about one midpoint in 3,000) are
+    evaluated exactly, so every sign, count and location is the one an
     exact evaluation at every port and midpoint gives.  The grid is padded
     by one cell so boundary flips are caught; the tie rule makes
     exactly-zero corners deterministic.
@@ -699,5 +810,5 @@ def count_curve_intersections(s: FieldSample, p0, p1) -> int:
     n = max(2, int(math.ceil(length / default_spacing(s))) + 1)
     ts = np.linspace(0.0, 1.0, n)
     pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
-    pos = sign_grid(evaluate_batch(s, pts, order=0))
+    pos = sign_grid(evaluate_batch(s, pts))
     return int(np.count_nonzero(pos[1:] != pos[:-1]))

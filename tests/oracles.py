@@ -3,8 +3,9 @@
 ``grid_from_callable`` grids a closed-form function for the census tests.
 The others compute what the package computes another way: the covariance
 of a sample from its coefficient structure (``representation_covariance``)
-or by Monte Carlo (``covariance_mc``), a sample's Hessians at points from
-its trigonometric sum (``point_hessians``), its jet grids from
+or by Monte Carlo (``covariance_mc``), a sample's gradients and Hessians
+at points from its trigonometric sum (``point_gradients``,
+``point_hessians``), its jet grids from
 transposed y tables and stacked right factors (``stacked_jet_grids``),
 E|XY| by quadrature (``abs_product_mean_quad``), r2(n) from the divisors
 of n (``r2_divisor_oracle``), the plane census from a 4-connected labeling
@@ -36,10 +37,11 @@ from nodalfields.measures import (
 from nodalfields.topology import (
     NodalCensus,
     _census_values,
-    _certified_signs,
+    _edge_zeros,
     _joins_main_diagonal,
+    _port_bounds,
     _port_slopes,
-    _slope_weights,
+    _slope_sample,
     edge_ports,
     marching_segments,
     sign_grid,
@@ -66,6 +68,15 @@ def representation_covariance(s: FieldSample, x, y) -> float:
     y = np.asarray(y, dtype=float)
     ph = s.frequencies @ (x - y)
     return float(np.dot(s.pair_weights, np.cos(ph))) + s.origin_weight
+
+
+def point_gradients(s: FieldSample, pts) -> np.ndarray:
+    """(N, 2) gradients of a sample at (N, 2) points, each pair term
+    differentiated in closed form; the reference for d.grad f."""
+    ph = np.asarray(pts, dtype=float) @ s.frequencies.T
+    amp = s.amplitudes()
+    wa, wb = amp * s.coeff_a, amp * s.coeff_b
+    return (np.cos(ph) * wb - np.sin(ph) * wa) @ s.frequencies
 
 
 def point_hessians(s: FieldSample, pts) -> np.ndarray:
@@ -382,18 +393,25 @@ def half_edge_polylines(grid: ScalarGrid):
 def sign_changes_oracle(s, grid, d):
     """(lo, hi, slo, margin) of the zero segments whose ports differ in sign.
 
-    Each unique port of the marching segments is signed once, from its
-    interpolated slope where ``_port_slopes`` certifies it; lo and hi are
-    the ports of the segments whose two ports get opposite signs of
-    g = d.grad f, slo the sign at lo and margin the rounding margin of
-    ``_slope_weights`` on this grid.
+    grid is an order-1 grid of s.  Each unique port of the marching segments
+    is signed once, from d.grad f of grid's first-derivative grids
+    interpolated along its edge where the port bound certifies it, and
+    from ``point_gradients`` elsewhere; lo and hi are the ports of the
+    segments whose two ports get opposite signs of g = d.grad f, slo the
+    sign at lo and margin the rounding margin on this grid.
     """
     segA, segB = marching_segments(grid)
     K = len(segA)
     ports, inv = np.unique(np.concatenate([segA, segB]), return_inverse=True)
-    pts, slope, bound, _ = _port_slopes(s, grid, d, ports)
-    sg = _certified_signs(s, d, pts, slope, bound)
+    bounds, margin, _ = _port_bounds(_slope_sample(s, d), grid)
+    slopes = d[0] * grid.d1 + d[1] * grid.d2
+    a, b = _edge_zeros(ports, grid)[2:4]
+    pts, slope, bound = _port_slopes(grid, ports, np.take(slopes, a),
+                                     np.take(slopes, b), bounds)
+    sg = sign_grid(slope + bound)
+    unsure = np.flatnonzero(sg != sign_grid(slope - bound))
+    sg[unsure] = sign_grid(point_gradients(s, pts[unsure]) @ d)
     ia, ib = inv[:K], inv[K:]
     cand = sg[ia] != sg[ib]
     ia, ib = ia[cand], ib[cand]
-    return pts[ia], pts[ib], sg[ia], _slope_weights(s, grid, d)[1]
+    return pts[ia], pts[ib], sg[ia], margin

@@ -26,6 +26,7 @@ from nodalfields.measures import (
 )
 from oracles import (
     covariance_mc,
+    point_gradients,
     point_hessians,
     representation_covariance,
     stacked_jet_grids,
@@ -54,7 +55,8 @@ def test_delta_zero_sample_is_constant():
 
 def test_injected_cilleruelo_values():
     inj = inject_sample(NU0, [(1.0, 0.0), (1.0, 0.0)])
-    (v,), (grad,) = evaluate_batch(inj, [(0.0, 0.0)], order=1)
+    (v,) = evaluate_batch(inj, [(0.0, 0.0)])
+    (grad,) = point_gradients(inj, [(0.0, 0.0)])
     assert v == pytest.approx(math.sqrt(2.0))
     assert np.allclose(grad, 0.0)
 
@@ -65,7 +67,8 @@ def test_analytic_derivatives_match_finite_differences():
     h = 1e-5
     for _ in range(5):
         x = rng.uniform(-3, 3, 2)
-        (v,), (grad,) = evaluate_batch(s, [x], order=1)
+        (v,) = evaluate_batch(s, [x])
+        (grad,) = point_gradients(s, [x])
         (hess,) = point_hessians(s, [x])
         fp1, fm1, fp2, fm2 = evaluate_batch(
             s, [x + [h, 0], x - [h, 0], x + [0, h], x - [0, h]])
@@ -97,7 +100,8 @@ def test_grid_matches_pointwise():
     assert g.values.shape == (5, 5)
     i, j = 3, 1
     x = (g.xs[i], g.ys[j])
-    (v,), (grad,) = evaluate_batch(s, [x], order=1)
+    (v,) = evaluate_batch(s, [x])
+    (grad,) = point_gradients(s, [x])
     (hess,) = point_hessians(s, [x])
     assert g.values[i, j] == pytest.approx(v, abs=1e-12)
     assert g.d1[i, j] == pytest.approx(grad[0], abs=1e-12)
@@ -107,10 +111,13 @@ def test_grid_matches_pointwise():
     assert g.d22[i, j] == pytest.approx(hess[1, 1], abs=1e-10)
 
 
-def test_batch_evaluates_values_and_gradients_only():
+def test_batch_evaluates_values_only():
+    # derivatives along a direction are samples of their own (the flips'
+    # slope sample), so evaluate_batch takes no order
     s = sample(preset("uniform_circle", K=16), seed=2)
-    with pytest.raises(ValueError, match="order 0 or 1, got 2$"):
-        evaluate_batch(s, [(0.0, 0.0)], order=2)
+    with pytest.raises(TypeError):
+        evaluate_batch(s, [(0.0, 0.0)], order=1)
+    assert evaluate_batch(s, [(0.0, 0.0), (1.0, 2.0)]).shape == (2,)
 
 
 def test_grid_rejects_an_order_outside_0_to_2():
@@ -266,7 +273,8 @@ def test_stationarity_and_value_gradient_independence():
     for i in range(M):
         s = sample(u16, seed=55, stream=i)
         for p, arr in rows.items():
-            (v,), (g,) = evaluate_batch(s, [p], order=1)
+            (v,) = evaluate_batch(s, [p])
+            (g,) = point_gradients(s, [p])
             arr[i] = (v, g[0], g[1])
     for col in range(3):
         a = rows[(0.0, 0.0)][:, col]

@@ -256,6 +256,23 @@ def test_flips_sort_only_their_locations():
     assert ast.unparse(call.args[0]) == "buckets"
 
 
+def test_flips_evaluate_only_value_grids():
+    # g = d.grad f is a sample of its own, so the flip path evaluates the
+    # value grids of f and g and no derivative grid
+    reached, _ = _topology_calls("count_flips", set())
+    tree = ast.parse((PACKAGE / "topology.py").read_text())
+    grids = [(node.name, call) for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in reached
+             for call in ast.walk(node) if isinstance(call, ast.Call)
+             and getattr(call.func, "id", None) == "evaluate_grid"]
+    ordered = [ast.unparse(call) for _, call in grids
+               if len(call.args) > 3
+               or any(k.arg in ("order", None) for k in call.keywords)]
+    assert ordered == []
+    assert sorted(name for name, _ in grids) == ["_flip_locations",
+                                                 "_sign_changes"]
+
+
 def test_torus_census_sorts_only_marching_groups():
     # each oriented segment finds its successor in a dense table over the
     # edge ids; the one sort left is marching_segments' sort of its groups

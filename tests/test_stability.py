@@ -331,6 +331,10 @@ def test_sandwich_rejects_a_spacing_before_drawing(monkeypatch):
     for h in (0.03, 0.0, 1e-320, 5e-324):
         with pytest.raises(ValueError, match="divides 1"):
             sandwich_check(u16, u32, R=3.0, M=3, beta=math.inf, seed=1, h=h)
+    # 1/h is within 1e-9 of an integer below about 1e-16, but its lattice
+    # on the outer square exceeds numpy's largest array
+    with pytest.raises(ValueError, match="spacing h=1e-20 gives no lattice"):
+        sandwich_check(u16, u32, R=3.0, M=3, beta=math.inf, seed=1, h=1e-20)
     assert calls == []
 
 

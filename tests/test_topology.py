@@ -21,12 +21,17 @@ from nodalfields.fields import (
     inject_sample,
     sample,
 )
-from nodalfields.measures import preset
+from nodalfields.measures import make_atomic, preset
 from nodalfields.topology import (
     _bisect,
     _certified_signs,
+    _edge_zeros,
     _flip_locations,
+    _port_bounds,
     _port_slopes,
+    _sign_changes,
+    _slope_sample,
+    _slope_weights,
     count_components_plane,
     count_components_torus,
     count_curve_intersections,
@@ -41,6 +46,7 @@ from oracles import (
     half_edge_successors,
     half_edge_torus_census,
     ndimage_plane_census,
+    point_gradients,
     sign_changes_oracle,
 )
 
@@ -981,6 +987,50 @@ FLIP_CASES = pytest.mark.parametrize("rho, seed, R, h, direction", [
         "u64-small-h"])
 
 
+def _slope_grid(gs, grid):
+    """The values of the slope sample gs on grid's lattice, warned about
+    as count_flips warns about it."""
+    coarse = grid_too_coarse(gs, grid.h)
+    with pytest.warns(GridTooCoarse) if coarse else nullcontext():
+        return evaluate_grid(gs, grid.domain, grid.h).values
+
+
+# the directions of the slope-sample and section 7 sign-change checks
+SLOPE_DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -2.0))
+
+
+@pytest.mark.parametrize("s", [
+    sample(U64, 2, 0),
+    sample(make_atomic([((0.0, 0.0), 0.2), ((0.6, 0.8), 0.2),
+                        ((-0.6, -0.8), 0.2), ((1.0, 0.0), 0.2),
+                        ((-1.0, 0.0), 0.2)]), 4, 0),
+    cilleruelo_field(6),
+    replace(stability.section7_field("f"), freq_scale=3.0),
+], ids=["u64", "origin-atom", "cilleruelo", "section7-scaled"])
+def test_slope_sample_is_the_directional_derivative(s):
+    # g = d.grad f is the sample with pairs (d.c_k)(b_k, -a_k) and no
+    # origin term: its grid matches d.(d1, d2) of f's order-1 grid and its
+    # point values the gradient oracle, within 1e-12 sum_k w_k (1 + |c_k| X)
+    R = 3.0
+    h = default_spacing(s)
+    grid = evaluate_grid(s, SquareDomain(R), h, order=1)
+    pts = np.random.default_rng(5).uniform(-R, R, (200, 2))
+    for direction in SLOPE_DIRECTIONS:
+        d = np.asarray(direction) / math.hypot(*direction)
+        gs = _slope_sample(s, d)
+        assert gs.origin_coeff == 0.0 and gs.measure is s.measure
+        C = s.frequencies
+        w = (np.sqrt(s.pair_weights) * np.hypot(s.coeff_a, s.coeff_b)
+             * np.abs(C @ d))
+        tol = 1e-12 * (w @ (1 + R * np.hypot(C[:, 0], C[:, 1])))
+        want = d[0] * grid.d1 + d[1] * grid.d2
+        got = evaluate_grid(gs, SquareDomain(R), h).values
+        assert np.max(np.abs(got - want)) <= tol
+        assert np.max(np.abs(evaluate_batch(gs, pts)
+                             - point_gradients(s, pts) @ d)) <= tol
+        assert np.max(np.abs(want)) > 0.1
+
+
 @FLIP_CASES
 def test_port_slope_signs_match_exact_evaluation(rho, seed, R, h, direction):
     # every port the interpolated slope signs gets the sign an exact
@@ -992,11 +1042,16 @@ def test_port_slope_signs_match_exact_evaluation(rho, seed, R, h, direction):
     for i in range(3):
         s = sample(rho, seed, i)
         step = h if h is not None else default_spacing(s)
-        grid = evaluate_grid(s, SquareDomain(R + 2 * step), step, order=1)
+        grid = evaluate_grid(s, SquareDomain(R + 2 * step), step)
+        gs = _slope_sample(s, d)
         ports = np.unique(np.concatenate(marching_segments(grid)))
-        pts, slope, bound, _ = _port_slopes(s, grid, d, ports)
+        slopes = _slope_grid(gs, grid)
+        a, b = _edge_zeros(ports, grid)[2:4]
+        pts, slope, bound = _port_slopes(grid, ports, np.take(slopes, a),
+                                         np.take(slopes, b),
+                                         _port_bounds(gs, grid)[0])
         assert np.array_equal(pts, edge_ports(ports, grid))
-        exact = evaluate_batch(s, pts, order=1)[1] @ d
+        exact = point_gradients(s, pts) @ d
 
         C = s.frequencies
         w = (np.sqrt(s.pair_weights) * np.hypot(s.coeff_a, s.coeff_b)
@@ -1021,9 +1076,9 @@ def test_count_flips_evaluates_few_ports(monkeypatch):
     n_ports = len(np.unique(np.concatenate(marching_segments(grid))))
     calls = []
 
-    def counted(s, pts, order=0):
+    def counted(s, pts):
         calls.append(len(pts))
-        return evaluate_batch(s, pts, order)
+        return evaluate_batch(s, pts)
 
     monkeypatch.setattr(topology, "evaluate_batch", counted)
     assert count_flips(s, SquareDomain(10.0)) == 654
@@ -1034,10 +1089,13 @@ def test_count_flips_evaluates_few_ports(monkeypatch):
 
 
 def _assert_sign_changes_match_oracle(s, grid, direction):
-    """Byte-equal (lo, hi, slo, margin) with every marching segment signed;
-    returns the number of candidates."""
+    """Byte-equal (lo, hi, slo, margin) with every marching segment signed
+    from the gradient; returns the number of candidates."""
     d = np.asarray(direction) / math.hypot(*direction)
-    got = topology._sign_changes(s, grid, d)
+    gs = _slope_sample(s, d)
+    coarse = grid_too_coarse(gs, grid.h)
+    with pytest.warns(GridTooCoarse) if coarse else nullcontext():
+        got = _sign_changes(gs, grid)
     want = sign_changes_oracle(s, grid, d)
     for a, b in zip(got, want):
         a, b = np.asarray(a), np.asarray(b)
@@ -1047,17 +1105,25 @@ def _assert_sign_changes_match_oracle(s, grid, direction):
 
 
 def _flip_grid(s, R, h):
-    """The order-1 grid count_flips evaluates: the square padded by 2h."""
+    """The grid of f that count_flips evaluates, the square padded by 2h, at
+    order 1 for the oracle's gradients."""
     return evaluate_grid(s, SquareDomain(R + 2 * h), h, order=1)
 
 
 @FLIP_CASES
 def test_sign_changes_match_oracle(rho, seed, R, h, direction):
+    # the oracle signs every crossed edge from its interpolant or the
+    # gradient; at the coarse spacings lambda/4 and lambda the port bounds
+    # are widest, so there the node certificate signs the fewest ports
     for i in range(3):
         s = sample(rho, seed, i)
-        step = h if h is not None else default_spacing(s)
-        _assert_sign_changes_match_oracle(s, _flip_grid(s, R, step),
-                                          direction)
+        lam = s.min_wavelength()
+        for step in (h if h is not None else default_spacing(s), lam / 4,
+                     lam):
+            coarse = grid_too_coarse(s, step)
+            with pytest.warns(GridTooCoarse) if coarse else nullcontext():
+                grid = _flip_grid(s, R, step)
+            _assert_sign_changes_match_oracle(s, grid, direction)
 
 
 @pytest.mark.parametrize("which", ["f", "g", "monochromatic_g"])
@@ -1068,7 +1134,7 @@ def test_sign_changes_match_oracle_on_section7_fields(which):
         coarse = grid_too_coarse(s, h)
         with pytest.warns(GridTooCoarse) if coarse else nullcontext():
             grid = _flip_grid(s, 12.0, h)
-        for direction in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -2.0)):
+        for direction in SLOPE_DIRECTIONS:
             candidates += _assert_sign_changes_match_oracle(s, grid,
                                                             direction)
     assert candidates > 100
@@ -1078,7 +1144,7 @@ def test_sign_changes_match_oracle_on_saddle_grids():
     # checkerboard signs with random magnitudes put a saddle in most cells:
     # both segments of a saddle cell go on, and only those whose ports
     # differ in sign come out; the grid's slopes are kept, so the ports are
-    # signed as on any order-1 grid
+    # signed as on any grid
     rng = np.random.default_rng(77)
     s = sample(U64, 3, 0)
     saddles = candidates = 0
@@ -1096,12 +1162,53 @@ def test_sign_changes_match_oracle_on_saddle_grids():
     assert saddles > 10000 and candidates > 1000
 
 
-# oracle: the bisection as it was before the rotated phase tables, every
-# midpoint evaluated exactly
-def _exact_bisection(s, d, lo, hi, slo, margin):
+def test_node_certificate_leaves_rounded_interpolants_to_the_port_pass(
+        monkeypatch):
+    # a port whose interpolant rounds above both node values: at t = 1
+    # (f = 0 at the far node) ga + (gb - ga) can land an ulp above gb, so
+    # with gb just below minus the largest port bound the interpolation
+    # certificate fails where a node certificate without room for that
+    # rounding would sign the port negative.  The oracle then evaluates g
+    # there, positive at each chosen node, so only a certificate with the
+    # room agrees with it.
+    s = sample(U64, 2, 0)
+    d = np.array([1.0, 0.0])
+    gs = _slope_sample(s, d)
+    grid = _flip_grid(s, 3.0, default_spacing(s))
+    bounds = _port_bounds(gs, grid)[0]
+    top = bounds.max()
+    x_edge = int(np.argmax(bounds)) == 0
+    values, d1 = grid.values, grid.d1
+    nx, ny = values.shape
+    g = d[0] * d1
+    gb = -top - 1e-13
+    while not sign_grid(np.nextafter(gb, 0.0) + top):
+        gb = np.nextafter(gb, 0.0)
+    ga = next(-x for x in np.linspace(1.0, 64.0, 1001) if x - (gb + x) > gb)
+    chosen = 0
+    for i in range(2, nx - 3, 3):
+        for j in range(2, ny - 3, 3):
+            ib, jb = (i + 1, j) if x_edge else (i, j + 1)
+            # a port at node b, where f rises through 0 and the exact g is
+            # clearly positive
+            if values[i, j] < 0 and values[ib, jb] > 0 and g[ib, jb] > 0.1:
+                values[ib, jb] = 0.0
+                d1[i, j], d1[ib, jb] = ga, gb
+                chosen += 1
+    assert chosen > 5
+    # _sign_changes reads g on f's lattice: give it these node values
+    slopes = replace(grid, values=d[0] * grid.d1)
+    monkeypatch.setattr(topology, "evaluate_grid",
+                        lambda gs, domain, h: slopes)
+    _assert_sign_changes_match_oracle(s, grid, d)
+
+
+# oracle: the bisection as it was before the phase estimates, every
+# midpoint evaluated from the gradient
+def _exact_bisection(s, d, lo, hi, slo):
     for _ in range(10):
         mid = 0.5 * (lo + hi)
-        take_lo = sign_grid(evaluate_batch(s, mid, order=1)[1] @ d) == slo
+        take_lo = sign_grid(point_gradients(s, mid) @ d) == slo
         lo[take_lo] = mid[take_lo]
         hi[~take_lo] = mid[~take_lo]
     return 0.5 * (lo + hi)
@@ -1110,22 +1217,26 @@ def _exact_bisection(s, d, lo, hi, slo, margin):
 def _assert_bisection_matches_oracle(monkeypatch, s, R, h, direction):
     """Byte-equal flip locations with the exact bisection; returns the
     number of points the bisection evaluated."""
+    d = np.asarray(direction) / math.hypot(*direction)
     calls = []
 
-    def counted(s, pts, order=0):
+    def counted(s, pts):
         calls.append(len(pts))
-        return evaluate_batch(s, pts, order)
+        return evaluate_batch(s, pts)
 
     def counted_bisect(*args):
         with monkeypatch.context() as m:
             m.setattr(topology, "evaluate_batch", counted)
             return _bisect(*args)
 
+    def exact_bisect(gs, lo, hi, slo, margin):
+        return _exact_bisection(s, d, lo, hi, slo)
+
     with monkeypatch.context() as m:
         m.setattr(topology, "_bisect", counted_bisect)
         locs = _flip_locations(s, SquareDomain(R), h, direction)
     with monkeypatch.context() as m:
-        m.setattr(topology, "_bisect", _exact_bisection)
+        m.setattr(topology, "_bisect", exact_bisect)
         want_locs = _flip_locations(s, SquareDomain(R), h, direction)
     assert np.ascontiguousarray(locs).tobytes() == \
         np.ascontiguousarray(want_locs).tobytes()
@@ -1143,15 +1254,15 @@ def test_bisection_matches_exact_oracle(monkeypatch, rho, seed, R, h,
 @FLIP_CASES
 def test_bisection_slope_signs_match_exact_evaluation(monkeypatch, rho, seed,
                                                       R, h, direction):
-    # at every bisection midpoint the rotated g stays within
+    # at every bisection midpoint the Taylor estimate of g stays within
     # 1e-12 sum_k w_k (1 + |c_k| X) of the exact one, X the padded grid's
     # reach, far inside the margin it is signed with, and every sign equals
     # the one an exact evaluation gives
     d = np.asarray(direction) / math.hypot(*direction)
     seen = []
 
-    def recorded(s, d, pts, g, bound):
-        signs = _certified_signs(s, d, pts, g, bound)
+    def recorded(gs, pts, g, bound):
+        signs = _certified_signs(gs, pts, g, bound)
         seen.append((pts.copy(), g.copy(), bound, signs))
         return signs
 
@@ -1166,23 +1277,56 @@ def test_bisection_slope_signs_match_exact_evaluation(monkeypatch, rho, seed,
         w = (np.sqrt(s.pair_weights) * np.hypot(s.coeff_a, s.coeff_b)
              * np.abs(C @ d))
         tol = 1e-12 * (w @ (1 + (R + 2 * step) * np.hypot(C[:, 0], C[:, 1])))
-        assert len(seen) in (1, 11)   # the port pass, then ten steps if any
+        assert len(seen) == 11   # the port pass, then ten steps
         for pts, g, bound, signs in seen[1:]:
             checked += len(pts)
-            exact = evaluate_batch(s, pts, order=1)[1] @ d
+            exact = point_gradients(s, pts) @ d
             assert np.all(np.abs(g - exact) <= tol)
             assert bound >= 100 * tol
             assert np.array_equal(signs, sign_grid(exact))
     assert checked > 0
 
 
+@pytest.mark.parametrize("span", np.linspace(0.2, 2.2, 21))
+def test_bisection_estimates_are_good_to_the_tolerance_at_any_span(
+        monkeypatch, span):
+    # one pair, so the truncation bound of the chosen degree is nearly
+    # reached near tau = 1: candidates of length span along the pair's
+    # frequency, each keeping its upper half, at ten phases of their start;
+    # every estimate stays within 1e-12 w (1 + |c| X) of the exact g
+    s = inject_sample(make_atomic([((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5)],
+                                  kappa="one"), [(0.6, 0.8)])
+    d = np.array([1.0, 0.0])
+    gs = _slope_sample(s, d)
+    lo = np.column_stack([np.linspace(0.0, math.pi, 10), np.zeros(10)])
+    hi = lo + [span, 0.0]
+    X = math.pi + span
+    grid = ScalarGrid(domain=None, h=1.0, xs=np.array([-X, X]),
+                      ys=np.zeros(1), values=np.zeros((2, 1)))
+    w, margin = _slope_weights(gs, grid)
+    tol = 1e-12 * w.sum() * (1 + X)
+    seen = []
+
+    def recorded(gs, pts, g, bound):
+        seen.append((pts.copy(), g.copy()))
+        return np.full(len(pts), True)
+
+    monkeypatch.setattr(topology, "_certified_signs", recorded)
+    _bisect(gs, lo, hi, np.full(10, True), margin)
+    assert len(seen) == 10
+    for pts, g in seen:
+        assert np.all(np.abs(g - point_gradients(s, pts) @ d) <= tol)
+    # the last midpoints sit 2^-10 of a span below hi
+    assert np.allclose(seen[-1][0][:, 0], hi[:, 0] - span / 1024)
+
+
 @pytest.mark.parametrize("cells_per_wavelength", [4.0, 1.0])
 def test_bisection_matches_exact_oracle_on_coarse_grids(
         monkeypatch, cells_per_wavelength):
     # a candidate's phase step c_k.(hi - lo) is up to |c| h sqrt(2), 2.2 rad
-    # at 4 cells per wavelength; at 1 cell the first half step passes pi on
-    # segments longer than a wavelength, where a half-angle (square-root)
-    # recursion takes the wrong branch and squaring does not
+    # at 4 cells per wavelength, where the Taylor polynomials take a high
+    # degree; at 1 cell per wavelength (8.9 rad) no degree keeps Horner's
+    # rounding inside the tolerance, and every midpoint is evaluated
     for i in range(3):
         s = sample(U64, 4, i)
         h = s.min_wavelength() / cells_per_wavelength
