@@ -7,7 +7,8 @@ measure's covariance function exactly; there is no discretization in the law.
 A derivative d.grad f along a fixed direction is again such a sum over the
 same atoms, with pairs (d.c_k)(b_k, -a_k) and no origin term, so its grids
 and point values come from the same evaluators; the flips in ``topology``
-read it that way, and ``evaluate_batch`` gives values only.
+read it that way.  ``evaluate_batch`` gives values only, and each point's
+value does not depend on the batch it comes in.
 
 Coefficients come from a counter-based generator (Philox) keyed by
 (seed, stream index), so Monte Carlo batches are reproducible independently of
@@ -174,13 +175,23 @@ def evaluate_batch(s: FieldSample, pts) -> np.ndarray:
     """Values at (N, 2) points, each pair term summed in closed form.
 
     A derivative along a direction is a sample of its own (see the module
-    docstring), so this gives values only.
+    docstring), so this gives values only.  Each point's value is the one
+    it gets alone: the phases and terms are elementwise products and each
+    row is summed on its own, where a matrix product's BLAS kernel, and so
+    its rounding, would depend on N.
     """
     pts = np.asarray(pts, dtype=float)
-    ph = pts @ s.frequencies.T        # (N, m)
+    C = s.frequencies
+    ph = np.multiply.outer(pts[:, 0], C[:, 0])        # (N, m)
+    terms = np.multiply.outer(pts[:, 1], C[:, 1])
+    ph += terms
     amp = s.amplitudes()
-    return (np.cos(ph) @ (amp * s.coeff_a) + np.sin(ph) @ (amp * s.coeff_b)
-            + s.origin_coeff * math.sqrt(s.origin_weight))
+    np.cos(ph, out=terms)
+    terms *= amp * s.coeff_a
+    np.sin(ph, out=ph)
+    ph *= amp * s.coeff_b
+    terms += ph
+    return terms.sum(axis=1) + s.origin_coeff * math.sqrt(s.origin_weight)
 
 
 def unit_direction(direction) -> np.ndarray:

@@ -41,25 +41,9 @@ Values with |f| < TIE_TOL are treated as positive (measure-zero event,
 deterministic tie rule), through ``sign_grid`` only: at grid nodes, and at the
 ports, bisection midpoints and line samples of flips and intersections.
 
-Flips sign g = d.grad f at each crossing port.  g is itself a sample of
-the measure, with pairs (d.c_k)(b_k, -a_k) and no origin term
-(``_slope_sample``), so its value grid comes from f's axis tables and
-``evaluate_batch`` of it is its exact evaluator.  The ports are the crossed
-edges of f's value grid, read off the crossing mask.  A port whose two
-nodes' g clear the larger port bound on one side takes that sign (6-9% of
-the ports at 16 points per wavelength are left); on the others g is
-interpolated linearly along the edge, within
-(h^2/8) sum_k sqrt(W_k) |(a_k, b_k)| |d.c_k| c_kj^2 (j the edge's axis),
-inflated by 1e-6 and widened by a rounding margin (``_port_bounds``,
-``_slope_weights``).  ``marching_segments``, labeled by those signs, emits
-only the segments whose ports get opposite signs, and each is bisected ten
-times; g at a midpoint is read off a Taylor polynomial in the segment
-parameter whose degree keeps truncation and rounding within a thousandth
-of the margin (``_bisect``).  Where both ends of the interval around an
-estimate get one sign, so does the exact value; the few other ports and
-midpoints are evaluated with ``evaluate_batch`` (``_certified_signs``).  So
-every flip count and location equals the one an exact evaluation at every
-port and midpoint gives.
+Flips sign g = d.grad f, itself a sample of the measure, at the ports of
+f's grid and at bisection midpoints, so that every flip count and location
+equals the one an exact evaluation there gives; ``count_flips`` tells how.
 """
 
 from __future__ import annotations
@@ -529,40 +513,44 @@ def _slope_sample(s: FieldSample, d: np.ndarray) -> FieldSample:
                        coeff_b=-dc * s.coeff_a, freq_scale=s.freq_scale)
 
 
-def _slope_weights(gs: FieldSample, grid: ScalarGrid):
-    """(w, margin): the weights and rounding margin of signs of g.
+def _slope_weights(gs: FieldSample, reach: float):
+    """(w, spread, margin): the weights of g and the rounding margin of its
+    signs at points whose coordinates are at most reach in magnitude.
 
     For the slope sample gs of g = d.grad f, w_k = sqrt(W_k) |(a_k, b_k)|
-    |d.c_k|, so sum_k w_k bounds |g|, and
-    margin = ROUNDING_MARGIN sum_k w_k (1 + |c_k| X), X the largest
-    coordinate of the grid: cos and sin of a phase c.x are good to about
-    eps |c.x|, in the grid tables, in ``evaluate_batch``, at a placed port
-    and in the Taylor polynomials of ``_bisect`` alike.
+    |d.c_k|, so sum_k w_k bounds |g|.  The rounding model of the flips: cos
+    and sin of a phase c_k.x are good to about eps |c_k.x|, so at points
+    whose coordinates are at most X = reach in magnitude g errs by a modest
+    multiple of eps spread, spread = sum_k w_k (1 + |c_k| X), in the grid
+    tables, in ``evaluate_batch``, at a placed port and in the Taylor
+    polynomials of ``_bisect`` alike.  margin = ROUNDING_MARGIN spread is
+    far wider, so a value that clears it on one side has the sign of the
+    exact value.
     """
     C = gs.frequencies
     w = gs.amplitudes() * np.hypot(gs.coeff_a, gs.coeff_b)
-    reach = max(np.abs(grid.xs).max(), np.abs(grid.ys).max())
-    spread = 1.0 + reach * np.hypot(C[:, 0], C[:, 1])
-    return w, ROUNDING_MARGIN * (w @ spread)
+    spread = w @ (1.0 + reach * np.hypot(C[:, 0], C[:, 1]))
+    return w, spread, ROUNDING_MARGIN * spread
 
 
 def _port_bounds(gs: FieldSample, grid: ScalarGrid):
-    """(bounds, margin, clear) of the ports of g = d.grad f on grid.
+    """(bounds, clear) of the ports of g = d.grad f on grid.
 
     Along an X-edge (y fixed) g = sum_k sqrt(W_k) (d.c_k) (b_k cos phi_k
     - a_k sin phi_k), so |g''| <= B_x = sum_k w_k c_k1^2 and g departs from
     its linear interpolant by at most (h^2 / 8) B_x; Y-edges take c_k2^2.
-    bounds holds that for X- and Y-edges, inflated by (1 + 1e-6), plus
-    margin, the rounding margin of ``_slope_weights``.  clear is the larger
+    bounds holds that for X- and Y-edges, inflated by (1 + 1e-6), plus the
+    margin of ``_slope_weights`` at the grid's reach.  clear is the larger
     bound plus room for the rounding of an interpolant, 8 eps (sum_k w_k +
     bound): a port whose nodes' g both clear it on one side gets the sign
     the interpolant would certify.
     """
-    w, margin = _slope_weights(gs, grid)
+    reach = max(np.abs(grid.xs).max(), np.abs(grid.ys).max())
+    w, _, margin = _slope_weights(gs, reach)
     C = gs.frequencies
     bounds = grid.h * grid.h / 8.0 * (w @ (C * C)) * (1.0 + 1e-6) + margin
     top = bounds.max()
-    return bounds, margin, top + 8.0 * EPS * (w.sum() + top)
+    return bounds, top + 8.0 * EPS * (w.sum() + top)
 
 
 def _certified_signs(gs: FieldSample, pts: np.ndarray, g: np.ndarray,
@@ -581,33 +569,20 @@ def _certified_signs(gs: FieldSample, pts: np.ndarray, g: np.ndarray,
     return sg
 
 
-def _port_slopes(grid: ScalarGrid, eids: np.ndarray, ga: np.ndarray,
-                 gb: np.ndarray, bounds: np.ndarray):
-    """Ports of edges eids, g interpolated there, and its error bound.
-
-    Returns (points, slope, bound): slope interpolates g linearly from ga at
-    the first node of each edge to gb at the second, at the port's edge
-    parameter, and bound is the edge type's entry of bounds
-    (``_port_bounds``).
-    """
-    pts, typ, _, _, t = _edge_zeros(eids, grid)
-    return pts, ga + t * (gb - ga), bounds[typ]
-
-
 def _sign_changes(gs: FieldSample, grid: ScalarGrid):
-    """(lo, hi, slo, margin) of the zero segments whose ports differ in sign.
+    """(lo, hi, slo) of the zero segments whose ports differ in sign.
 
     The ports are the crossed edges of f's grid, in edge-id order, from one
     flatnonzero of the (nx, ny, 2) crossing mask: every crossed edge ends a
     segment.  g = d.grad f, the slope sample gs, is evaluated on the same
     lattice and read at the ports' nodes only, so its grid dies before the
     marching.  Each port is signed once: by its nodes' g where both clear
-    ``_port_bounds``' clear on one side, else from its interpolated slope
-    where ``_port_slopes``' bound certifies it, else by evaluation.  The
-    signs fill a dense edge table, and ``marching_segments`` labeled by it
-    emits only the segments whose two ports get opposite signs of g: lo and
-    hi are their ports (``_edge_zeros``), slo the sign at lo and margin the
-    rounding margin of ``_slope_weights`` on this grid.
+    ``_port_bounds``' clear on one side, else from g interpolated linearly
+    along its edge to the port (``_edge_zeros``) where the edge type's
+    bound certifies it, else by evaluation.  The signs fill a dense edge
+    table, and ``marching_segments`` labeled by it emits only the segments
+    whose two ports get opposite signs of g: lo and hi are their ports and
+    slo the sign at lo.
     """
     nx, ny = grid.values.shape
     pos = sign_grid(grid.values)
@@ -626,7 +601,7 @@ def _sign_changes(gs: FieldSample, grid: ScalarGrid):
     node += np.where(ports & 1, 1, ny)
     gb = np.take(slopes, node)
     del slopes, node
-    bounds, margin, clear = _port_bounds(gs, grid)
+    bounds, clear = _port_bounds(gs, grid)
     # a port's g lies within its bound of its interpolant, which lies
     # between its nodes' g
     up = sign_grid(ga - clear) & sign_grid(gb - clear)
@@ -635,30 +610,29 @@ def _sign_changes(gs: FieldSample, grid: ScalarGrid):
     signs = np.zeros(2 * nx * ny, dtype=bool)
     signs[ports] = up
     ports = ports[rest]
-    pts, slope, bound = _port_slopes(grid, ports, ga[rest], gb[rest], bounds)
-    signs[ports] = _certified_signs(gs, pts, slope, bound)
+    a, b = ga[rest], gb[rest]
+    pts, typ, _, _, t = _edge_zeros(ports, grid)
+    signs[ports] = _certified_signs(gs, pts, a + t * (b - a), bounds[typ])
     segA, segB = marching_segments(grid, label=signs)
     return (_edge_zeros(segA, grid)[0], _edge_zeros(segB, grid)[0],
-            signs[segA], margin)
+            signs[segA])
 
 
-def _taylor_degree(w: np.ndarray, spread: float, reach: float,
-                   tol: float):
+def _taylor_degree(w: np.ndarray, spread: float, step: float, tol: float):
     """The least degree P whose Taylor polynomials of g = Re sum_k p_k
-    exp(i Delta_k tau), |Delta_k| <= reach, err by at most tol on
+    exp(i Delta_k tau), |Delta_k| <= step, err by at most tol on
     0 <= tau <= 1, or None where no degree does.
 
-    The truncation is at most sum_k w_k reach^(P+1) / (P+1)!.  The
+    The truncation is at most sum_k w_k step^(P+1) / (P+1)!.  The
     coefficients and Horner's rule sum terms of total size at most
-    sum_k w_k exp(reach) (1 + |c_k| X) = exp(reach) spread, with about
-    4 P + m + 32 roundings each (m pairs, the phases and the float
-    midpoints included), eps apiece.
+    exp(step) spread (``_slope_weights``), with about 4 P + m + 32
+    roundings each (m pairs, the phases and the float midpoints included).
     """
     m = len(w)
-    growth = EPS * math.exp(min(reach, 700.0)) * spread
+    growth = EPS * math.exp(min(step, 700.0)) * spread
     truncation, P = w.sum(), 0
     while True:
-        truncation *= reach / (P + 1)
+        truncation *= step / (P + 1)
         rounding = (4 * P + m + 32) * growth
         if rounding > tol:
             return None
@@ -668,33 +642,32 @@ def _taylor_degree(w: np.ndarray, spread: float, reach: float,
 
 
 def _bisect(gs: FieldSample, lo: np.ndarray, hi: np.ndarray,
-            slo: np.ndarray, margin: float) -> np.ndarray:
+            slo: np.ndarray) -> np.ndarray:
     """Midpoints of [lo, hi] after ten bisection steps on the sign of g.
 
     gs is the slope sample of g = d.grad f; slo is the sign of g at lo, the
     opposite one at hi.  Each step signs the float midpoint 0.5 (lo + hi)
     with ``_certified_signs`` and keeps the half where the sign changes.
-    The estimate of g comes from one Taylor polynomial per candidate in the
-    segment parameter tau: along lo + tau (hi - lo),
+    Every midpoint lies within the candidates' reach, the largest
+    |coordinate| over lo and hi, so the margin of ``_slope_weights`` there
+    signs them all.  The estimate of g comes from one Taylor polynomial per
+    candidate in the segment parameter tau: along lo + tau (hi - lo),
     g = Re sum_k p_k exp(i Delta_k tau) = sum_n A_n tau^n with
     p_k = q_k exp(i c_k.lo), q_k = sqrt(W_k) (a'_k - i b'_k) for the pairs
     (a', b') of gs, Delta_k = c_k.(hi - lo) and
     A_n = Re sum_k p_k (i Delta_k)^n / n!, read by Horner's rule at the
     step's dyadic tau.  The degree is the least for which truncation and
-    rounding (``_taylor_degree``) stay within 1e-3 margin,
-    1e-12 sum_k w_k (1 + |c_k| X), far inside the margin every estimate is
-    signed with, so every sign and midpoint is the one exact evaluation at
-    every step gives.  Where no degree does (segments spanning about a
-    wavelength), the estimate is 0 with an infinite bound, so every
-    midpoint is evaluated.
+    rounding (``_taylor_degree``) stay within a thousandth of the margin, so
+    every sign and midpoint is the one exact evaluation at every step gives.
+    Where no degree does (segments spanning about a wavelength), the
+    estimate is 0 with an infinite bound, so every midpoint is evaluated.
     """
     C = gs.frequencies
     amp = gs.amplitudes()
     wa, wb = amp * gs.coeff_a, amp * gs.coeff_b
-    w = np.hypot(wa, wb)
+    reach = max(np.abs(lo).max(initial=0.0), np.abs(hi).max(initial=0.0))
+    w, spread, margin = _slope_weights(gs, reach)
     delta = (hi - lo) @ C.T               # (N, m)
-    spread = w @ (1.0 + np.abs(lo).max(initial=0.0)
-                  * np.hypot(C[:, 0], C[:, 1]))
     degree = _taylor_degree(w, spread, np.abs(delta).max(initial=0.0),
                             1e-3 * margin)
     if degree is not None:
@@ -750,9 +723,9 @@ def _flip_locations(s: FieldSample, domain: SquareDomain, h: float | None,
     gs = _slope_sample(s, d)
     # the grid dies with _sign_changes, before the Taylor coefficients are
     # built
-    lo, hi, slo, margin = _sign_changes(
+    lo, hi, slo = _sign_changes(
         gs, evaluate_grid(s, SquareDomain(R + 2.0 * h), h))
-    locs = _bisect(gs, lo, hi, slo, margin)
+    locs = _bisect(gs, lo, hi, slo)
 
     # closed-domain filter at the bisection resolution (boundary flips are
     # approached from either side, so an exact-R cut would drop them)
@@ -770,26 +743,29 @@ def count_flips(s: FieldSample, domain: SquareDomain, h: float | None = None,
     """Count points of the closed square where f and d.grad f both vanish.
 
     d = ``unit_direction(direction)`` (the default counts axis-1 flips).
-    Cells are scanned for a zero segment of f whose endpoints see opposite
-    signs of g = d.grad f; each such segment is refined by 10 bisection
-    steps (``_bisect``) and contributes one flip if the refined location
-    lies in the closed domain; the count is the number of
-    ``_flip_locations``.  g is the slope sample of f (``_slope_sample``),
-    so the call evaluates the value grids of f and of g, and no derivative
-    grid.  A crossing port ends two segments, so each port (crossed edge)
-    is signed once, and ``marching_segments`` labeled by the port signs
-    emits only the segments whose two signs differ (about 3% of them at 16
-    points per wavelength), in the order of the unlabeled call.  A port's
-    sign comes from its nodes' g where both clear the larger port bound
-    (``_port_bounds``), else from g interpolated along its edge where the
-    interpolation bound of ``_port_slopes`` gives every value g can take
-    one sign; a midpoint's from a Taylor polynomial of g along its segment
-    wherever the rounding margin does.  Only the other points (2-3% of the
-    ports at 16 points per wavelength, about one midpoint in 3,000) are
-    evaluated exactly, so every sign, count and location is the one an
-    exact evaluation at every port and midpoint gives.  The grid is padded
-    by one cell so boundary flips are caught; the tie rule makes
-    exactly-zero corners deterministic.
+    The zero segments of f whose two ports see opposite signs of
+    g = d.grad f are refined by 10 bisection steps (``_bisect``), and each
+    contributes one flip if the refined location lies in the closed domain;
+    the count is the number of ``_flip_locations``.  The grid is padded by
+    two cells so boundary flips are caught; the tie rule makes exactly-zero
+    corners deterministic.
+
+    g is the slope sample of f (``_slope_sample``), so the call evaluates
+    the value grids of f and of g, and no derivative grid.  A crossing port
+    ends two segments, so each port (crossed edge) is signed once
+    (``_sign_changes``): from its nodes' g where both clear the larger port
+    bound on one side (all but 6-9% of the ports at 16 points per
+    wavelength), else from g interpolated along its edge where the
+    interpolation bound of ``_port_bounds`` gives every value g can take
+    one sign.  ``marching_segments`` labeled by the port signs emits only
+    the segments whose two signs differ (about 3% of them at 16 points per
+    wavelength), in the order of the unlabeled call.  A midpoint's sign
+    comes from a Taylor polynomial of g along its segment wherever the
+    rounding margin of ``_slope_weights`` does.  Only the other points
+    (2-3% of the ports at 16 points per wavelength, about one midpoint in
+    3,000) are evaluated with ``evaluate_batch`` (``_certified_signs``), so
+    every sign, count and location is the one an exact evaluation at every
+    port and midpoint gives.
     """
     return len(_flip_locations(s, domain, h, direction))
 

@@ -40,7 +40,6 @@ from nodalfields.topology import (
     _edge_zeros,
     _joins_main_diagonal,
     _port_bounds,
-    _port_slopes,
     _slope_sample,
     edge_ports,
     marching_segments,
@@ -390,28 +389,35 @@ def half_edge_polylines(grid: ScalarGrid):
     return chains
 
 
+def port_slopes(grid, ports, slopes, bounds):
+    """(points, slope, bound) at the ports of edges ports: slope interpolates
+    the node values slopes of g linearly along each edge to its port, and
+    bound is the edge type's entry of bounds (``_port_bounds``)."""
+    pts, typ, a, b, t = _edge_zeros(ports, grid)
+    ga, gb = np.take(slopes, a), np.take(slopes, b)
+    return pts, ga + t * (gb - ga), bounds[typ]
+
+
 def sign_changes_oracle(s, grid, d):
-    """(lo, hi, slo, margin) of the zero segments whose ports differ in sign.
+    """(lo, hi, slo) of the zero segments whose ports differ in sign.
 
     grid is an order-1 grid of s.  Each unique port of the marching segments
     is signed once, from d.grad f of grid's first-derivative grids
     interpolated along its edge where the port bound certifies it, and
     from ``point_gradients`` elsewhere; lo and hi are the ports of the
-    segments whose two ports get opposite signs of g = d.grad f, slo the
-    sign at lo and margin the rounding margin on this grid.
+    segments whose two ports get opposite signs of g = d.grad f, and slo
+    the sign at lo.
     """
     segA, segB = marching_segments(grid)
     K = len(segA)
     ports, inv = np.unique(np.concatenate([segA, segB]), return_inverse=True)
-    bounds, margin, _ = _port_bounds(_slope_sample(s, d), grid)
+    bounds, _ = _port_bounds(_slope_sample(s, d), grid)
     slopes = d[0] * grid.d1 + d[1] * grid.d2
-    a, b = _edge_zeros(ports, grid)[2:4]
-    pts, slope, bound = _port_slopes(grid, ports, np.take(slopes, a),
-                                     np.take(slopes, b), bounds)
+    pts, slope, bound = port_slopes(grid, ports, slopes, bounds)
     sg = sign_grid(slope + bound)
     unsure = np.flatnonzero(sg != sign_grid(slope - bound))
     sg[unsure] = sign_grid(point_gradients(s, pts[unsure]) @ d)
     ia, ib = inv[:K], inv[K:]
     cand = sg[ia] != sg[ib]
     ia, ib = ia[cand], ib[cand]
-    return pts[ia], pts[ib], sg[ia], margin
+    return pts[ia], pts[ib], sg[ia]

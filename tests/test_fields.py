@@ -24,6 +24,7 @@ from nodalfields.measures import (
     make_atomic,
     preset,
 )
+from nodalfields.stability import section7_field
 from oracles import (
     covariance_mc,
     point_gradients,
@@ -120,6 +121,22 @@ def test_batch_evaluates_values_only():
     assert evaluate_batch(s, [(0.0, 0.0), (1.0, 2.0)]).shape == (2,)
 
 
+@pytest.mark.parametrize("s", [
+    sample(preset("uniform_circle", K=64), seed=3),
+    sample(make_atomic([((0.0, 0.0), 0.4), ((0.6, 0.8), 0.3),
+                        ((-0.6, -0.8), 0.3)]), seed=4),
+    dataclasses.replace(section7_field("f"), freq_scale=3.0),
+], ids=["u64", "origin-atom", "section7-scaled"])
+def test_batch_gives_each_point_its_value_alone(s):
+    # a point's value does not depend on the batch it comes in, so the
+    # flips' exactly evaluated signs do not depend on which unsure points
+    # are evaluated together
+    pts = np.random.default_rng(7).uniform(-10.0, 10.0, (400, 2))
+    alone = np.concatenate([evaluate_batch(s, p[None]) for p in pts])
+    for n in (1, 7, 37, 400):
+        assert evaluate_batch(s, pts[:n]).tobytes() == alone[:n].tobytes()
+
+
 def test_grid_rejects_an_order_outside_0_to_2():
     s = sample(preset("uniform_circle", K=16), seed=2)
     for order in (3, -1):
@@ -149,7 +166,6 @@ def test_grid_matches_stacked_oracle(monkeypatch):
     # enough for OpenBLAS's small-matrix kernels (a Fortran-ordered factor)
     # and on larger ones (a C-ordered factor)
     from nodalfields.arithmetic import mu_n, sample_torus_wave, torus_spacing
-    from nodalfields.stability import section7_field
     with_origin = sample(make_atomic([((0.0, 0.0), 0.4), ((0.6, 0.8), 0.3),
                                       ((-0.6, -0.8), 0.3)]), seed=4)
     assert with_origin.origin_coeff != 0 and with_origin.origin_weight > 0

@@ -256,6 +256,17 @@ def test_flips_sort_only_their_locations():
     assert ast.unparse(call.args[0]) == "buckets"
 
 
+def test_flips_weigh_the_slope_sample_in_one_place():
+    # the port bounds and the bisection take w_k = sqrt(W_k) |(a_k, b_k)|
+    # |d.c_k|, the spread and the rounding margin from _slope_weights, so
+    # the constants of the flip certificate agree: no other function on the
+    # flip path takes a hypot, of the coefficients or of the frequencies
+    _, hypots = _topology_calls("count_flips", {"hypot"})
+    assert {name for name, _ in hypots} == {"_slope_weights"}
+    for caller in ("_port_bounds", "_bisect"):
+        assert "_slope_weights" in _topology_calls(caller, set())[0]
+
+
 def test_flips_evaluate_only_value_grids():
     # g = d.grad f is a sample of its own, so the flip path evaluates the
     # value grids of f and g and no derivative grid

@@ -25,10 +25,8 @@ from nodalfields.measures import make_atomic, preset
 from nodalfields.topology import (
     _bisect,
     _certified_signs,
-    _edge_zeros,
     _flip_locations,
     _port_bounds,
-    _port_slopes,
     _sign_changes,
     _slope_sample,
     _slope_weights,
@@ -47,6 +45,7 @@ from oracles import (
     half_edge_torus_census,
     ndimage_plane_census,
     point_gradients,
+    port_slopes,
     sign_changes_oracle,
 )
 
@@ -1045,11 +1044,8 @@ def test_port_slope_signs_match_exact_evaluation(rho, seed, R, h, direction):
         grid = evaluate_grid(s, SquareDomain(R + 2 * step), step)
         gs = _slope_sample(s, d)
         ports = np.unique(np.concatenate(marching_segments(grid)))
-        slopes = _slope_grid(gs, grid)
-        a, b = _edge_zeros(ports, grid)[2:4]
-        pts, slope, bound = _port_slopes(grid, ports, np.take(slopes, a),
-                                         np.take(slopes, b),
-                                         _port_bounds(gs, grid)[0])
+        pts, slope, bound = port_slopes(grid, ports, _slope_grid(gs, grid),
+                                        _port_bounds(gs, grid)[0])
         assert np.array_equal(pts, edge_ports(ports, grid))
         exact = point_gradients(s, pts) @ d
 
@@ -1089,8 +1085,8 @@ def test_count_flips_evaluates_few_ports(monkeypatch):
 
 
 def _assert_sign_changes_match_oracle(s, grid, direction):
-    """Byte-equal (lo, hi, slo, margin) with every marching segment signed
-    from the gradient; returns the number of candidates."""
+    """Byte-equal (lo, hi, slo) with every marching segment signed from the
+    gradient; returns the number of candidates."""
     d = np.asarray(direction) / math.hypot(*direction)
     gs = _slope_sample(s, d)
     coarse = grid_too_coarse(gs, grid.h)
@@ -1229,7 +1225,7 @@ def _assert_bisection_matches_oracle(monkeypatch, s, R, h, direction):
             m.setattr(topology, "evaluate_batch", counted)
             return _bisect(*args)
 
-    def exact_bisect(gs, lo, hi, slo, margin):
+    def exact_bisect(gs, lo, hi, slo):
         return _exact_bisection(s, d, lo, hi, slo)
 
     with monkeypatch.context() as m:
@@ -1255,28 +1251,37 @@ def test_bisection_matches_exact_oracle(monkeypatch, rho, seed, R, h,
 def test_bisection_slope_signs_match_exact_evaluation(monkeypatch, rho, seed,
                                                       R, h, direction):
     # at every bisection midpoint the Taylor estimate of g stays within
-    # 1e-12 sum_k w_k (1 + |c_k| X) of the exact one, X the padded grid's
-    # reach, far inside the margin it is signed with, and every sign equals
-    # the one an exact evaluation gives
+    # 1e-12 sum_k w_k (1 + |c_k| X) of the exact one, X the candidates'
+    # reach (the largest |coordinate| of their ports), far inside the margin
+    # it is signed with, and every sign equals the one an exact evaluation
+    # gives
     d = np.asarray(direction) / math.hypot(*direction)
-    seen = []
+    seen, reach = [], []
 
     def recorded(gs, pts, g, bound):
         signs = _certified_signs(gs, pts, g, bound)
         seen.append((pts.copy(), g.copy(), bound, signs))
         return signs
 
+    def reached(gs, lo, hi, slo):
+        reach.append(max(np.abs(lo).max(initial=0.0),
+                         np.abs(hi).max(initial=0.0)))
+        return _bisect(gs, lo, hi, slo)
+
     monkeypatch.setattr(topology, "_certified_signs", recorded)
+    monkeypatch.setattr(topology, "_bisect", reached)
     checked = 0
     for i in range(3):
         s = sample(rho, seed, i)
         step = h if h is not None else default_spacing(s)
         seen.clear()
+        reach.clear()
         count_flips(s, SquareDomain(R), h=step, direction=direction)
         C = s.frequencies
         w = (np.sqrt(s.pair_weights) * np.hypot(s.coeff_a, s.coeff_b)
              * np.abs(C @ d))
-        tol = 1e-12 * (w @ (1 + (R + 2 * step) * np.hypot(C[:, 0], C[:, 1])))
+        (X,) = reach
+        tol = 1e-12 * (w @ (1 + X * np.hypot(C[:, 0], C[:, 1])))
         assert len(seen) == 11   # the port pass, then ten steps
         for pts, g, bound, signs in seen[1:]:
             checked += len(pts)
@@ -1300,10 +1305,9 @@ def test_bisection_estimates_are_good_to_the_tolerance_at_any_span(
     gs = _slope_sample(s, d)
     lo = np.column_stack([np.linspace(0.0, math.pi, 10), np.zeros(10)])
     hi = lo + [span, 0.0]
+    # the candidates' reach, which sets the margin
     X = math.pi + span
-    grid = ScalarGrid(domain=None, h=1.0, xs=np.array([-X, X]),
-                      ys=np.zeros(1), values=np.zeros((2, 1)))
-    w, margin = _slope_weights(gs, grid)
+    w = _slope_weights(gs, X)[0]
     tol = 1e-12 * w.sum() * (1 + X)
     seen = []
 
@@ -1312,7 +1316,7 @@ def test_bisection_estimates_are_good_to_the_tolerance_at_any_span(
         return np.full(len(pts), True)
 
     monkeypatch.setattr(topology, "_certified_signs", recorded)
-    _bisect(gs, lo, hi, np.full(10, True), margin)
+    _bisect(gs, lo, hi, np.full(10, True))
     assert len(seen) == 10
     for pts, g in seen:
         assert np.all(np.abs(g - point_gradients(s, pts) @ d) <= tol)
