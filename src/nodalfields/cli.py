@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.  Outputs are
-byte-identical for identical configurations: reports are sorted-key JSON (and
+byte-identical for identical configurations on one numpy/BLAS build (small
+grid products round by build, ``fields.SMALL_GEMM``; between builds only
+counts at tie-level nodes can differ): reports are sorted-key JSON (and
 CSV), images deterministic SVG / binary PPM.  The default seed is 1.
 
 Measure specs accept a file path (via --measure) or a preset string:

@@ -196,7 +196,11 @@ def torus_count_report(n: int, M: int, h: float | None = None, seed: int = 0,
 
     c(mu_n) is ``estimate_cns`` of mu_n over R = 10, 20, 40 with planar_M
     (default M) draws per R; the torus spacing h defaults to
-    ``torus_spacing(n)``, and the report gives the lattice's, 1/round(1/h)."""
+    ``torus_spacing(n)``, and the report gives the lattice's, 1/round(1/h).
+    The estimates share draws: a torus draw is the planar draw of its Philox
+    stream (seed, i) at frequency scale sqrt(n), so the planar R = 10 block
+    (streams i < planar_M) reuses the torus draws' coefficients for
+    i < min(M, planar_M), and the later blocks those past planar_M."""
     # looked up per call, not at import: perfbench traces torus draws by
     # wrapping arithmetic.sample_torus_wave in place
     from .arithmetic import mu_n, sample_torus_wave, torus_spacing

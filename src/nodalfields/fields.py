@@ -5,23 +5,20 @@ antipodal atom pair, so values and derivatives are available in closed form
 anywhere.  With i.i.d. standard normal coefficients the sample reproduces the
 measure's covariance function exactly; there is no discretization in the law.
 A derivative d.grad f along a fixed direction is again such a sum over the
-same atoms, with pairs (d.c_k)(b_k, -a_k) and no origin term, so its grids
-and point values come from the same evaluators; the flips in ``topology``
-read it that way.  ``evaluate_batch`` gives values only, and each point's
-value does not depend on the batch it comes in.
+same atoms, the slope sample (``_slope_sample``), so derivative grids and
+point values come from the value evaluators.  ``evaluate_batch`` gives
+values only, and each point's value does not depend on the batch it comes in.
 
 Coefficients come from a counter-based generator (Philox) keyed by
 (seed, stream index), so Monte Carlo batches are reproducible independently of
 evaluation order.
 
-Grid evaluation is separable: the lattice axes and their 1-D cos/sin tables
+Grid evaluation is separable: cos(c1 x + c2 y) splits into outer products
+of 1-D cos/sin tables, so each grid, values or derivative, is one matrix
+product instead of a per-pair lattice sweep.  The lattice axes and tables
 depend on (measure, freq_scale, domain, h) only.  They are kept read-only in
 one slot on the measure, keyed by (freq_scale, domain, h), so a batch of draws
 over one measure and one lattice builds them once; a new key replaces them.
-The x table U is (nx, 2m) and the y tables are C-ordered (m, ny) pair rows.
-A draw folds its coefficients into the y rows in place, writing one (2m, ny)
-right factor V, so each grid is one product U @ V; the derivative grids
-refill one jet buffer of V's shape in turn.
 """
 
 from __future__ import annotations
@@ -41,8 +38,13 @@ from .measures import SpectralMeasure, _slot, antipodal_pairs, preset
 MIN_POINTS_PER_WAVELENGTH = 12
 POINTS_PER_WAVELENGTH = 16
 # Products of at most this many multiply-adds may run in OpenBLAS's AVX-512
-# small-matrix kernels, whose bits depend on the operands' layout.
+# small-matrix kernels, whose bits depend on the operands' layout and on the
+# numpy/BLAS build: they take a Fortran-ordered right factor, and between
+# builds only counts at tie-level nodes can differ.
 SMALL_GEMM = 10**6
+# Node cap of grid_axes: a grid of 2^28 float64 nodes fills 2 GiB; the
+# largest report grid has about 1.7e6 nodes.
+MAX_GRID_NODES = 2**28
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class FieldSample:
 
 @dataclass
 class ScalarGrid:
-    """Field values, and the jet grids an order asks for, on a regular lattice.
+    """Field values, and the derivative grids an order asks for, on a lattice.
 
     values[i, j] is the field at (xs[i], ys[j]); d1, d2, d11, d12, d22 are
     its derivatives there, or None.  Grids from evaluate_grid share their
@@ -194,6 +196,18 @@ def evaluate_batch(s: FieldSample, pts) -> np.ndarray:
     return terms.sum(axis=1) + s.origin_coeff * math.sqrt(s.origin_weight)
 
 
+def _slope_sample(s: FieldSample, d: np.ndarray) -> FieldSample:
+    """d.grad f as a sample of the same measure; the one derivative rule.
+
+    d.grad of a_k cos phi_k + b_k sin phi_k is
+    (d.c_k)(b_k cos phi_k - a_k sin phi_k), so the slope sample has the
+    pairs (d.c_k)(b_k, -a_k) and no origin term.
+    """
+    dc = s.frequencies @ d
+    return FieldSample(measure=s.measure, coeff_a=dc * s.coeff_b,
+                       coeff_b=-dc * s.coeff_a, freq_scale=s.freq_scale)
+
+
 def unit_direction(direction) -> np.ndarray:
     """A finite nonzero 2-vector scaled to unit length, or a ValueError."""
     d = np.asarray(direction, dtype=float)
@@ -206,19 +220,28 @@ def unit_direction(direction) -> np.ndarray:
 
 
 def grid_axes(domain, h: float):
-    """Lattice axes for a domain; torus spacing is snapped to 1/n."""
+    """Lattice axes for a domain; torus spacing is snapped to 1/n.  A side
+    of up to 2R/h + 1 nodes (1/h + 1/2 on the torus) that allows more than
+    MAX_GRID_NODES nodes raises ValueError before any array is allocated."""
     if isinstance(domain, SquareDomain):
         if not (math.isfinite(domain.R) and domain.R >= 0):
             raise ValueError(f"square half-side R must be finite and >= 0, "
                              f"got {domain.R}")
-        n = int(math.floor(2.0 * domain.R / h + 1e-9)) + 1
-        xs = -domain.R + h * np.arange(n)
-        return xs, xs.copy(), h
+        side = 2.0 * domain.R / h + 1.0
+    elif isinstance(domain, TorusDomain):
+        side = 1.0 / h + 0.5
+    else:
+        raise TypeError(f"unknown domain {domain!r}")
+    if not side * side <= MAX_GRID_NODES:
+        raise ValueError(f"h={h:.4g} gives a lattice side of {side:.4g}, "
+                         f"past MAX_GRID_NODES")
     if isinstance(domain, TorusDomain):
         n = max(2, int(round(1.0 / h)))
         xs = np.arange(n) / n
         return xs, xs.copy(), 1.0 / n
-    raise TypeError(f"unknown domain {domain!r}")
+    n = int(math.floor(2.0 * domain.R / h + 1e-9)) + 1
+    xs = -domain.R + h * np.arange(n)
+    return xs, xs.copy(), h
 
 
 def grid_too_coarse(s: FieldSample, h: float) -> bool:
@@ -264,14 +287,14 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
     h (default ``default_spacing(s)``) must be finite and positive.  The
     grid's h is the lattice's, which the torus snaps to 1/n; where that h is
     ``grid_too_coarse``, GridTooCoarse warns at the caller, so a batch
-    warns once per call site.  order 0 fills values, 1 adds the
-    first-derivative grids and 2 the three second-derivative grids; any
-    other order raises ValueError.  Each grid is one matrix product of the
-    x table U (nx, 2m) with a (2m, ny) right factor: the values' V holds
-    S1 = wa cy + wb sy over S2 = wb cy - wa sy, written in place from the
-    (m, ny) y rows, and each derivative grid refills one jet buffer W of
-    V's shape from S1 and S2 (c S2 over -c S1 for a first derivative).  The
-    axes and the tables come from one slot on the measure keyed by
+    warns once per call site.  order 0 fills values, 1 adds d1 and d2, and
+    2 adds d11, d12 and d22; any other order raises ValueError.  A
+    derivative grid is the value grid of a slope sample (``_slope_sample``):
+    d1, d2 of f along e1, e2; d11, d12 of d1 along e1, e2; d22 of d2 along
+    e2.  Each grid is one product of the x table U (nx, 2m) with one
+    (2m, ny) right factor V, S1 = wa cy + wb sy over S2 = wb cy - wa sy for
+    the sample's weighted pairs, refilled in place from the (m, ny) y rows.
+    The axes and tables come from one slot on the measure keyed by
     (freq_scale, domain, h): built on the first grid of a key, shared
     read-only (the grid's xs and ys too) until another key replaces them.
     """
@@ -286,51 +309,37 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
                       f"{MIN_POINTS_PER_WAVELENGTH} points per minimal "
                       f"wavelength {s.min_wavelength():.4g}", GridTooCoarse,
                       stacklevel=2)
-    C = s.frequencies
-    amp = s.amplitudes()
-    wa, wb = (amp * s.coeff_a)[:, None], (amp * s.coeff_b)[:, None]
-
-    # separability: cos(c1 x + c2 y) splits into outer products of the 1-D
-    # cos/sin tables, so every jet grid is one matrix product
-    # U (nx, 2m) @ V (2m, ny) instead of a per-pair lattice sweep.  In a
-    # C-ordered V each pair's coefficient scales one contiguous row.  BLAS
-    # rounds the product alike for either layout of V except in OpenBLAS's
-    # small-matrix kernels, so a small product takes a Fortran-ordered V:
-    # seeded grids of every size keep their bits.
-    m, ny = len(wa), len(ys)
+    samples = [s]
+    if order >= 1:
+        e1, e2 = np.eye(2)
+        g1, g2 = _slope_sample(s, e1), _slope_sample(s, e2)
+        samples += [g1, g2]
+        if order == 2:
+            samples += [_slope_sample(g1, e1), _slope_sample(g1, e2),
+                        _slope_sample(g2, e2)]
+    # in a C-ordered V each pair's coefficient scales one contiguous row.
+    # BLAS rounds the product alike for either layout of V except in
+    # OpenBLAS's small-matrix kernels, so a small product takes a
+    # Fortran-ordered V: seeded grids of every size keep their bits
+    m, ny = len(cy), len(ys)
     small = 2 * m * len(xs) * ny <= SMALL_GEMM
     V = np.empty((2 * m, ny), order="F" if small else "C")
     S1, S2 = V[:m], V[m:]                   # pairs along rows
-    np.multiply(wa, cy, out=S1)
-    S1 += wb * sy
-    np.multiply(wb, cy, out=S2)
-    S2 -= wa * sy
-    val = U @ V
+    grids = []
+    for t in samples:
+        amp = t.amplitudes()
+        wa, wb = (amp * t.coeff_a)[:, None], (amp * t.coeff_b)[:, None]
+        np.multiply(wa, cy, out=S1)
+        S1 += wb * sy
+        np.multiply(wb, cy, out=S2)
+        S2 -= wa * sy
+        grids.append(U @ V)
     origin = s.origin_coeff * math.sqrt(s.origin_weight)
     if origin:
         # a zero constant could only turn a -0.0 node into +0.0, which the
         # tie rule and every reader treat alike
-        val += origin
-    d1 = d2 = d11 = d12 = d22 = None
-    if order >= 1:
-        W = np.empty_like(V)
-        c1, c2 = C[:, 0][:, None], C[:, 1][:, None]
-
-        def jet(k_top, top, k_bottom, bottom):
-            np.multiply(k_top, top, out=W[:m])
-            np.multiply(k_bottom, bottom, out=W[m:])
-            return U @ W
-
-        d1 = jet(c1, S2, -c1, S1)
-        d2 = jet(c2, S2, -c2, S1)
-        if order == 2:
-            k11, k12, k22 = -c1 * c1, -c1 * c2, -c2 * c2
-            d11 = jet(k11, S1, k11, S2)
-            d12 = jet(k12, S1, k12, S2)
-            d22 = jet(k22, S1, k22, S2)
-
-    return ScalarGrid(domain=domain, h=h_eff, xs=xs, ys=ys, values=val,
-                      d1=d1, d2=d2, d11=d11, d12=d12, d22=d22)
+        grids[0] += origin
+    return ScalarGrid(domain, h_eff, xs, ys, *grids)
 
 
 def cilleruelo_field(seed: int, stream: int = 0) -> FieldSample:

@@ -58,6 +58,7 @@ from .fields import (
     FieldSample,
     ScalarGrid,
     SquareDomain,
+    _slope_sample,
     default_spacing,
     evaluate_batch,
     evaluate_grid,
@@ -499,19 +500,6 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
 
 # ---------------------------------------------------------------------------
 # Flips: simultaneous zeros of (f, directional derivative of f).
-
-def _slope_sample(s: FieldSample, d: np.ndarray) -> FieldSample:
-    """g = d.grad f as a sample of the same measure.
-
-    d.grad of a_k cos phi_k + b_k sin phi_k is
-    (d.c_k)(b_k cos phi_k - a_k sin phi_k), so g has the pairs
-    (d.c_k)(b_k, -a_k) and no origin term: its grids read f's axis tables,
-    and ``evaluate_batch`` of it is g's exact evaluator.
-    """
-    dc = s.frequencies @ d
-    return FieldSample(measure=s.measure, coeff_a=dc * s.coeff_b,
-                       coeff_b=-dc * s.coeff_a, freq_scale=s.freq_scale)
-
 
 def _slope_weights(gs: FieldSample, reach: float):
     """(w, spread, margin): the weights of g and the rounding margin of its

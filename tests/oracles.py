@@ -5,8 +5,9 @@ The others compute what the package computes another way: the covariance
 of a sample from its coefficient structure (``representation_covariance``)
 or by Monte Carlo (``covariance_mc``), a sample's gradients and Hessians
 at points from its trigonometric sum (``point_gradients``,
-``point_hessians``), its jet grids from
-transposed y tables and stacked right factors (``stacked_jet_grids``),
+``point_hessians``), its value grid, and the former jet formula of its
+derivative grids, from transposed y tables and stacked right factors
+(``stacked_jet_grids``),
 E|XY| by quadrature (``abs_product_mean_quad``), r2(n) from the divisors
 of n (``r2_divisor_oracle``), the plane census from a 4-connected labeling
 of the positive set (``ndimage_plane_census``, fast enough for sampled
@@ -27,7 +28,13 @@ import math
 import numpy as np
 from scipy import integrate, ndimage
 
-from nodalfields.fields import FieldSample, ScalarGrid, _philox, grid_axes
+from nodalfields.fields import (
+    FieldSample,
+    ScalarGrid,
+    _philox,
+    _slope_sample,
+    grid_axes,
+)
 from nodalfields.measures import (
     SpectralMeasure,
     _circle_points,
@@ -40,7 +47,6 @@ from nodalfields.topology import (
     _edge_zeros,
     _joins_main_diagonal,
     _port_bounds,
-    _slope_sample,
     edge_ports,
     marching_segments,
     sign_grid,
@@ -93,7 +99,10 @@ def stacked_jet_grids(s: FieldSample, xs, ys, order: int):
 
     The y tables are (ny, m) and each right factor is the vstack of two
     transposed coefficient folds, as evaluate_grid built them before it
-    wrote every fold in place into one (2m, ny) buffer.
+    wrote every fold in place into one (2m, ny) buffer.  The derivative
+    grids scale the value folds by c_k1, c_k2 and their products, the jet
+    formula evaluate_grid used before its derivative grids became value
+    grids of slope samples.
     """
     C = s.frequencies
     phx = np.outer(xs, C[:, 0])

@@ -66,6 +66,16 @@ def test_portrait_outputs_and_determinism(tmp_path):
                       "kappa=one")
 
 
+def test_portrait_past_the_node_cap_exits_2(tmp_path, capsys):
+    # R = 1e6 at the default spacing 1/16 asks for a side of 3.2e7 nodes;
+    # the node cap refuses it before any table is built or file written
+    out = tmp_path / "big"
+    assert main(["portrait", "--preset", "uniform:64", "--R", "1e6",
+                 "--out", str(out)]) == 2
+    assert "MAX_GRID_NODES" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_portrait_section7_has_loops(tmp_path):
     out = tmp_path / "s7"
     assert main(["portrait", "--section7", "f", "--R", "15",

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,9 +13,11 @@ from nodalfields.errors import GridTooCoarse
 from nodalfields.fields import (
     SquareDomain,
     TorusDomain,
+    _slope_sample,
     cilleruelo_field,
     evaluate_batch,
     evaluate_grid,
+    grid_axes,
     inject_sample,
     sample,
 )
@@ -145,26 +148,53 @@ def test_grid_rejects_an_order_outside_0_to_2():
 
 
 JETS = ("values", "d1", "d2", "d11", "d12", "d22")
+# the axes each grid differentiates along, in order: d12 is d/dx2 of d1
+JET_AXES = ((), (0,), (1,), (0, 0), (0, 1), (1, 1))
+EPS = np.finfo(float).eps
 
 
 def _assert_matches_stacked_oracle(s, domain, h):
-    """The multiply-adds of each of the grid's products."""
+    """Each grid of each order against the stacked oracle; returns the
+    multiply-adds of each of the grid's products.
+
+    A grid is bit for bit the oracle's order-0 grid of its slope sample.
+    Against the oracle's former jet formula, which scales the value pairs
+    by c_k1, c_k2 and their products, it moves by rounding only.  Let T_k
+    be sqrt(W_k) (|a_k| + |b_k|) times the product of |c_ki| along the
+    grid's axes.  Either way rounds each entry of pair k of the right
+    factor at most six times, by at most eps/2 of T_k each, and sums 2m
+    products with |U| <= 1 within m eps of 2 sum_k T_k, so it errs by at
+    most (2m + 6) eps sum_k T_k, and the two ways differ by twice that.
+    """
+    m = len(s.coeff_a)
+    e = np.eye(2)
+    weights = s.amplitudes() * (np.abs(s.coeff_a) + np.abs(s.coeff_b))
     for order in (0, 1, 2):
         g = evaluate_grid(s, domain, h, order)
-        for name, want in zip(JETS, stacked_jet_grids(s, g.xs, g.ys, order)):
+        jets = stacked_jet_grids(s, g.xs, g.ys, order)
+        for name, axes, jet in zip(JETS, JET_AXES, jets):
             got = getattr(g, name)
-            assert (got is None) == (want is None), (name, order)
-            if want is not None:
-                assert np.array_equal(got, want), (name, order)
-                assert got.tobytes() == want.tobytes(), (name, order)
-    return 2 * len(s.coeff_a) * g.values.size
+            assert (got is None) == (jet is None), (name, order)
+            if jet is None:
+                continue
+            t = s
+            for i in axes:
+                t = _slope_sample(t, e[i])
+            want = stacked_jet_grids(t, g.xs, g.ys, 0)[0]
+            assert np.array_equal(got, want), (name, order)
+            assert got.tobytes() == want.tobytes(), (name, order)
+            T = weights * np.prod(np.abs(s.frequencies[:, list(axes)]), axis=1)
+            assert np.abs(got - jet).max(initial=0.0) \
+                <= 2 * (2 * m + 6) * EPS * T.sum(), (name, order)
+    return 2 * m * g.values.size
 
 
 def test_grid_matches_stacked_oracle(monkeypatch):
     # the coefficients folded in place into one right factor give the bits
     # of the former transposed and stacked factors, on products small
     # enough for OpenBLAS's small-matrix kernels (a Fortran-ordered factor)
-    # and on larger ones (a C-ordered factor)
+    # and on larger ones (a C-ordered factor); a derivative grid is the
+    # value grid of its slope sample, within rounding of the jet formula
     from nodalfields.arithmetic import mu_n, sample_torus_wave, torus_spacing
     with_origin = sample(make_atomic([((0.0, 0.0), 0.4), ((0.6, 0.8), 0.3),
                                       ((-0.6, -0.8), 0.3)]), seed=4)
@@ -357,6 +387,26 @@ def test_grid_tables_follow_domain_spacing_and_freq_scale():
     g1 = evaluate_grid(torus, TorusDomain(), 1 / 128)
     g2 = evaluate_grid(other, TorusDomain(), 1 / 128)
     assert g2.xs is g1.xs and g2.ys is g1.ys
+
+
+def test_grid_axes_refuse_a_lattice_past_the_node_cap():
+    # the cap is checked before np.arange allocates: the square would take
+    # two axes of 3.2e7 nodes (512 MB) and the torus two of 1e12
+    for domain, h in ((SquareDomain(1e6), 1 / 16), (TorusDomain(), 1e-12)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_GRID_NODES"):
+                grid_axes(domain, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (domain, peak)
+    # a square side of 2^14 nodes reaches the cap, one more node passes it
+    side = math.isqrt(fields.MAX_GRID_NODES)
+    assert side * side == fields.MAX_GRID_NODES
+    assert len(grid_axes(SquareDomain((side - 1) / 32), 1 / 16)[0]) == side
+    with pytest.raises(ValueError, match="MAX_GRID_NODES"):
+        grid_axes(SquareDomain(side / 32), 1 / 16)
 
 
 def test_grid_axes_and_tables_are_read_only():

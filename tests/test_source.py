@@ -306,8 +306,9 @@ def test_portraits_sort_nothing():
 
 
 def test_grid_products_stack_nothing():
-    # each draw folds its coefficients in place into one right factor per
-    # product: no transposed temporaries, no stacked copies
+    # each draw folds its coefficients in place into one right factor, and
+    # every grid, values or derivative, is its one product: no transposed
+    # temporaries, no stacked copies, no second product
     tree = ast.parse((PACKAGE / "fields.py").read_text())
     fn, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
            and node.name == "evaluate_grid"]
@@ -319,7 +320,36 @@ def test_grid_products_stack_nothing():
     assert banned == []
     assert [ast.unparse(node) for node in ast.walk(fn)
             if isinstance(node, ast.BinOp)
-            and isinstance(node.op, ast.MatMult)] == ["U @ V", "U @ W"]
+            and isinstance(node.op, ast.MatMult)] == ["U @ V"]
+
+
+def test_only_the_slope_sample_builds_derivative_coefficients():
+    # d.grad f is the slope sample with pairs (d.c_k)(b_k, -a_k), and
+    # fields._slope_sample is the one function that builds it: the
+    # derivative grids of evaluate_grid are value grids of slope samples,
+    # so evaluate_grid reads no frequency.  The other functions that read a
+    # sample's coefficients with its frequencies are evaluate_batch, which
+    # takes phases c_k.x, and the flips' certificates of a slope sample,
+    # which weigh its pairs by |c_k| (_slope_weights) and by powers of
+    # c_k.(hi - lo) along a segment (_bisect's Taylor polynomials)
+    both = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                loads = _loads(node)
+                if loads["frequencies"] and (loads["coeff_a"]
+                                             or loads["coeff_b"]):
+                    both.add((path.stem, node.name))
+    assert both == {("fields", "_slope_sample"), ("fields", "evaluate_batch"),
+                    ("topology", "_slope_weights"), ("topology", "_bisect")}
+    samples = {(p.stem, name) for p in MODULES
+               for name, node in _definitions(ast.parse(p.read_text()))
+               if any(getattr(call.func, "id", None) == "FieldSample"
+                      for call in ast.walk(node) if isinstance(call, ast.Call))}
+    assert samples == {("fields", "sample"), ("fields", "inject_sample"),
+                       ("fields", "_slope_sample")}
+    assert ("fields", "evaluate_grid") in set(_readers("_slope_sample"))
 
 
 def test_plane_census_searches_nothing():

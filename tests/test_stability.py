@@ -332,8 +332,8 @@ def test_sandwich_rejects_a_spacing_before_drawing(monkeypatch):
         with pytest.raises(ValueError, match="divides 1"):
             sandwich_check(u16, u32, R=3.0, M=3, beta=math.inf, seed=1, h=h)
     # 1/h is within 1e-9 of an integer below about 1e-16, but its lattice
-    # on the outer square exceeds numpy's largest array
-    with pytest.raises(ValueError, match="spacing h=1e-20 gives no lattice"):
+    # on the outer square passes the node cap of grid_axes
+    with pytest.raises(ValueError, match="h=1e-20 gives a lattice side"):
         sandwich_check(u16, u32, R=3.0, M=3, beta=math.inf, seed=1, h=1e-20)
     assert calls == []
 

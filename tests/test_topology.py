@@ -13,6 +13,7 @@ from nodalfields.fields import (
     ScalarGrid,
     SquareDomain,
     TorusDomain,
+    _slope_sample,
     cilleruelo_field,
     default_spacing,
     evaluate_batch,
@@ -28,7 +29,6 @@ from nodalfields.topology import (
     _flip_locations,
     _port_bounds,
     _sign_changes,
-    _slope_sample,
     _slope_weights,
     count_components_plane,
     count_components_torus,
