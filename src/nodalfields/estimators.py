@@ -53,21 +53,25 @@ class EstimatorReport:
         return {"kind": "cns_report", **asdict(self)}
 
 
-def _batch(draw, M: int, domain, h: float | None, census) -> list:
-    """census(grid) of draw(i) for i < M.
+def _batch(draw, M: int, domain, h: float | None, census,
+           certified: bool = False) -> list:
+    """census(grid) of draw(i) for i < M, on certified grids if asked.
 
-    Warnings pass through, ``evaluate_grid``'s GridTooCoarse included: the
-    default filter shows a warning once per message and call site, not once
-    per draw.
+    A census that reads signs only, the plane census, takes certified
+    grids (``evaluate_grid``).  Warnings pass through, ``evaluate_grid``'s
+    GridTooCoarse included: the default filter shows a warning once per
+    message and call site, not once per draw.
     """
-    return [census(evaluate_grid(draw(i), domain, h)) for i in range(M)]
+    return [census(evaluate_grid(draw(i), domain, h, certified=certified))
+            for i in range(M)]
 
 
 def interior_counts(rho: SpectralMeasure, R: float, M: int,
                     h: float | None, seed: int, stream_base: int = 0) -> np.ndarray:
     """Interior component counts over M independent samples."""
     censuses = _batch(lambda i: sample(rho, seed, stream_base + i), M,
-                      SquareDomain(R), h, count_components_plane)
+                      SquareDomain(R), h, count_components_plane,
+                      certified=True)
     return np.asarray([c.interior_components for c in censuses], dtype=float)
 
 
@@ -124,10 +128,14 @@ def fit_cns_from_table(Rs, means, stderrs):
 
 def _checked_schedule(R_schedule) -> list:
     """The R schedule as a list, or ScheduleTooShort unless it has at least
-    three strictly increasing values."""
+    three strictly increasing values, or ValueError unless each is finite
+    and at least 1, before any block is drawn."""
     R_schedule = list(R_schedule)
     if len(R_schedule) < 3:
         raise ScheduleTooShort("schedule needs >= 3 increasing R values")
+    if not all(math.isfinite(R) and R >= 1 for R in R_schedule):
+        raise ValueError(f"schedule radii must be finite and >= 1, "
+                         f"got {R_schedule}")
     if any(b <= a for a, b in zip(R_schedule, R_schedule[1:])):
         raise ScheduleTooShort("schedule must be strictly increasing")
     return R_schedule

@@ -21,13 +21,17 @@ from the rank of each row's start, the runs on the border.  Both censuses
 check finiteness from the grid's row sums, one matrix-vector product: a
 sum is finite only if its terms are, and only where a sum is not, as when
 finite terms overflow, does the exact check read every value
-(``_census_values``).  On the torus, zero-set components are counted
-directly from the marching segments: every port there has degree 2, so
-components are cycles.  The segments of a cycle follow each other one way
-round it, and every crossed edge starts exactly one segment, so an
-edge-indexed table (``edge_table``) gives each segment its successor
-without a sort; a cycle wraps iff it crosses the x-seam or the y-seam an
-odd number of times.
+(``_census_values``).  A certified grid, the plane census's in estimates
+(float32 values whose signs are a float64 evaluation's, see ``fields``), is
+finite by construction and takes no such pass; where its cell-centre mean
+is within the error bound of the tie threshold, the saddle rule evaluates
+the cell's corners (``_joins_main_diagonal``).  On the torus, zero-set
+components are counted directly from the marching segments: every port
+there has degree 2, so components are cycles.  The segments of a cycle
+follow each other one way round it, and every crossed edge starts exactly
+one segment, so an edge-indexed table (``edge_table``) gives each segment
+its successor without a sort; a cycle wraps iff it crosses the x-seam or
+the y-seam an odd number of times.
 
 The marching segments are the one zero-set graph of the package.  Each runs
 from segA to segB with the positive side on its left, so every crossed edge
@@ -90,9 +94,21 @@ class NodalCensus:
         return self.interior_components + self.wrapping_components
 
 
-def sign_grid(values: np.ndarray) -> np.ndarray:
-    """Boolean positivity grid under the tie rule (|f| < TIE_TOL counts +)."""
-    return np.greater(values, -TIE_TOL)
+def sign_grid(values: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    """Boolean positivity grid under the tie rule (|f| < TIE_TOL counts +).
+
+    The threshold is -TIE_TOL in the dtype of values, so a float32 grid is
+    compared in float32.  A margin moves it to -TIE_TOL + margin, rounded
+    away from -TIE_TOL in that dtype: for values that err by at most b,
+    sign_grid(values, b) is True only where every value within b counts as
+    positive, and sign_grid(values, -b) False only where every such value
+    counts as negative.
+    """
+    if not margin:
+        return np.greater(values, -TIE_TOL)
+    threshold = np.array(margin - TIE_TOL, dtype=values.dtype)
+    return np.greater(values, np.nextafter(threshold,
+                                           math.copysign(math.inf, margin)))
 
 
 def _census_values(g: ScalarGrid, periodic: bool) -> np.ndarray:
@@ -103,7 +119,10 @@ def _census_values(g: ScalarGrid, periodic: bool) -> np.ndarray:
     views too, such as ``stability._subcensus``'s sub-squares: a sum of
     finite terms can be non-finite only by overflow, so only where a sum is
     not finite does np.isfinite read every value, and the grids rejected
-    are exactly those with a NaN or an infinity.
+    are exactly those with a NaN or an infinity.  A certified grid is
+    finite by construction, its coefficients' amplitude sum being finite
+    (``fields._float32_bound``), so it takes no pass, and no float64 copy
+    of its values is made.
     """
     if g.values is None or g.values.size == 0:
         raise EmptyGrid("no values")
@@ -113,6 +132,8 @@ def _census_values(g: ScalarGrid, periodic: bool) -> np.ndarray:
                          "the plane census needs a square grid; "
                          "count torus grids with count_components_torus")
     values = g.values
+    if g.bound is not None:
+        return values
     with np.errstate(over="ignore", invalid="ignore"):
         sums = values @ np.ones(values.shape[1])
     if not (np.all(np.isfinite(sums)) or np.all(np.isfinite(values))):
@@ -120,22 +141,39 @@ def _census_values(g: ScalarGrid, periodic: bool) -> np.ndarray:
     return values
 
 
-def _joins_main_diagonal(values: np.ndarray, i: np.ndarray,
+def _joins_main_diagonal(g: ScalarGrid, i: np.ndarray,
                          j: np.ndarray) -> np.ndarray:
-    """The saddle rule: which diagonal of saddle cell (i, j) is joined.
+    """The saddle rule: which diagonal of saddle cell (i, j) of g is joined.
 
     True where the (i, j)-(i+1, j+1) diagonal is joined, i.e. where the
     cell-centre mean has the sign of the (i, j) corner; elsewhere the
     (i+1, j)-(i, j+1) diagonal is.  Node indices are taken mod the grid
     shape, so a torus cell may wrap.  The marching segments and the plane
     census read this rule, so they agree on every grid.
+
+    On a certified grid each corner errs by at most g.bound, and the
+    float32 mean's three additions by less than that again, so a mean that
+    clears twice the bound on one side of the tie threshold has the sign
+    of the float64 mean; the corners of the other cells are evaluated with
+    ``evaluate_batch`` and averaged in float64.
     """
+    values = g.values
     nx, ny = values.shape
     i1, j1 = (i + 1) % nx, (j + 1) % ny
     corner = values[i, j]
     center = 0.25 * (corner + values[i1, j] + values[i, j1]
                      + values[i1, j1])
-    return sign_grid(center) == sign_grid(corner)
+    margin = 0.0 if g.bound is None else 2.0 * g.bound
+    joined = sign_grid(center, margin)
+    unsure = np.flatnonzero(joined != sign_grid(center, -margin))
+    if len(unsure):
+        a, b = i[unsure], i1[unsure]
+        c, d = j[unsure], j1[unsure]
+        pts = np.column_stack([g.xs[np.concatenate([a, b, a, b])],
+                               g.ys[np.concatenate([c, c, d, d])]])
+        c00, c10, c01, c11 = evaluate_batch(g.sample, pts).reshape(4, -1)
+        joined[unsure] = sign_grid(0.25 * (c00 + c10 + c01 + c11))
+    return joined == sign_grid(corner)
 
 
 def _merged_roots(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -246,12 +284,20 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     rows[:, 0] = pos[:, 0]
     np.not_equal(pos[:, 1:], pos[:, :-1], out=rows[:, 1:ny])
     rows[:, ny] = pos[:, -1]
+    # the census frees its largest arrays once read, so that its peak stays
+    # below the grid's size: glibc trims the heap, to be re-faulted on the
+    # next draw, where more than twice its largest freed block (the grid)
+    # lies free, and a float32 grid halved that
+    del pos
     bounds = _run_boundaries(change)
     start, end = bounds[0::2], bounds[1::2]
     n = len(start)
     if n == 0:
         return NodalCensus(interior_components=0)
     words = np.packbits(change, bitorder="little").view("<u8")
+    # the signs of the first and last columns, which the border test reads
+    edge = rows[:, [0, ny]]
+    del change, rows
     counts = np.bitwise_count(words)
     before = np.cumsum(counts, dtype=np.intp) - counts
 
@@ -273,7 +319,7 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     cells = np.concatenate([start[left], end[right]]) - (2 * w + 1)
     i, j = np.divmod(cells, w)
     on_main = np.arange(len(cells)) < len(left)
-    joined = _joins_main_diagonal(values, i, j) == on_main
+    joined = _joins_main_diagonal(g, i, j) == on_main
     diag_above = np.concatenate([lo[left], hi[right] - 1])[joined]
     diag_below = np.concatenate([left, right])[joined]
 
@@ -294,6 +340,7 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
                                               - first - 1, more)
     a = parent[np.concatenate([above, diag_above])]
     b = parent[np.concatenate([below, diag_below])]
+    del more, below, above
     cross = a != b
     nodes, pair = np.unique(np.concatenate([a[cross], b[cross]]),
                             return_inverse=True)
@@ -301,6 +348,7 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     rep = np.arange(n)
     rep[nodes] = nodes[_merged_roots(pair[:half], pair[half:], len(nodes))]
     root = rep[parent]
+    del a, b, cross, nodes, pair, rep, parent
     components = int(np.count_nonzero(root == np.arange(n)))
 
     # row r holds runs row[r]..row[r + 1] - 1: the first and last rows'
@@ -309,8 +357,8 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     row = _rank(words, before, np.arange(1, nx + 2) * w) >> 1
     border = np.zeros(n, dtype=bool)
     border[:row[1]] = border[row[-2]:] = True
-    border[row[:-1][pos[:, 0]]] = True
-    border[row[1:][pos[:, -1]] - 1] = True
+    border[row[:-1][edge[:, 0]]] = True
+    border[row[1:][edge[:, 1]] - 1] = True
     euler = n - int(overlaps.sum()) - len(diag_below)
     return NodalCensus(interior_components=2 * components - euler
                        - len(np.unique(root[border])))
@@ -383,7 +431,7 @@ def marching_segments(g: ScalarGrid, label: np.ndarray | None = None):
     case = code.ravel()[cells]
 
     saddle = np.flatnonzero(case == 15)
-    case[saddle] += _joins_main_diagonal(g.values, ii[saddle], jj[saddle])
+    case[saddle] += _joins_main_diagonal(g, ii[saddle], jj[saddle])
 
     group = _FIRST_GROUP[case]
     group = np.concatenate([group, group[saddle] + 1])

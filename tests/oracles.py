@@ -229,8 +229,9 @@ def r2_divisor_oracle(n: int) -> int:
     return 4 * (d1 - d3)
 
 
-def _positive_joins(values: np.ndarray, pos: np.ndarray):
-    """(i, j, main) of the saddle cells whose joined diagonal is positive.
+def _positive_joins(g: ScalarGrid, pos: np.ndarray):
+    """(i, j, main) of the saddle cells of g whose joined diagonal is
+    positive.
 
     A saddle cell has all four sides crossed; main is the saddle rule.  A
     cell whose S, N and W sides are crossed has its E side crossed too, so
@@ -241,7 +242,7 @@ def _positive_joins(values: np.ndarray, pos: np.ndarray):
                      pos.shape[1] - 1)
     keep = pos[i, j] != pos[i, j + 1]
     i, j = i[keep], j[keep]
-    main = _joins_main_diagonal(values, i, j)
+    main = _joins_main_diagonal(g, i, j)
     up = main == pos[i, j]
     return i[up], j[up], main[up]
 
@@ -291,7 +292,7 @@ def ndimage_plane_census(g: ScalarGrid) -> NodalCensus:
     values = _census_values(g, periodic=False)
     pos = sign_grid(values)
     labels, n = ndimage.label(pos, structure=_FOUR_CONN)
-    i, j, main = _positive_joins(values, pos)
+    i, j, main = _positive_joins(g, pos)
     rep, inner = _merged_domains(labels, n, i, j, main)
     components = int(np.count_nonzero(rep == np.arange(n + 1))) - 1
 

@@ -1,9 +1,11 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from nodalfields import cli, estimators
 from nodalfields.errors import GridTooCoarse, ScheduleTooShort
 from nodalfields.estimators import (
     estimate_cns,
@@ -70,6 +72,24 @@ def test_estimate_cns_validation():
         estimate_cns(U32, [10.0], M=10, seed=1)
     with pytest.raises(ScheduleTooShort):
         estimate_cns(U32, [10.0, 5.0, 20.0], M=10, seed=1)
+
+
+@pytest.mark.parametrize("schedule", [[2.0, 4.0, math.nan],
+                                      [2.0, 4.0, math.inf],
+                                      [0.5, 1.0, 2.0]])
+def test_bad_schedule_radii_fail_before_the_first_draw(monkeypatch,
+                                                       schedule):
+    # a non-finite radius, or one below 1, used to fail in grid_axes or
+    # estimate_mean_count only after the earlier blocks had been drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sample called before the schedule was checked")
+
+    monkeypatch.setattr(estimators, "sample", no_draw)
+    with pytest.raises(ValueError, match="schedule radii"):
+        estimate_cns(U32, schedule, M=10, seed=0)
+    argv = ["cns", "--preset", "uniform:16", "--M", "10", "--schedule",
+            ",".join(str(R) for R in schedule)]
+    assert cli.main(argv) == 2
 
 
 def test_determinism():

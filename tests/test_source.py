@@ -377,3 +377,28 @@ def test_no_warning_is_silenced(path):
     silenced = [line for line, a in actions
                 if isinstance(a, ast.Constant) and a.value == "ignore"]
     assert not silenced, f"{path.name} silences warnings at lines {silenced}"
+
+
+def test_only_the_plane_census_batch_asks_for_certified_grids():
+    # estimators._batch passes certified= on to evaluate_grid, and only
+    # interior_counts, the plane census's batch, sets it; the torus census,
+    # the flips, the portraits, stability and the CLI evaluate float64 grids
+    asks = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and any(
+                        k.arg == "certified" or k.arg is None
+                        and ast.unparse(call.func) in ("evaluate_grid",
+                                                       "_batch")
+                        for k in call.keywords) or (
+                        isinstance(call, ast.Call)
+                        and ast.unparse(call.func) == "evaluate_grid"
+                        and len(call.args) > 4):
+                    asks.append((path.stem, getattr(node, "name", None),
+                                 ast.unparse(call.func),
+                                 [ast.unparse(k) for k in call.keywords]))
+    assert sorted(asks) == [
+        ("estimators", "_batch", "evaluate_grid", ["certified=certified"]),
+        ("estimators", "interior_counts", "_batch", ["certified=True"])]

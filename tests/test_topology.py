@@ -150,12 +150,13 @@ def test_census_matches_flood_fill_on_random_grids():
         flip = np.where(rng.random((nx, ny)) < 0.15, -1.0, 1.0)
         values = (parity * flip * rng.uniform(0.5, 1.5, (nx, ny))
                   + rng.uniform(-0.5, 0.5))
-        _assert_census_matches_oracles(_lattice_grid(values, periodic=False))
+        g = _lattice_grid(values, periodic=False)
+        _assert_census_matches_oracles(g)
         pos = sign_grid(values)
         i, j = np.nonzero((pos[:-1, :-1] == pos[1:, 1:])
                           & (pos[1:, :-1] == pos[:-1, 1:])
                           & (pos[:-1, :-1] != pos[1:, :-1]))
-        main = topology._joins_main_diagonal(values, i, j)
+        main = topology._joins_main_diagonal(g, i, j)
         decisions |= set(zip(pos[i, j].tolist(), main.tolist()))
     assert decisions == {(p, m) for p in (False, True) for m in (False, True)}
 
@@ -1481,3 +1482,196 @@ def test_resolution_stability():
         assert abs(c1 - c2) <= max(3, 0.05 * c1)
         drift.append(c1 - c2)
     assert abs(np.mean(drift)) <= 0.3
+
+
+# ---------------------------------------------------------------------------
+# certified float32 census grids: every sign, saddle decision and count is
+# the float64 grid's
+
+def _anisotropic_measure():
+    theta = 2.0 * np.pi * np.arange(24) / 24
+    return make_atomic([((math.cos(t), 0.3 * math.sin(t)), 1 / 24)
+                        for t in theta])
+
+
+def _certified_and_float64(s, domain, h=None):
+    g32 = evaluate_grid(s, domain, h, certified=True)
+    g64 = evaluate_grid(s, domain, h)
+    assert g32.values.dtype == np.float32 and g32.bound is not None
+    assert g32.sample is s
+    assert g64.bound is None and g64.sample is None
+    return g32, g64
+
+
+def _assert_certified_census(g32, g64):
+    assert np.array_equal(sign_grid(g32.values), sign_grid(g64.values))
+    assert (count_components_plane(g32).interior_components
+            == count_components_plane(g64).interior_components)
+
+
+@pytest.mark.parametrize("rho", [
+    preset("uniform_circle", K=16), preset("uniform_circle", K=64),
+    preset("uniform_circle", K=256), _anisotropic_measure(), mu_n(65),
+    mu_n(1105), preset("cilleruelo", kappa="one"),
+    preset("two_point", theta=0.3)],
+    ids=["K16", "K64", "K256", "anisotropic", "mu65", "mu1105",
+         "cilleruelo", "two_point"])
+def test_certified_census_counts_are_the_float64_counts(rho):
+    for i in range(4):
+        s = sample(rho, 31, i)
+        g32, g64 = _certified_and_float64(s, SquareDomain(12.0))
+        # the bound covers the float32 product's error with room to spare
+        err = np.abs(g32.values - g64.values).max()
+        assert err <= g32.bound
+        _assert_certified_census(g32, g64)
+
+
+def _stated_bound(s):
+    """(2m + 4) (2^-23 (A + |origin|) + 2^-124), A = sum_k sqrt(W_k)
+    |(a_k, b_k)|, the bound of a certified grid of s."""
+    A = float(np.sum(np.sqrt(s.pair_weights)
+                     * np.hypot(s.coeff_a, s.coeff_b)))
+    origin = abs(s.origin_coeff) * math.sqrt(s.origin_weight)
+    return (2 * len(s.coeff_a) + 4) * (2.0**-23 * (A + origin) + 2.0**-124)
+
+
+def test_certified_bound_is_the_stated_one():
+    # pinned, so a smaller bound cannot pass unseen
+    s = sample(preset("uniform_circle", K=16), 4, 0)
+    g = evaluate_grid(s, SquareDomain(3.0), certified=True)
+    assert g.bound == pytest.approx(_stated_bound(s), rel=1e-12)
+    with pytest.raises(ValueError, match="order 0"):
+        evaluate_grid(s, SquareDomain(3.0), order=1, certified=True)
+
+
+def test_certified_nodes_just_inside_and_just_outside_the_bound(monkeypatch):
+    # planted float32 values a quarter of the bound inside it are
+    # evaluated and get the float64 sign, those a quarter outside are not
+    from nodalfields import fields
+
+    s = sample(preset("uniform_circle", K=16), 8, 0)
+    g = evaluate_grid(s, SquareDomain(3.0), certified=True)
+    b, tie = _stated_bound(s), -topology.TIE_TOL
+    rng = np.random.default_rng(3)
+    values = np.full(g.values.shape, 1.0, dtype=np.float32)
+    flat = rng.choice(values.size, 40, replace=False)
+    inside, outside = flat[:20], flat[20:]
+    side = np.where(np.arange(20) % 2, 1.0, -1.0)
+    values.flat[inside] = tie + side * 0.75 * b
+    values.flat[outside] = tie + side * 1.25 * b
+    evaluated = []
+
+    def batch(s, pts):
+        evaluated.append(pts)
+        return evaluate_batch(s, pts)
+
+    monkeypatch.setattr(fields, "evaluate_batch", batch)
+    unsure = fields._certify_nodes(s, values, g.xs, g.ys, b)
+    assert sorted(unsure) == sorted(inside)
+    (pts,) = evaluated
+    i, j = np.divmod(unsure, values.shape[1])
+    exact = evaluate_batch(s, np.column_stack([g.xs[i], g.ys[j]]))
+    assert np.array_equal(pts, np.column_stack([g.xs[i], g.ys[j]]))
+    # the written-back float32 values carry the float64 sign_grid sign
+    assert np.array_equal(sign_grid(values.flat[unsure]), sign_grid(exact))
+    assert np.array_equal(values.flat[outside],
+                          (tie + side * 1.25 * b).astype(np.float32))
+
+
+@pytest.mark.parametrize("origin", [-1e-14, -1e-14 * (1 - 1e-9), 0.0])
+def test_certified_grid_at_the_tie_threshold(origin):
+    # a constant field on the tie threshold, or just above it where the
+    # float32 cast lands on the float32 threshold: every node is evaluated
+    # and written back on the float64 side
+    rho = preset("delta_zero")
+    s = inject_sample(rho, np.zeros((0, 2)), origin_coeff=origin)
+    g32, g64 = _certified_and_float64(s, SquareDomain(2.0), 0.25)
+    assert np.all(sign_grid(g64.values) == (origin > -topology.TIE_TOL))
+    _assert_certified_census(g32, g64)
+
+
+def test_certified_grid_with_exact_zeros():
+    # sin(2 pi x) on a lattice through x = 0: a column of exact zeros, each
+    # within the bound of the tie threshold, so each is evaluated
+    rho = preset("two_point", theta=0.0)
+    s = inject_sample(rho, [[0.0, 1.0]])
+    g32, g64 = _certified_and_float64(s, SquareDomain(2.0), 1 / 16)
+    zero = np.flatnonzero(g32.xs == 0.0)
+    assert len(zero) == 1 and np.all(g64.values[zero] == 0.0)
+    _assert_certified_census(g32, g64)
+
+
+def test_certified_saddle_centres():
+    # 2 sin x sin y has a saddle at the origin, where the cell of the
+    # lattice through +-h/2 has a zero mean.  Moving its corners half the
+    # bound down keeps their signs and puts the float32 mean below the tie
+    # threshold, so only the certificate of the mean, which evaluates the
+    # cell, keeps the float64 decision
+    rho = preset("tilted_cilleruelo", kappa="one")
+    s = inject_sample(rho, [[1.0, 0.0], [-1.0, 0.0]],
+                      freq_scale=math.sqrt(2.0))
+    h = 0.25
+    g32, g64 = _certified_and_float64(s, SquareDomain(8.5 * h), h)
+    c = int(np.flatnonzero(g32.xs == -h / 2)[0])
+    cell = g64.values[c:c + 2, c:c + 2]
+    assert cell[0, 0] == cell[1, 1] and cell[0, 1] == cell[1, 0]
+    assert cell[0, 0] * cell[0, 1] < 0
+    assert abs(cell.mean()) < 1e-15
+    g32.values[c:c + 2, c:c + 2] -= np.float32(0.5 * g32.bound)
+    assert np.array_equal(sign_grid(g32.values), sign_grid(g64.values))
+    assert 0.25 * g32.values[c:c + 2, c:c + 2].sum() < -topology.TIE_TOL
+    i = np.array([c])
+    assert np.array_equal(topology._joins_main_diagonal(g32, i, i),
+                          topology._joins_main_diagonal(g64, i, i))
+    _assert_certified_census(g32, g64)
+
+
+@pytest.mark.parametrize("scale", [1e-35, 1e-40, 1e-14, 1e35])
+def test_certified_grid_under_float32_underflow_and_overflow(scale):
+    # tiny coefficients reach float32's subnormals, which the bound's
+    # absolute term covers; huge ones would overflow float32, so the grid
+    # stays float64
+    rho = preset("uniform_circle", K=16)
+    for i in range(3):
+        s = sample(rho, 5, i)
+        coeffs = np.column_stack([s.coeff_a, s.coeff_b]) * scale
+        t = inject_sample(rho, coeffs, s.origin_coeff * scale)
+        g32 = evaluate_grid(t, SquareDomain(6.0), certified=True)
+        g64 = evaluate_grid(t, SquareDomain(6.0))
+        if scale > 1:
+            assert g32.bound is None and g32.values.dtype == np.float64
+        else:
+            assert g32.values.dtype == np.float32
+        _assert_certified_census(g32, g64)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_certified_grid_of_non_finite_coefficients_is_empty(bad):
+    rho = preset("uniform_circle", K=16)
+    coeffs = np.ones((len(sample(rho, 0).coeff_a), 2))
+    for t in (inject_sample(rho, np.where(np.eye(len(coeffs), 2), bad,
+                                          coeffs)),
+              inject_sample(rho, coeffs, origin_coeff=bad)):
+        with pytest.raises(EmptyGrid):
+            count_components_plane(
+                evaluate_grid(t, SquareDomain(2.0), certified=True))
+
+
+def test_certified_census_makes_no_float64_copy():
+    # the census of a 1281^2 certified grid peaks below one float64 grid:
+    # no finiteness pass, and nothing upcasts the float32 values
+    import tracemalloc
+
+    s = sample(preset("uniform_circle", K=64), 2, 0)
+    g = evaluate_grid(s, SquareDomain(40.0), certified=True)
+    nx, ny = g.values.shape
+    assert nx == ny == 1281 and g.values.dtype == np.float32
+    want = count_components_plane(evaluate_grid(s, SquareDomain(40.0)))
+    tracemalloc.start()
+    try:
+        census = count_components_plane(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * nx * ny
+    assert census == want
