@@ -53,16 +53,14 @@ class EstimatorReport:
         return {"kind": "cns_report", **asdict(self)}
 
 
-def _batch(draw, M: int, domain, h: float | None, census,
-           certified: bool = False) -> list:
-    """census(grid) of draw(i) for i < M, on certified grids if asked.
+def _batch(draw, M: int, domain, h: float | None, census) -> list:
+    """census(grid) of draw(i) for i < M, on certified grids.
 
-    A census that reads signs only, the plane census, takes certified
-    grids (``evaluate_grid``).  Warnings pass through, ``evaluate_grid``'s
-    GridTooCoarse included: the default filter shows a warning once per
-    message and call site, not once per draw.
+    Both censuses read signs only, so they take certified grids.  Warnings
+    pass through, ``evaluate_grid``'s GridTooCoarse included: the default
+    filter shows a warning once per message and call site, not per draw.
     """
-    return [census(evaluate_grid(draw(i), domain, h, certified=certified))
+    return [census(evaluate_grid(draw(i), domain, h, certified=True))
             for i in range(M)]
 
 
@@ -70,8 +68,7 @@ def interior_counts(rho: SpectralMeasure, R: float, M: int,
                     h: float | None, seed: int, stream_base: int = 0) -> np.ndarray:
     """Interior component counts over M independent samples."""
     censuses = _batch(lambda i: sample(rho, seed, stream_base + i), M,
-                      SquareDomain(R), h, count_components_plane,
-                      certified=True)
+                      SquareDomain(R), h, count_components_plane)
     return np.asarray([c.interior_components for c in censuses], dtype=float)
 
 

@@ -20,11 +20,11 @@ depend on (measure, freq_scale, domain, h) only.  They are kept read-only in
 one slot on the measure, keyed by (freq_scale, domain, h), so a batch of draws
 over one measure and one lattice builds them once; a new key replaces them.
 
-A reader of signs only, the plane census, takes a certified grid: a float32
+A reader of signs only, such as a census, takes a certified grid: a float32
 product whose rounding error has a bound (N. J. Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 3.1), so every
-node's sign under the tie rule is that of a float64 evaluation, found there
-by ``evaluate_batch`` where the bound cannot decide it.
+Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 3.1).  This
+module certifies no sign: ``topology.grid_signs`` gives each node the sign
+of a float64 value, from ``evaluate_batch`` where the bound cannot decide.
 """
 
 from __future__ import annotations
@@ -132,10 +132,11 @@ class ScalarGrid:
     values[i, j] is the field at (xs[i], ys[j]); d1, d2, d11, d12, d22 are
     its derivatives there, or None.  Grids from evaluate_grid share their
     read-only axes with every grid of the same lattice.  A certified grid
-    (``evaluate_grid(..., certified=True)``) has float32 values, within
-    bound of the float64 grid's, whose signs under the tie rule are those
-    of float64 values, and keeps its sample, from which a reader evaluates
-    what bound leaves undecided; both are None on a float64 grid.
+    (``evaluate_grid(..., certified=True)``) has float32 values within
+    bound of the float64 grid's, and keeps its sample, from which its
+    signs are read (``topology.grid_signs``): a node's float32 value may
+    sit on the other side of the tie threshold, its sign may not.  Both
+    are None on a float64 grid.
     """
 
     domain: object
@@ -322,41 +323,6 @@ def _float32_bound(s: FieldSample, origin: float) -> float | None:
     return (2 * len(s.coeff_a) + 4) * (scale * 2.0**-23 + 2.0**-124)
 
 
-def _certify_nodes(s: FieldSample, values: np.ndarray, xs: np.ndarray,
-                   ys: np.ndarray, bound: float) -> np.ndarray:
-    """Give the nodes of a float32 grid the signs of float64 values.
-
-    values, s's float32 grid on the axes xs, ys, err by at most bound.
-    sign_grid(values, bound) is True only where every value within bound
-    counts as positive, sign_grid(values, -bound) False only where every
-    such value counts as negative; the nodes where the two differ get their
-    value from ``evaluate_batch``, written back in float32 on the side of
-    the tie threshold its float64 value is on.  Returns their flat indices.
-    """
-    # the tie rule, looked up per call: topology imports this module
-    from .topology import sign_grid
-
-    # strips of 64 rows stay in the L2 cache between the two comparisons:
-    # on fresh 1281^2 grids 0.9 ms in place of 1.4 ms for the whole grid
-    ny = values.shape[1]
-    found = []
-    for r in range(0, len(values), 64):
-        strip = values[r:r + 64]
-        found.append(r * ny + np.flatnonzero(sign_grid(strip, -bound)
-                                              != sign_grid(strip, bound)))
-    unsure = np.concatenate(found)
-    if len(unsure):
-        i, j = np.divmod(unsure, ny)
-        exact = evaluate_batch(s, np.column_stack([xs[i], ys[j]]))
-        near = exact.astype(values.dtype)
-        # rounding is monotone, so a float32 value crosses the threshold
-        # only where it lands on the float32 threshold from above
-        low = sign_grid(exact) & ~sign_grid(near)
-        near[low] = np.nextafter(near[low], np.inf)
-        np.put(values, unsure, near)
-    return unsure
-
-
 def evaluate_grid(s: FieldSample, domain, h: float | None = None,
                   order: int = 0, certified: bool = False) -> ScalarGrid:
     """Evaluate on the lattice of a square or torus domain.
@@ -378,11 +344,9 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
     certified=True, for order 0 only, asks for a certified grid (see
     ScalarGrid): V is folded in float64 and cast, and the product takes
     the float32 copy of U, about twice as fast as float64 on one core.
-    Every node whose float32 value clears the grid's bound
-    (``_float32_bound``) on one side of the tie threshold has the sign of
-    the float64 value; the others, a few in 10^4 at 16 points per
-    wavelength, are evaluated (``_certify_nodes``).  Coefficients with no
-    bound (not finite, or too large for float32) give a float64 grid.
+    The grid carries its float32 values, their bound (``_float32_bound``)
+    and s; its signs come from ``topology.grid_signs``.  Coefficients with
+    no bound (not finite, or too large for float32) give a float64 grid.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"evaluate_grid takes order 0, 1 or 2, got {order!r}")
@@ -430,10 +394,8 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
         # a zero constant could only turn a -0.0 node into +0.0, which the
         # tie rule and every reader treat alike
         grids[0] += origin
-    if bound is None:
-        return ScalarGrid(domain, h_eff, xs, ys, *grids)
-    _certify_nodes(s, grids[0], xs, ys, bound)
-    return ScalarGrid(domain, h_eff, xs, ys, grids[0], sample=s, bound=bound)
+    return ScalarGrid(domain, h_eff, xs, ys, *grids, bound=bound,
+                      sample=None if bound is None else s)
 
 
 def cilleruelo_field(seed: int, stream: int = 0) -> FieldSample:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarGrid
-from .topology import edge_ports, edge_table, marching_segments, sign_grid
+from .topology import edge_ports, edge_table, grid_signs, marching_segments
 
 
 def zero_polylines(grid: ScalarGrid):
@@ -127,7 +127,7 @@ def render_svg(grid: ScalarGrid, path, size: int = 800) -> int:
 
 def render_ppm(grid: ScalarGrid, path):
     """Binary P6 raster: sign field in two grays, crossings in black."""
-    pos = sign_grid(grid.values)
+    pos = grid_signs(grid)
     nx, ny = pos.shape
     img = np.where(pos[:, :, None], np.uint8(235), np.uint8(170))
     img = np.repeat(img, 3, axis=2)

@@ -21,17 +21,18 @@ from the rank of each row's start, the runs on the border.  Both censuses
 check finiteness from the grid's row sums, one matrix-vector product: a
 sum is finite only if its terms are, and only where a sum is not, as when
 finite terms overflow, does the exact check read every value
-(``_census_values``).  A certified grid, the plane census's in estimates
-(float32 values whose signs are a float64 evaluation's, see ``fields``), is
-finite by construction and takes no such pass; where its cell-centre mean
-is within the error bound of the tie threshold, the saddle rule evaluates
-the cell's corners (``_joins_main_diagonal``).  On the torus, zero-set
-components are counted directly from the marching segments: every port
-there has degree 2, so components are cycles.  The segments of a cycle
-follow each other one way round it, and every crossed edge starts exactly
-one segment, so an edge-indexed table (``edge_table``) gives each segment
-its successor without a sort; a cycle wraps iff it crosses the x-seam or
-the y-seam an odd number of times.
+(``_census_values``); a certified grid (float32 values within a bound of
+the float64 ones, see ``fields``), the censuses' grid in estimates, is
+finite by construction.  Every reader of a grid's signs takes them from
+``grid_signs``; a certified grid's nodes and saddle-cell centres
+(``_centre_signs``) are signed by the one sign certificate,
+``_certified_signs``, so every sign and count is that of float64 values.
+On the torus, zero-set components are counted directly from the marching
+segments: every port there has degree 2, so components are cycles.  The
+segments of a cycle follow each other one way round it, and every crossed
+edge starts exactly one segment, so an edge-indexed table
+(``edge_table``) gives each segment its successor without a sort; a cycle
+wraps iff it crosses the x-seam or the y-seam an odd number of times.
 
 The marching segments are the one zero-set graph of the package.  Each runs
 from segA to segB with the positive side on its left, so every crossed edge
@@ -46,8 +47,9 @@ deterministic tie rule), through ``sign_grid`` only: at grid nodes, and at the
 ports, bisection midpoints and line samples of flips and intersections.
 
 Flips sign g = d.grad f, itself a sample of the measure, at the ports of
-f's grid and at bisection midpoints, so that every flip count and location
-equals the one an exact evaluation there gives; ``count_flips`` tells how.
+f's grid and at bisection midpoints through the same certificate, so that
+every flip count and location equals the one an exact evaluation there
+gives; ``count_flips`` tells how.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ import numpy as np
 
 from .errors import EmptyGrid
 from .fields import (
+    MAX_GRID_NODES,
     FieldSample,
     ScalarGrid,
     SquareDomain,
@@ -73,6 +76,9 @@ TIE_TOL = 1e-14
 EPS = float(np.finfo(float).eps)
 # relative rounding margin of a certified sign of d.grad f (_slope_weights)
 ROUNDING_MARGIN = 1e-9
+# entries per strip of _certified_signs: on fresh 1281^2 float32 grids (one
+# Xeon core) it took 1.3-1.5 ms in strips of 2^17, 1.7-2.0 ms in one pass
+_STRIP = 2**17
 
 
 @dataclass
@@ -111,6 +117,55 @@ def sign_grid(values: np.ndarray, margin: float = 0.0) -> np.ndarray:
                                            math.copysign(math.inf, margin)))
 
 
+def _certified_signs(est: np.ndarray, bound: float, exact) -> np.ndarray:
+    """sign_grid of the values that est estimates within bound.
+
+    sign_grid is monotone: where sign_grid(est, bound) and
+    sign_grid(est, -bound) agree, every value within bound has their sign,
+    the exact one included.  exact(k) gives the exact values at the flat
+    indices k of the other entries, in one call, or is not called.  This is
+    the package's one sign certificate, for the nodes of a certified grid
+    (``grid_signs``), its saddle-cell centres (``_centre_signs``) and the
+    flips' ports and bisection midpoints.  On a grid larger than _STRIP
+    the comparisons run in strips that stay in the L2 cache between them.
+    """
+    flat = est.reshape(-1)
+    if len(flat) <= _STRIP:
+        sg = sign_grid(flat, bound)
+        unsure = np.flatnonzero(sg != sign_grid(flat, -bound))
+    else:
+        sg, found = np.empty(flat.shape, dtype=bool), []
+        for k in range(0, len(flat), _STRIP):
+            part = slice(k, k + _STRIP)
+            sg[part] = sign_grid(flat[part], bound)
+            found.append(k + np.flatnonzero(sg[part]
+                                            != sign_grid(flat[part], -bound)))
+        unsure = np.concatenate(found)
+    if len(unsure):
+        sg[unsure] = sign_grid(exact(unsure))
+    return sg.reshape(est.shape)
+
+
+def _node_values(g: ScalarGrid, flat: np.ndarray) -> np.ndarray:
+    """The sample of g evaluated at the nodes of flat indices flat."""
+    i, j = np.divmod(flat, len(g.ys))
+    return evaluate_batch(g.sample, np.column_stack([g.xs[i], g.ys[j]]))
+
+
+def grid_signs(g: ScalarGrid) -> np.ndarray:
+    """sign_grid of g's node values: the one reader of a grid's signs.
+
+    A certified grid (``fields.evaluate_grid(..., certified=True)``) has
+    float32 values within g.bound of the float64 ones, so its nodes take
+    their signs from ``_certified_signs``, which evaluates the few the
+    bound leaves undecided (a few in 10^4 at 16 points per wavelength).
+    Either way a node's sign is that of a float64 value.
+    """
+    if g.bound is None:
+        return sign_grid(g.values)
+    return _certified_signs(g.values, g.bound, lambda k: _node_values(g, k))
+
+
 def _census_values(g: ScalarGrid, periodic: bool) -> np.ndarray:
     """The values of a torus (periodic) or square grid, or a loud failure.
 
@@ -119,10 +174,8 @@ def _census_values(g: ScalarGrid, periodic: bool) -> np.ndarray:
     views too, such as ``stability._subcensus``'s sub-squares: a sum of
     finite terms can be non-finite only by overflow, so only where a sum is
     not finite does np.isfinite read every value, and the grids rejected
-    are exactly those with a NaN or an infinity.  A certified grid is
-    finite by construction, its coefficients' amplitude sum being finite
-    (``fields._float32_bound``), so it takes no pass, and no float64 copy
-    of its values is made.
+    are exactly those with a NaN or an infinity.  A certified grid, finite
+    by construction (``fields._float32_bound``), takes no pass.
     """
     if g.values is None or g.values.size == 0:
         raise EmptyGrid("no values")
@@ -141,39 +194,32 @@ def _census_values(g: ScalarGrid, periodic: bool) -> np.ndarray:
     return values
 
 
-def _joins_main_diagonal(g: ScalarGrid, i: np.ndarray,
-                         j: np.ndarray) -> np.ndarray:
-    """The saddle rule: which diagonal of saddle cell (i, j) of g is joined.
+def _centre_signs(g: ScalarGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The saddle rule: sign_grid of the centre mean of cells (i, j) of g.
 
-    True where the (i, j)-(i+1, j+1) diagonal is joined, i.e. where the
-    cell-centre mean has the sign of the (i, j) corner; elsewhere the
-    (i+1, j)-(i, j+1) diagonal is.  Node indices are taken mod the grid
-    shape, so a torus cell may wrap.  The marching segments and the plane
-    census read this rule, so they agree on every grid.
-
-    On a certified grid each corner errs by at most g.bound, and the
-    float32 mean's three additions by less than that again, so a mean that
-    clears twice the bound on one side of the tie threshold has the sign
-    of the float64 mean; the corners of the other cells are evaluated with
-    ``evaluate_batch`` and averaged in float64.
+    A saddle cell joins the diagonal whose sign is that of its centre mean,
+    so its positive diagonal is joined exactly where this is True.  Node
+    indices are taken mod the grid shape, so a torus cell may wrap.  The
+    marching segments and the plane census read this rule, so they agree
+    on every grid.  On a certified grid each corner errs by at most
+    g.bound, and the float32 mean's three additions by less than that
+    again, so ``_certified_signs`` signs the mean at twice the bound,
+    averaging evaluated corners in float64 where that cannot decide.
     """
     values = g.values
     nx, ny = values.shape
     i1, j1 = (i + 1) % nx, (j + 1) % ny
-    corner = values[i, j]
-    center = 0.25 * (corner + values[i1, j] + values[i, j1]
+    center = 0.25 * (values[i, j] + values[i1, j] + values[i, j1]
                      + values[i1, j1])
-    margin = 0.0 if g.bound is None else 2.0 * g.bound
-    joined = sign_grid(center, margin)
-    unsure = np.flatnonzero(joined != sign_grid(center, -margin))
-    if len(unsure):
-        a, b = i[unsure], i1[unsure]
-        c, d = j[unsure], j1[unsure]
-        pts = np.column_stack([g.xs[np.concatenate([a, b, a, b])],
-                               g.ys[np.concatenate([c, c, d, d])]])
-        c00, c10, c01, c11 = evaluate_batch(g.sample, pts).reshape(4, -1)
-        joined[unsure] = sign_grid(0.25 * (c00 + c10 + c01 + c11))
-    return joined == sign_grid(corner)
+    if g.bound is None:
+        return sign_grid(center)
+
+    def exact(k):
+        flat = [p[k] * ny + q[k] for q in (j, j1) for p in (i, i1)]
+        c00, c10, c01, c11 = np.split(_node_values(g, np.concatenate(flat)), 4)
+        return 0.25 * (c00 + c10 + c01 + c11)
+
+    return _certified_signs(center, 2.0 * g.bound, exact)
 
 
 def _merged_roots(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -268,8 +314,7 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     touches, and the ranks of the row starts give each row's first and last
     run, which the border test reads.
     """
-    values = _census_values(g, periodic=False)
-    nx, ny = values.shape
+    nx, ny = _census_values(g, periodic=False).shape
     w = ny + 1
     # with a False column on each side, the sign changes along the rows (the
     # first and last columns' signs at either end) are the runs' starts and
@@ -277,7 +322,7 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     # whose row 0 is empty, so a run's row above never lies below index 0;
     # zero bits pad the mask to whole words past its end, so a rank at any
     # position 0..(nx + 1) w reads a word
-    pos = sign_grid(values)
+    pos = grid_signs(g)
     size = (nx + 1) * w
     change = np.zeros((size // 64 + 1) * 64, dtype=bool)
     rows = change[w:size].reshape(nx, w)
@@ -313,13 +358,11 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     right = np.flatnonzero(touch & (start[hi - 1] + w == end))
 
     # each corner contact is one saddle cell, its top-left node in the row
-    # above at column start - 1 (left) or end - 1 (right); a left contact
-    # meets on the main diagonal, a right one on the other.  Less the empty
+    # above at column start - 1 (left) or end - 1 (right), and its positive
+    # diagonal is joined where its centre mean is positive.  Less the empty
     # row, cells index the (nx, w) grid of the value rows.
     cells = np.concatenate([start[left], end[right]]) - (2 * w + 1)
-    i, j = np.divmod(cells, w)
-    on_main = np.arange(len(cells)) < len(left)
-    joined = _joins_main_diagonal(g, i, j) == on_main
+    joined = _centre_signs(g, *np.divmod(cells, w))
     diag_above = np.concatenate([lo[left], hi[right] - 1])[joined]
     diag_below = np.concatenate([left, right])[joined]
 
@@ -406,11 +449,11 @@ def marching_segments(g: ScalarGrid, label: np.ndarray | None = None):
     always goes on, and its two segments are tested once emitted.
     """
     nx, ny = g.values.shape
-    pos = sign_grid(g.values)
+    signs = pos = grid_signs(g)
     if g.periodic:
         if label is not None:
             raise ValueError("labeled marching segments need a square grid")
-        pos = np.pad(pos, ((0, 1), (0, 1)), mode="wrap")
+        pos = np.pad(signs, ((0, 1), (0, 1)), mode="wrap")
     hx = pos[:-1, :] != pos[1:, :]
     vy = pos[:, :-1] != pos[:, 1:]
     code = (hx[:, :-1].view(np.uint8) | vy[1:, :].view(np.uint8) << 1
@@ -431,7 +474,8 @@ def marching_segments(g: ScalarGrid, label: np.ndarray | None = None):
     case = code.ravel()[cells]
 
     saddle = np.flatnonzero(case == 15)
-    case[saddle] += _joins_main_diagonal(g, ii[saddle], jj[saddle])
+    si, sj = ii[saddle], jj[saddle]
+    case[saddle] += _centre_signs(g, si, sj) == signs[si, sj]
 
     group = _FIRST_GROUP[case]
     group = np.concatenate([group, group[saddle] + 1])
@@ -448,7 +492,7 @@ def marching_segments(g: ScalarGrid, label: np.ndarray | None = None):
         seg[seg >= 2 * nx * ny] -= 2 * nx * ny
     # swap where the first-listed edge's first node is positive exactly when
     # that side is N or W, so that the positive side is on the left
-    back = sign_grid(np.take(g.values, seg[0] >> 1)) == (sides[0] >= 2)
+    back = np.take(signs, seg[0] >> 1) == (sides[0] >= 2)
     seg[:, back] = seg[::-1, back]
     segA, segB = seg
     if label is not None:
@@ -589,22 +633,6 @@ def _port_bounds(gs: FieldSample, grid: ScalarGrid):
     return bounds, top + 8.0 * EPS * (w.sum() + top)
 
 
-def _certified_signs(gs: FieldSample, pts: np.ndarray, g: np.ndarray,
-                     bound) -> np.ndarray:
-    """sign_grid of the sample gs at pts, given estimates g within bound.
-
-    sign_grid is monotone: where both ends of g +- bound get one sign, so
-    does every value within bound, the one ``evaluate_batch`` gives
-    included; only the other points are evaluated, and with none left
-    ``evaluate_batch`` is not called.
-    """
-    sg = sign_grid(g + bound)
-    unsure = np.flatnonzero(sg != sign_grid(g - bound))
-    if len(unsure):
-        sg[unsure] = sign_grid(evaluate_batch(gs, pts[unsure]))
-    return sg
-
-
 def _sign_changes(gs: FieldSample, grid: ScalarGrid):
     """(lo, hi, slo) of the zero segments whose ports differ in sign.
 
@@ -621,7 +649,7 @@ def _sign_changes(gs: FieldSample, grid: ScalarGrid):
     slo the sign at lo.
     """
     nx, ny = grid.values.shape
-    pos = sign_grid(grid.values)
+    pos = grid_signs(grid)
     crossed = np.zeros((nx, ny, 2), dtype=bool)
     np.not_equal(pos[:-1, :], pos[1:, :], out=crossed[:-1, :, 0])
     np.not_equal(pos[:, :-1], pos[:, 1:], out=crossed[:, :-1, 1])
@@ -648,7 +676,11 @@ def _sign_changes(gs: FieldSample, grid: ScalarGrid):
     ports = ports[rest]
     a, b = ga[rest], gb[rest]
     pts, typ, _, _, t = _edge_zeros(ports, grid)
-    signs[ports] = _certified_signs(gs, pts, a + t * (b - a), bounds[typ])
+    est = a + t * (b - a)
+    for e in (0, 1):                    # X- and Y-edges, each its bound
+        k = np.flatnonzero(typ == e)
+        signs[ports[k]] = _certified_signs(
+            est[k], bounds[e], lambda u: evaluate_batch(gs, pts[k[u]]))
     segA, segB = marching_segments(grid, label=signs)
     return (_edge_zeros(segA, grid)[0], _edge_zeros(segB, grid)[0],
             signs[segA])
@@ -737,7 +769,8 @@ def _bisect(gs: FieldSample, lo: np.ndarray, hi: np.ndarray,
                 g *= tmid
                 g += A[n]
         # where mid has lo's sign, the sign change sits in [mid, hi]
-        up = _certified_signs(gs, mid, g, bound) == slo
+        up = _certified_signs(
+            g, bound, lambda k: evaluate_batch(gs, mid[k])) == slo
         lo = np.where(up[:, None], mid, lo)
         hi = np.where(up[:, None], hi, mid)
         tlo = np.where(up, tmid, tlo)
@@ -810,16 +843,23 @@ def count_curve_intersections(s: FieldSample, p0, p1) -> int:
     """Sign-change count of f along the closed segment p0 -> p1.
 
     f is sampled at both ends and at most ``default_spacing(s)`` apart
-    between them, the resolution of the default grids.
+    between them, the resolution of the default grids.  A segment that
+    needs more than MAX_GRID_NODES samples raises ValueError before any is
+    allocated, as ``fields.grid_axes`` does for a lattice.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
         raise ValueError(f"segment endpoints must be finite, got {p0}, {p1}")
-    length = float(np.hypot(*(p1 - p0)))
+    with np.errstate(over="ignore"):     # past the float range: inf
+        length = float(np.hypot(*(p1 - p0)))
     if length <= 0:
         raise ValueError("segment length must be positive")
-    n = max(2, int(math.ceil(length / default_spacing(s))) + 1)
+    steps = length / default_spacing(s)
+    if not steps + 1.0 <= MAX_GRID_NODES:
+        raise ValueError(f"a segment of length {length:.4g} needs "
+                         f"{steps + 1.0:.4g} samples, past MAX_GRID_NODES")
+    n = max(2, int(math.ceil(steps)) + 1)
     ts = np.linspace(0.0, 1.0, n)
     pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
     pos = sign_grid(evaluate_batch(s, pts))

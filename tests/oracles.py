@@ -44,10 +44,11 @@ from nodalfields.measures import (
 from nodalfields.topology import (
     NodalCensus,
     _census_values,
+    _centre_signs,
     _edge_zeros,
-    _joins_main_diagonal,
     _port_bounds,
     edge_ports,
+    grid_signs,
     marching_segments,
     sign_grid,
 )
@@ -233,18 +234,19 @@ def _positive_joins(g: ScalarGrid, pos: np.ndarray):
     """(i, j, main) of the saddle cells of g whose joined diagonal is
     positive.
 
-    A saddle cell has all four sides crossed; main is the saddle rule.  A
-    cell whose S, N and W sides are crossed has its E side crossed too, so
-    one full-grid test of S and N finds the candidates.
+    A saddle cell has all four sides crossed, and the saddle rule joins its
+    positive diagonal where its centre mean is positive; main is True where
+    that diagonal is the (i, j)-(i+1, j+1) one.  A cell whose S, N and W
+    sides are crossed has its E side crossed too, so one full-grid test of
+    S and N finds the candidates.
     """
     hx = pos[:-1, :] != pos[1:, :]
     i, j = np.divmod(np.flatnonzero(hx[:, :-1] & hx[:, 1:]),
                      pos.shape[1] - 1)
     keep = pos[i, j] != pos[i, j + 1]
     i, j = i[keep], j[keep]
-    main = _joins_main_diagonal(g, i, j)
-    up = main == pos[i, j]
-    return i[up], j[up], main[up]
+    up = _centre_signs(g, i, j)
+    return i[up], j[up], pos[i, j][up]
 
 
 def _merged_domains(labels: np.ndarray, n: int, i, j, main):
@@ -289,8 +291,8 @@ def ndimage_plane_census(g: ScalarGrid) -> NodalCensus:
     with chi(P) = nodes - edges - joins + cells (S. B. Gray, IEEE Trans.
     Computers C-20 (1971) 551-561).
     """
-    values = _census_values(g, periodic=False)
-    pos = sign_grid(values)
+    _census_values(g, periodic=False)
+    pos = grid_signs(g)
     labels, n = ndimage.label(pos, structure=_FOUR_CONN)
     i, j, main = _positive_joins(g, pos)
     rep, inner = _merged_domains(labels, n, i, j, main)

@@ -359,7 +359,7 @@ def test_plane_census_searches_nothing():
     reached, searches = _topology_calls("count_components_plane",
                                         {"searchsorted"})
     assert searches == []
-    assert {"_run_boundaries", "_rank", "_joins_main_diagonal",
+    assert {"_run_boundaries", "_rank", "_centre_signs", "grid_signs",
             "_merged_roots"} <= reached
 
 
@@ -379,10 +379,10 @@ def test_no_warning_is_silenced(path):
     assert not silenced, f"{path.name} silences warnings at lines {silenced}"
 
 
-def test_only_the_plane_census_batch_asks_for_certified_grids():
-    # estimators._batch passes certified= on to evaluate_grid, and only
-    # interior_counts, the plane census's batch, sets it; the torus census,
-    # the flips, the portraits, stability and the CLI evaluate float64 grids
+def test_only_the_census_batch_asks_for_certified_grids():
+    # estimators._batch, the one loop of both censuses, always asks
+    # evaluate_grid for a certified grid, and nothing else asks: the flips,
+    # the portraits, stability and the CLI evaluate float64 grids
     asks = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -399,6 +399,48 @@ def test_only_the_plane_census_batch_asks_for_certified_grids():
                     asks.append((path.stem, getattr(node, "name", None),
                                  ast.unparse(call.func),
                                  [ast.unparse(k) for k in call.keywords]))
-    assert sorted(asks) == [
-        ("estimators", "_batch", "evaluate_grid", ["certified=certified"]),
-        ("estimators", "interior_counts", "_batch", ["certified=True"])]
+    assert asks == [("estimators", "_batch", "evaluate_grid",
+                     ["certified=True"])]
+
+
+def _sign_grid_calls():
+    """(module, top-level definition, call) for each call of sign_grid."""
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "sign_grid"):
+                    yield path.stem, getattr(node, "name", None), call
+
+
+def test_one_sign_certificate():
+    # topology._certified_signs is the one function that signs estimates
+    # against an error bound, sign_grid(est, +-bound) with the exact value's
+    # sign where the two differ: no other call passes sign_grid a margin
+    margins = {(stem, name) for stem, name, call in _sign_grid_calls()
+               if len(call.args) > 1 or call.keywords}
+    assert margins == {("topology", "_certified_signs")}
+
+
+def test_grid_signs_are_read_in_one_place():
+    # every reader of a grid's signs, the censuses, the marching segments,
+    # the flips' ports and the portraits, takes them from grid_signs, which
+    # certifies a certified grid's nodes: no other call passes sign_grid a
+    # grid's values
+    readers = {(stem, name) for stem, name, call in _sign_grid_calls()
+               if _loads(call.args[0])["values"]}
+    assert readers == {("topology", "grid_signs")}
+    assert {stem for stem, _ in _readers("grid_signs")} == {"topology",
+                                                            "portraits"}
+
+
+def test_fields_imports_nothing_from_topology():
+    # the grids carry their values and bound; their signs are topology's
+    tree = ast.parse((PACKAGE / "fields.py").read_text())
+    imports = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and "topology" in (node.module or "")
+               or isinstance(node, ast.Import)
+               and any("topology" in a.name for a in node.names)]
+    assert imports == []

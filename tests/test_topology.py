@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from nodalfields import stability, topology
-from nodalfields.arithmetic import mu_n, sample_torus_wave, torus_spacing
+from nodalfields.arithmetic import (cilleruelo_torus_field, mu_n,
+                                   sample_torus_wave, torus_spacing)
 from nodalfields.errors import EmptyGrid, GridTooCoarse
 from nodalfields.fields import (
     ScalarGrid,
@@ -35,6 +36,7 @@ from nodalfields.topology import (
     count_curve_intersections,
     count_flips,
     edge_ports,
+    grid_signs,
     marching_segments,
     sign_grid,
 )
@@ -156,8 +158,8 @@ def test_census_matches_flood_fill_on_random_grids():
         i, j = np.nonzero((pos[:-1, :-1] == pos[1:, 1:])
                           & (pos[1:, :-1] == pos[:-1, 1:])
                           & (pos[:-1, :-1] != pos[1:, :-1]))
-        main = topology._joins_main_diagonal(g, i, j)
-        decisions |= set(zip(pos[i, j].tolist(), main.tolist()))
+        centre = topology._centre_signs(g, i, j)
+        decisions |= set(zip(pos[i, j].tolist(), centre.tolist()))
     assert decisions == {(p, m) for p in (False, True) for m in (False, True)}
 
     # one-row and one-column strips: every node lies on the border
@@ -1248,6 +1250,27 @@ def test_bisection_matches_exact_oracle(monkeypatch, rho, seed, R, h,
                                          h, direction)
 
 
+def _record_certified_signs(monkeypatch, seen, decide=_certified_signs):
+    """Record (points, estimates, bound, signs) of each certificate call of
+    the flips, its signs given by decide.  exact(k) evaluates the sample at
+    the points k, so the recorder asks it for every point and takes the
+    points from evaluate_batch."""
+    points = []
+
+    def batch(gs, pts):
+        points.append(pts.copy())
+        return evaluate_batch(gs, pts)
+
+    def recorded(est, bound, exact):
+        signs = decide(est, bound, exact)
+        exact(np.arange(len(est)))
+        seen.append((points[-1], est.copy(), bound, signs))
+        return signs
+
+    monkeypatch.setattr(topology, "evaluate_batch", batch)
+    monkeypatch.setattr(topology, "_certified_signs", recorded)
+
+
 @FLIP_CASES
 def test_bisection_slope_signs_match_exact_evaluation(monkeypatch, rho, seed,
                                                       R, h, direction):
@@ -1258,18 +1281,13 @@ def test_bisection_slope_signs_match_exact_evaluation(monkeypatch, rho, seed,
     # gives
     d = np.asarray(direction) / math.hypot(*direction)
     seen, reach = [], []
-
-    def recorded(gs, pts, g, bound):
-        signs = _certified_signs(gs, pts, g, bound)
-        seen.append((pts.copy(), g.copy(), bound, signs))
-        return signs
+    _record_certified_signs(monkeypatch, seen)
 
     def reached(gs, lo, hi, slo):
         reach.append(max(np.abs(lo).max(initial=0.0),
                          np.abs(hi).max(initial=0.0)))
         return _bisect(gs, lo, hi, slo)
 
-    monkeypatch.setattr(topology, "_certified_signs", recorded)
     monkeypatch.setattr(topology, "_bisect", reached)
     checked = 0
     for i in range(3):
@@ -1283,8 +1301,9 @@ def test_bisection_slope_signs_match_exact_evaluation(monkeypatch, rho, seed,
              * np.abs(C @ d))
         (X,) = reach
         tol = 1e-12 * (w @ (1 + X * np.hypot(C[:, 0], C[:, 1])))
-        assert len(seen) == 11   # the port pass, then ten steps
-        for pts, g, bound, signs in seen[1:]:
+        # the port pass, one call per edge type, then ten steps
+        assert len(seen) == 12
+        for pts, g, bound, signs in seen[2:]:
             checked += len(pts)
             exact = point_gradients(s, pts) @ d
             assert np.all(np.abs(g - exact) <= tol)
@@ -1311,15 +1330,11 @@ def test_bisection_estimates_are_good_to_the_tolerance_at_any_span(
     w = _slope_weights(gs, X)[0]
     tol = 1e-12 * w.sum() * (1 + X)
     seen = []
-
-    def recorded(gs, pts, g, bound):
-        seen.append((pts.copy(), g.copy()))
-        return np.full(len(pts), True)
-
-    monkeypatch.setattr(topology, "_certified_signs", recorded)
+    _record_certified_signs(monkeypatch, seen,
+                            lambda est, bound, exact: np.full(len(est), True))
     _bisect(gs, lo, hi, np.full(10, True))
     assert len(seen) == 10
-    for pts, g in seen:
+    for pts, g, _, _ in seen:
         assert np.all(np.abs(g - point_gradients(s, pts) @ d) <= tol)
     # the last midpoints sit 2^-10 of a span below hi
     assert np.allclose(seen[-1][0][:, 0], hi[:, 0] - span / 1024)
@@ -1425,6 +1440,34 @@ def test_curve_intersections_sine():
             count_curve_intersections(sin_field, p1, (0.0, 0.0))
 
 
+def test_curve_intersections_refuse_segments_past_the_node_cap(monkeypatch):
+    # finite endpoints far apart would ask for billions of samples: the
+    # call raises before it allocates any, as grid_axes does
+    import tracemalloc
+
+    sin_field = inject_sample(preset("two_point", theta=0.0, kappa="one"),
+                              [(0.0, 1.0)])
+    h = default_spacing(sin_field)
+    far = [((0.0, 0.0), (1e12, 0.0)), ((-1e308, 0.0), (1e308, 0.0)),
+           ((0.0, 0.0), (0.0, 2.0**28 * h))]
+    tracemalloc.start()
+    try:
+        for p0, p1 in far:
+            with pytest.raises(ValueError, match="MAX_GRID_NODES"):
+                count_curve_intersections(sin_field, p0, p1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # at the cap a segment is sampled, one step past it raises
+    monkeypatch.setattr(topology, "MAX_GRID_NODES", 100)
+    assert count_curve_intersections(sin_field, (0.1, 0.0),
+                                     (0.1 + 98.5 * h, 0.0)) == 12
+    with pytest.raises(ValueError, match="MAX_GRID_NODES"):
+        count_curve_intersections(sin_field, (0.1, 0.0),
+                                  (0.1 + 99.5 * h, 0.0))
+
+
 def test_tiling_inequality():
     # compact components of the big square >= sum over tiles, with deficit
     # bounded by zero crossings along the tiling lines
@@ -1504,9 +1547,9 @@ def _certified_and_float64(s, domain, h=None):
 
 
 def _assert_certified_census(g32, g64):
-    assert np.array_equal(sign_grid(g32.values), sign_grid(g64.values))
-    assert (count_components_plane(g32).interior_components
-            == count_components_plane(g64).interior_components)
+    assert np.array_equal(grid_signs(g32), grid_signs(g64))
+    census = count_components_torus if g32.periodic else count_components_plane
+    assert census(g32) == census(g64)
 
 
 @pytest.mark.parametrize("rho", [
@@ -1544,45 +1587,65 @@ def test_certified_bound_is_the_stated_one():
         evaluate_grid(s, SquareDomain(3.0), order=1, certified=True)
 
 
-def test_certified_nodes_just_inside_and_just_outside_the_bound(monkeypatch):
-    # planted float32 values a quarter of the bound inside it are
-    # evaluated and get the float64 sign, those a quarter outside are not
-    from nodalfields import fields
-
-    s = sample(preset("uniform_circle", K=16), 8, 0)
-    g = evaluate_grid(s, SquareDomain(3.0), certified=True)
-    b, tie = _stated_bound(s), -topology.TIE_TOL
-    rng = np.random.default_rng(3)
-    values = np.full(g.values.shape, 1.0, dtype=np.float32)
-    flat = rng.choice(values.size, 40, replace=False)
-    inside, outside = flat[:20], flat[20:]
-    side = np.where(np.arange(20) % 2, 1.0, -1.0)
-    values.flat[inside] = tie + side * 0.75 * b
-    values.flat[outside] = tie + side * 1.25 * b
+def _planted_nodes(monkeypatch, g, flat):
+    """(planted, reference) for a certified grid g: planted is g with
+    float32 values 1 but at the nodes flat, the first half a quarter of the
+    bound inside it and the second a quarter outside, on alternate sides of
+    the tie threshold; reference is the float64 grid of the same values but
+    at the inside nodes, which hold their float64 values.  Asserts that
+    grid_signs evaluates exactly the inside nodes, in one call, and gives
+    planted the signs of reference."""
+    half = len(flat) // 2
+    inside, outside = np.sort(flat[:half]), flat[half:]
+    side = np.where(np.arange(len(outside)) % 2, 1.0, -1.0)
+    tie = -topology.TIE_TOL
+    values = np.ones(g.values.shape)
+    values.flat[outside] = tie + side * 1.25 * g.bound
+    planted = replace(g, values=values.astype(np.float32))
+    planted.values.flat[inside] = tie + side[:half] * 0.75 * g.bound
     evaluated = []
 
     def batch(s, pts):
         evaluated.append(pts)
         return evaluate_batch(s, pts)
 
-    monkeypatch.setattr(fields, "evaluate_batch", batch)
-    unsure = fields._certify_nodes(s, values, g.xs, g.ys, b)
-    assert sorted(unsure) == sorted(inside)
+    monkeypatch.setattr(topology, "evaluate_batch", batch)
+    pos = grid_signs(planted)
+    monkeypatch.undo()
     (pts,) = evaluated
-    i, j = np.divmod(unsure, values.shape[1])
-    exact = evaluate_batch(s, np.column_stack([g.xs[i], g.ys[j]]))
+    i, j = np.divmod(inside, values.shape[1])
     assert np.array_equal(pts, np.column_stack([g.xs[i], g.ys[j]]))
-    # the written-back float32 values carry the float64 sign_grid sign
-    assert np.array_equal(sign_grid(values.flat[unsure]), sign_grid(exact))
-    assert np.array_equal(values.flat[outside],
-                          (tie + side * 1.25 * b).astype(np.float32))
+    values.flat[inside] = evaluate_batch(g.sample, pts)
+    reference = replace(g, values=values, bound=None, sample=None)
+    assert np.array_equal(pos, grid_signs(reference))
+    assert np.array_equal(pos.flat[outside], side > 0)
+    return planted, reference
+
+
+def test_certified_nodes_just_inside_and_just_outside_the_bound(monkeypatch):
+    # planted float32 values a quarter of the bound inside it are
+    # evaluated and get the float64 sign, those a quarter outside are not;
+    # the grid spans several strips of the certificate, and nodes are
+    # planted on either side of the first strips' ends
+    s = sample(preset("uniform_circle", K=16), 8, 0)
+    g = evaluate_grid(s, SquareDomain(12.0), 1 / 32, certified=True)
+    assert g.bound == pytest.approx(_stated_bound(s), rel=1e-12)
+    ends = topology._STRIP * np.arange(1, 3)
+    assert g.values.size > ends[-1]
+    rng = np.random.default_rng(3)
+    flat = np.setdiff1d(rng.choice(g.values.size, 60, replace=False),
+                        np.concatenate([ends - 1, ends]))
+    flat = np.concatenate([ends - 1, ends, flat[:46]])
+    planted, reference = _planted_nodes(monkeypatch, g, flat)
+    assert (count_components_plane(planted)
+            == count_components_plane(reference))
 
 
 @pytest.mark.parametrize("origin", [-1e-14, -1e-14 * (1 - 1e-9), 0.0])
 def test_certified_grid_at_the_tie_threshold(origin):
     # a constant field on the tie threshold, or just above it where the
     # float32 cast lands on the float32 threshold: every node is evaluated
-    # and written back on the float64 side
+    # and signed on the float64 side
     rho = preset("delta_zero")
     s = inject_sample(rho, np.zeros((0, 2)), origin_coeff=origin)
     g32, g64 = _certified_and_float64(s, SquareDomain(2.0), 0.25)
@@ -1618,11 +1681,11 @@ def test_certified_saddle_centres():
     assert cell[0, 0] * cell[0, 1] < 0
     assert abs(cell.mean()) < 1e-15
     g32.values[c:c + 2, c:c + 2] -= np.float32(0.5 * g32.bound)
-    assert np.array_equal(sign_grid(g32.values), sign_grid(g64.values))
+    assert np.array_equal(grid_signs(g32), grid_signs(g64))
     assert 0.25 * g32.values[c:c + 2, c:c + 2].sum() < -topology.TIE_TOL
     i = np.array([c])
-    assert np.array_equal(topology._joins_main_diagonal(g32, i, i),
-                          topology._joins_main_diagonal(g64, i, i))
+    assert np.array_equal(topology._centre_signs(g32, i, i),
+                          topology._centre_signs(g64, i, i))
     _assert_certified_census(g32, g64)
 
 
@@ -1675,3 +1738,66 @@ def test_certified_census_makes_no_float64_copy():
         tracemalloc.stop()
     assert peak < 8 * nx * ny
     assert census == want
+
+
+# certified torus grids: the torus census reads signs only too
+
+@pytest.mark.parametrize("draw, h", [
+    (lambda i: sample_torus_wave(65, 7, i), torus_spacing(65)),
+    (lambda i: sample_torus_wave(1105, 7, i), torus_spacing(1105)),
+    (lambda i: cilleruelo_torus_field(5, 7, i), None)],
+    ids=["mu65", "mu1105", "cilleruelo"])
+def test_certified_torus_counts_are_the_float64_counts(draw, h):
+    wrapping = []
+    for i in range(4):
+        g32, g64 = _certified_and_float64(draw(i), TorusDomain(), h)
+        _assert_certified_census(g32, g64)
+        wrapping.append(count_components_torus(g32).wrapping_components)
+    assert min(wrapping) >= 2
+
+
+def test_certified_torus_nodes_on_the_last_row_and_column(monkeypatch):
+    # planted values the bound cannot sign, on the last row and column of
+    # a torus grid, are evaluated at their own nodes, and the torus census
+    # counts the components of their float64 values
+    s = sample_torus_wave(65, 3, 0)
+    g = evaluate_grid(s, TorusDomain(), torus_spacing(65), certified=True)
+    nx, ny = g.values.shape
+    last_row = (nx - 1) * ny + np.arange(0, ny, 3)
+    last_column = np.arange(1, nx - 1, 3) * ny + ny - 1
+    flat = np.concatenate([last_row[0::2], last_column[0::2],
+                           last_row[1::2], last_column[1::2]])
+    planted, reference = _planted_nodes(monkeypatch, g, flat)
+    census = count_components_torus(reference)
+    assert census.interior_components > 10
+    assert count_components_torus(planted) == census
+
+
+def test_certified_torus_saddle_centre_across_the_seams():
+    # sin(2 pi x') sin(2 pi y') with x' = x + h/2, y' = y + h/2 has a
+    # saddle at the centre of the cell whose corners are the last and the
+    # first rows and columns, where its mean is zero.  Moving the corners
+    # half the bound down keeps their signs and puts the float32 mean below
+    # the tie threshold; only the certificate of the mean, which evaluates
+    # the corners across both seams, keeps the float64 decision
+    n = 24
+    phi = 2.0 * math.pi / n
+    s = inject_sample(preset("tilted_cilleruelo", kappa="two_pi"),
+                      [[-math.cos(phi), math.sin(phi)], [1.0, 0.0]],
+                      freq_scale=math.sqrt(2.0))
+    g32, g64 = _certified_and_float64(s, TorusDomain(), 1.0 / n)
+    assert g32.values.shape == (n, n)
+    cell = g64.values[np.ix_([n - 1, 0], [n - 1, 0])]
+    assert cell[0, 0] == pytest.approx(cell[1, 1], abs=1e-15)
+    assert cell[0, 1] == pytest.approx(cell[1, 0], abs=1e-15)
+    assert cell[0, 0] * cell[0, 1] < 0
+    assert abs(cell.mean()) < 1e-15
+    g32.values[np.ix_([n - 1, 0], [n - 1, 0])] -= np.float32(0.5 * g32.bound)
+    assert np.array_equal(grid_signs(g32), grid_signs(g64))
+    assert (0.25 * g32.values[np.ix_([n - 1, 0], [n - 1, 0])].sum()
+            < -topology.TIE_TOL)
+    i = np.array([n - 1])
+    assert np.array_equal(topology._centre_signs(g32, i, i),
+                          topology._centre_signs(g64, i, i))
+    assert np.array_equal(marching_segments(g32), marching_segments(g64))
+    _assert_certified_census(g32, g64)
