@@ -314,7 +314,9 @@ def _float32_bound(s: FieldSample, origin: float) -> float | None:
     is about twice that.  The slack covers the float64 grid's own rounding
     and terms of order 2^-48, and the last term float32 underflow, where
     each operation may err by 2^-126 absolute.  Coefficients that are not
-    finite, or whose A + |origin| passes MAX_FLOAT32_SCALE, get None.
+    finite, or whose A + |origin| passes MAX_FLOAT32_SCALE, get None: their
+    grid is float64, and ``topology.grid_signs`` checks it for non-finite
+    values where its signs are read.  A grid with a bound is not checked.
     """
     scale = (float(s.amplitudes() @ np.hypot(s.coeff_a, s.coeff_b))
              + abs(origin))

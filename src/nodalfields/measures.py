@@ -217,7 +217,8 @@ def make_atomic(atoms: Iterable[tuple[Sequence[float], float]],
     atom set must be pi-rotation invariant: every atom away from the origin
     needs an antipode (within COORD_TOL) whose weight is within WEIGHT_TOL
     of its own.  Raises NotProbability / SupportOutsideDisc /
-    NotPiInvariant accordingly.
+    NotPiInvariant accordingly, the first two for a non-finite weight or
+    location too, naming the atom.
     """
     if kappa not in KAPPA_VALUES:
         raise ValueError(f"kappa must be one of {sorted(KAPPA_VALUES)}, got {kappa!r}")
@@ -228,14 +229,18 @@ def make_atomic(atoms: Iterable[tuple[Sequence[float], float]],
     weights = np.asarray([a[1] for a in atoms], dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("atom locations must be planar points")
-    if np.any(weights < -WEIGHT_TOL):
-        raise NotProbability("negative atom weight")
+    # "not in range" tests, so that NaN, which compares False, fails them
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= -WEIGHT_TOL)))
+    if len(bad):
+        raise NotProbability(f"atom {tuple(points[bad[0]].tolist())} has "
+                             f"weight {float(weights[bad[0]])}")
     weights = np.clip(weights, 0.0, None)
 
     norms = np.hypot(points[:, 0], points[:, 1])
-    if np.any(norms > 1.0 + SUPPORT_TOL):
-        worst = float(norms.max())
-        raise SupportOutsideDisc(f"atom norm {worst:.6g} exceeds 1")
+    bad = np.flatnonzero(~(norms <= 1.0 + SUPPORT_TOL))
+    if len(bad):
+        raise SupportOutsideDisc(f"atom {tuple(points[bad[0]].tolist())} "
+                                 "is not in the closed unit disc")
 
     total = float(weights.sum())
     if abs(total - 1.0) > WEIGHT_TOL:

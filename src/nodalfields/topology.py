@@ -17,16 +17,15 @@ numpy's boolean nonzero switches to a loop more than twice as fast above
 10% density, and the mask sits just below it (9.4-9.8% at 16 points per
 wavelength), its pairs at about twice that.  Rank queries on the mask,
 packed into 64-bit words, find the runs' contacts with the row above and,
-from the rank of each row's start, the runs on the border.  Both censuses
-check finiteness from the grid's row sums, one matrix-vector product: a
-sum is finite only if its terms are, and only where a sum is not, as when
-finite terms overflow, does the exact check read every value
-(``_census_values``); a certified grid (float32 values within a bound of
-the float64 ones, see ``fields``), the censuses' grid in estimates, is
-finite by construction.  Every reader of a grid's signs takes them from
-``grid_signs``; a certified grid's nodes and saddle-cell centres
-(``_centre_signs``) are signed by the one sign certificate,
-``_certified_signs``, so every sign and count is that of float64 values.
+from the rank of each row's start, the runs on the border.  Every reader
+of a grid's signs takes them from ``grid_signs``, the one check that a
+grid can be signed: EmptyGrid where its values are absent or not all
+finite, read from the row sums, a sum being finite only if its terms are.
+A certified grid (float32 values within a bound of the float64 ones, see
+``fields``), the censuses' grid in estimates, is finite by construction;
+its nodes and saddle-cell centres (``_centre_signs``) are signed by the
+one sign certificate, ``_certified_signs``, so every sign and count is
+that of float64 values.
 On the torus, zero-set components are counted directly from the marching
 segments: every port there has degree 2, so components are cycles.  The
 segments of a cycle follow each other one way round it, and every crossed
@@ -153,45 +152,29 @@ def _node_values(g: ScalarGrid, flat: np.ndarray) -> np.ndarray:
 
 
 def grid_signs(g: ScalarGrid) -> np.ndarray:
-    """sign_grid of g's node values: the one reader of a grid's signs.
+    """sign_grid of g's node values, or EmptyGrid where they are absent or
+    not all finite: the one reader of a grid's signs, and the one check.
 
-    A certified grid (``fields.evaluate_grid(..., certified=True)``) has
-    float32 values within g.bound of the float64 ones, so its nodes take
-    their signs from ``_certified_signs``, which evaluates the few the
-    bound leaves undecided (a few in 10^4 at 16 points per wavelength).
-    Either way a node's sign is that of a float64 value.
+    Finiteness comes from the row sums values @ ones, one pass that BLAS
+    makes over strided views too, such as ``stability._subcensus``'s
+    sub-squares: a sum of finite terms can be non-finite only by overflow,
+    so only where a sum is not finite does np.isfinite read every value.
+    A certified grid (``fields.evaluate_grid(..., certified=True)``) is
+    finite by construction and takes no pass: its float32 values lie
+    within g.bound of the float64 ones, and ``_certified_signs`` evaluates
+    the few nodes the bound leaves undecided (a few in 10^4 at 16 points
+    per wavelength), so a node's sign is that of a float64 value.
     """
-    if g.bound is None:
-        return sign_grid(g.values)
-    return _certified_signs(g.values, g.bound, lambda k: _node_values(g, k))
-
-
-def _census_values(g: ScalarGrid, periodic: bool) -> np.ndarray:
-    """The values of a torus (periodic) or square grid, or a loud failure.
-
-    EmptyGrid where values are absent or not all finite.  Finiteness comes
-    from the row sums values @ ones, one pass that BLAS makes over strided
-    views too, such as ``stability._subcensus``'s sub-squares: a sum of
-    finite terms can be non-finite only by overflow, so only where a sum is
-    not finite does np.isfinite read every value, and the grids rejected
-    are exactly those with a NaN or an infinity.  A certified grid, finite
-    by construction (``fields._float32_bound``), takes no pass.
-    """
-    if g.values is None or g.values.size == 0:
-        raise EmptyGrid("no values")
-    if g.periodic != periodic:
-        raise ValueError("count_components_torus needs a torus grid"
-                         if periodic else
-                         "the plane census needs a square grid; "
-                         "count torus grids with count_components_torus")
     values = g.values
+    if values is None or values.size == 0:
+        raise EmptyGrid("no values")
     if g.bound is not None:
-        return values
+        return _certified_signs(values, g.bound, lambda k: _node_values(g, k))
     with np.errstate(over="ignore", invalid="ignore"):
         sums = values @ np.ones(values.shape[1])
     if not (np.all(np.isfinite(sums)) or np.all(np.isfinite(values))):
         raise EmptyGrid("grid contains non-finite values")
-    return values
+    return sign_grid(values)
 
 
 def _centre_signs(g: ScalarGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -314,7 +297,11 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     touches, and the ranks of the row starts give each row's first and last
     run, which the border test reads.
     """
-    nx, ny = _census_values(g, periodic=False).shape
+    pos = grid_signs(g)
+    if g.periodic:
+        raise ValueError("the plane census needs a square grid; "
+                         "count torus grids with count_components_torus")
+    nx, ny = pos.shape
     w = ny + 1
     # with a False column on each side, the sign changes along the rows (the
     # first and last columns' signs at either end) are the runs' starts and
@@ -322,7 +309,6 @@ def count_components_plane(g: ScalarGrid) -> NodalCensus:
     # whose row 0 is empty, so a run's row above never lies below index 0;
     # zero bits pad the mask to whole words past its end, so a rank at any
     # position 0..(nx + 1) w reads a word
-    pos = grid_signs(g)
     size = (nx + 1) * w
     change = np.zeros((size // 64 + 1) * 64, dtype=bool)
     rows = change[w:size].reshape(nx, w)
@@ -448,8 +434,8 @@ def marching_segments(g: ScalarGrid, label: np.ndarray | None = None):
     sides goes on to emission only if their labels XOR to 1; a saddle cell
     always goes on, and its two segments are tested once emitted.
     """
-    nx, ny = g.values.shape
     signs = pos = grid_signs(g)
+    nx, ny = signs.shape
     if g.periodic:
         if label is not None:
             raise ValueError("labeled marching segments need a square grid")
@@ -560,12 +546,14 @@ def count_components_torus(g: ScalarGrid) -> NodalCensus:
     class (p, q), so p or q is odd: a component wraps iff it crosses the
     x-seam or the y-seam an odd number of times.
     """
-    values = _census_values(g, periodic=True)
-    nx, ny = values.shape
+    # the marching signs g, so a grid that cannot be signed fails there
+    segA, segB = marching_segments(g)
+    nx, ny = g.values.shape
+    if not g.periodic:
+        raise ValueError("count_components_torus needs a torus grid")
     if nx < 3 or ny < 3:
         # a west-east segment would span half the period: its seam is undefined
         raise ValueError("torus census needs at least 3 nodes per axis")
-    segA, segB = marching_segments(g)
     K = len(segA)
     if K == 0:
         return NodalCensus(interior_components=0)
@@ -648,8 +636,8 @@ def _sign_changes(gs: FieldSample, grid: ScalarGrid):
     whose two ports get opposite signs of g: lo and hi are their ports and
     slo the sign at lo.
     """
-    nx, ny = grid.values.shape
     pos = grid_signs(grid)
+    nx, ny = pos.shape
     crossed = np.zeros((nx, ny, 2), dtype=bool)
     np.not_equal(pos[:-1, :], pos[1:, :], out=crossed[:-1, :, 0])
     np.not_equal(pos[:, :-1], pos[:, 1:], out=crossed[:, :-1, 1])
@@ -845,7 +833,8 @@ def count_curve_intersections(s: FieldSample, p0, p1) -> int:
     f is sampled at both ends and at most ``default_spacing(s)`` apart
     between them, the resolution of the default grids.  A segment that
     needs more than MAX_GRID_NODES samples raises ValueError before any is
-    allocated, as ``fields.grid_axes`` does for a lattice.
+    allocated, as ``fields.grid_axes`` does for a lattice, and so does a
+    sample that is not finite.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -862,5 +851,8 @@ def count_curve_intersections(s: FieldSample, p0, p1) -> int:
     n = max(2, int(math.ceil(steps)) + 1)
     ts = np.linspace(0.0, 1.0, n)
     pts = p0[None, :] + ts[:, None] * (p1 - p0)[None, :]
-    pos = sign_grid(evaluate_batch(s, pts))
+    f = evaluate_batch(s, pts)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("f is not finite on the segment")
+    pos = sign_grid(f)
     return int(np.count_nonzero(pos[1:] != pos[:-1]))

@@ -43,7 +43,6 @@ from nodalfields.measures import (
 )
 from nodalfields.topology import (
     NodalCensus,
-    _census_values,
     _centre_signs,
     _edge_zeros,
     _port_bounds,
@@ -291,8 +290,9 @@ def ndimage_plane_census(g: ScalarGrid) -> NodalCensus:
     with chi(P) = nodes - edges - joins + cells (S. B. Gray, IEEE Trans.
     Computers C-20 (1971) 551-561).
     """
-    _census_values(g, periodic=False)
     pos = grid_signs(g)
+    if g.periodic:
+        raise ValueError("the plane census needs a square grid")
     labels, n = ndimage.label(pos, structure=_FOUR_CONN)
     i, j, main = _positive_joins(g, pos)
     rep, inner = _merged_domains(labels, n, i, j, main)
@@ -337,12 +337,13 @@ def half_edge_torus_census(g: ScalarGrid) -> NodalCensus:
     component wraps iff it crosses the x-seam or the y-seam an odd number of
     times.
     """
-    values = _census_values(g, periodic=True)
-    nx, ny = values.shape
+    segA, segB = marching_segments(g)
+    nx, ny = g.values.shape
+    if not g.periodic:
+        raise ValueError("the torus census needs a torus grid")
     if nx < 3 or ny < 3:
         # a west-east segment would span half the period: its seam is undefined
         raise ValueError("torus census needs at least 3 nodes per axis")
-    segA, segB = marching_segments(g)
     K = len(segA)
     if K == 0:
         return NodalCensus(interior_components=0)

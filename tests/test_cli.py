@@ -257,6 +257,30 @@ def test_stability_filter_off_is_strict_json(capsys):
     assert payload["sandwich"]["filtered"] == 2
 
 
+def test_non_finite_measure_file_fails_before_any_draw(tmp_path,
+                                                       monkeypatch, capsys):
+    # json reads NaN and Infinity: the file is refused when it is loaded,
+    # naming the atom, before any coefficient is drawn
+    from nodalfields import fields
+
+    def draw(*args):
+        raise AssertionError("a coefficient was drawn")
+
+    monkeypatch.setattr(fields, "_philox", draw)
+    measure = tmp_path / "m.json"
+    for key, bad, message in (("w", math.nan, "has weight nan"),
+                              ("w", math.inf, "has weight inf"),
+                              ("x", math.nan, "is not in the closed unit disc")):
+        atoms = [{"x": x, "y": 0.0, "w": 0.5} for x in (1.0, -1.0)]
+        atoms[0][key] = bad
+        measure.write_text(json.dumps({"kind": "atomic", "atoms": atoms}))
+        for command in (["cns", "--M", "10"],
+                        ["flips", "--empirical", "--R", "3", "--M", "2"]):
+            capsys.readouterr()
+            assert main(command + ["--measure", str(measure)]) == 2
+            assert message in capsys.readouterr().err
+
+
 def test_measure_roundtrip(tmp_path):
     out = tmp_path / "m.json"
     assert main(["measure", "--preset", "uniform:8", "--out", str(out)]) == 0

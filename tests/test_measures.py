@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,27 @@ def test_make_atomic_rejects_asymmetric():
     with pytest.raises(NotPiInvariant,
                        match=r"^atom \(0\.5, 0\.0\) has no antipode$"):
         make_atomic([((0.5, 0.0), 0.5), ((0.0, 0.0), 0.5)])
+
+
+def test_make_atomic_rejects_non_finite_atoms():
+    # every comparison with NaN is False, so a NaN weight once passed the
+    # sum check and a NaN location was reported as a lonely atom
+    good = [((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5)]
+    for bad in (math.nan, math.inf, -math.inf):
+        for normalize in (False, True):
+            with pytest.raises(NotProbability, match=re.escape(
+                    f"atom (-1.0, 0.0) has weight {bad}")):
+                make_atomic([good[0], ((-1.0, 0.0), bad)],
+                            normalize=normalize)
+            with pytest.raises(SupportOutsideDisc, match=re.escape(
+                    f"atom (1.0, {bad}) is not in the closed unit disc")):
+                make_atomic([((1.0, bad), 0.5), good[1]],
+                            normalize=normalize)
+    # json reads NaN and Infinity, so a measure file can hold them
+    d = measure_to_dict(make_atomic(good))
+    d["atoms"][0]["w"] = math.nan
+    with pytest.raises(NotProbability, match="has weight nan"):
+        measure_from_dict(json.loads(json.dumps(d)))
 
 
 def test_make_atomic_merges_duplicates():

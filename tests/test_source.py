@@ -215,6 +215,7 @@ def _readers(name):
     ("ROUNDING_MARGIN", ("topology", "_slope_weights")),  # flip-sign margin
     ("_GROUP_SIDES", ("topology", "marching_segments")),  # side pairing
     ("GridTooCoarse", ("fields", "evaluate_grid")),  # the coarse-grid warning
+    ("EmptyGrid", ("topology", "grid_signs")),  # a grid that cannot be signed
 ])
 def test_rule_has_one_reader(name, owner):
     assert sorted(set(_readers(name))) == [owner]

@@ -345,7 +345,17 @@ def test_run_boundaries_are_the_set_bits():
                                   np.flatnonzero(mask))
 
 
-def test_census_rejects_exactly_the_non_finite_grids():
+def test_census_rejects_exactly_the_non_finite_grids(tmp_path):
+    # the censuses and every other reader of a grid's signs: the marching
+    # segments and both portraits, which draw nothing of a grid they refuse
+    from nodalfields.portraits import render_ppm, render_svg, zero_polylines
+
+    svg, ppm = tmp_path / "p.svg", tmp_path / "p.ppm"
+
+    def ppm_bytes(g):
+        render_ppm(g, ppm)
+        return ppm.read_bytes()
+
     sq = grid_from_callable(lambda X, Y: X ** 2 + Y ** 2 - 0.25,
                             SquareDomain(1.0), 0.1)
     t = grid_from_callable(lambda X, Y: np.sin(2 * np.pi * X),
@@ -356,14 +366,22 @@ def test_census_rejects_exactly_the_non_finite_grids():
         for bad in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]):
             values = g.values.copy()
             values[3, 5:5 + len(bad)] = bad
-            with pytest.raises(EmptyGrid):
-                census(replace(g, values=values))
-        # finite values whose row sums overflow are counted
+            for reader in (census, marching_segments, zero_polylines,
+                           lambda grid: render_svg(grid, svg), ppm_bytes):
+                with pytest.raises(EmptyGrid):
+                    reader(replace(g, values=values))
+        assert not svg.exists() and not ppm.exists()
+        # finite values whose row sums overflow are counted and drawn
         huge = np.where(sign_grid(g.values), 1e308, -1e308)
         with np.errstate(over="ignore"):
             assert np.isinf(huge.sum(axis=1)).any()
         assert census(replace(g, values=huge)) \
             == census(replace(g, values=np.sign(huge))) == census(g)
+        for a, b in zip(marching_segments(replace(g, values=huge)),
+                        marching_segments(g)):
+            assert np.array_equal(a, b) and len(a) > 0
+        assert ppm_bytes(replace(g, values=huge)) == ppm_bytes(g)
+        ppm.unlink()
     assert count_components_plane(sq).interior_components == 1
     assert count_components_torus(t).wrapping_components == 2
 
@@ -435,8 +453,14 @@ def test_two_cos_plus_cos_has_no_compact_components():
 def test_empty_grid_raises():
     g = ScalarGrid(domain=SquareDomain(1.0), h=1.0, xs=np.zeros(0),
                    ys=np.zeros(0), values=np.zeros((0, 0)))
-    with pytest.raises(EmptyGrid):
-        count_components_plane(g)
+    # absent or empty values, on either kind of domain, for each census
+    # and the marching segments
+    for empty in (g, replace(g, values=None), replace(g, domain=TorusDomain()),
+                  replace(g, domain=TorusDomain(), values=None)):
+        for reader in (count_components_plane, count_components_torus,
+                       marching_segments):
+            with pytest.raises(EmptyGrid):
+                reader(empty)
     sq = grid_from_callable(lambda X, Y: X ** 2 + Y ** 2 - 0.25,
                             SquareDomain(1.0), 0.1)
     for bad in (np.nan, np.inf, -np.inf):
@@ -1438,6 +1462,11 @@ def test_curve_intersections_sine():
             count_curve_intersections(sin_field, (0.0, 0.0), p1)
         with pytest.raises(ValueError, match="endpoints must be finite"):
             count_curve_intersections(sin_field, p1, (0.0, 0.0))
+    # f itself must be finite where it is sampled
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite on the segment"):
+            count_curve_intersections(inject_sample(tp, [(0.0, bad)]),
+                                      (0.1, 0.3), (2.0, 0.3))
 
 
 def test_curve_intersections_refuse_segments_past_the_node_cap(monkeypatch):
@@ -1710,14 +1739,30 @@ def test_certified_grid_under_float32_underflow_and_overflow(scale):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_certified_grid_of_non_finite_coefficients_is_empty(bad):
+    # and so is the float64 grid of count_flips, refused before any port is
+    # signed: a NaN slope once kept _taylor_degree's loop from ever exiting,
+    # and the alarm turns such a hang into a failure
+    import signal
+
+    def hang(signum, frame):
+        raise TimeoutError("count_flips did not return")
+
     rho = preset("uniform_circle", K=16)
     coeffs = np.ones((len(sample(rho, 0).coeff_a), 2))
-    for t in (inject_sample(rho, np.where(np.eye(len(coeffs), 2), bad,
-                                          coeffs)),
-              inject_sample(rho, coeffs, origin_coeff=bad)):
-        with pytest.raises(EmptyGrid):
-            count_components_plane(
-                evaluate_grid(t, SquareDomain(2.0), certified=True))
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        for t in (inject_sample(rho, np.where(np.eye(len(coeffs), 2), bad,
+                                              coeffs)),
+                  inject_sample(rho, coeffs, origin_coeff=bad)):
+            with pytest.raises(EmptyGrid):
+                count_components_plane(
+                    evaluate_grid(t, SquareDomain(2.0), certified=True))
+            with pytest.raises(EmptyGrid):
+                count_flips(t, SquareDomain(3.0))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_certified_census_makes_no_float64_copy():
