@@ -180,14 +180,24 @@ def inject_sample(rho: SpectralMeasure, coeffs, origin_coeff: float = 0.0,
 
     Coupled draws and section 7 fields come from here; canonical order is
     lexicographically descending representatives (measures.antipodal_pairs).
+    A pair or origin_coeff that is not finite raises ValueError, naming it:
+    such a sample has no grid that can be signed.
     """
     m = len(antipodal_pairs(rho)[1])
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (m, 2):
         raise ValueError(f"expected {(m, 2)} coefficient array, got {coeffs.shape}")
+    bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
+    if len(bad):
+        k = int(bad[0])
+        raise ValueError(f"coefficient pair {k}, {tuple(coeffs[k].tolist())}, "
+                         f"is not finite")
+    origin_coeff = float(origin_coeff)
+    if not math.isfinite(origin_coeff):
+        raise ValueError(f"origin_coeff {origin_coeff} is not finite")
     return FieldSample(
         measure=rho, coeff_a=coeffs[:, 0].copy(), coeff_b=coeffs[:, 1].copy(),
-        origin_coeff=float(origin_coeff), freq_scale=freq_scale)
+        origin_coeff=origin_coeff, freq_scale=freq_scale)
 
 
 def evaluate_batch(s: FieldSample, pts) -> np.ndarray:

@@ -5,6 +5,14 @@ everywhere; stable nodal patterns survive uniform perturbations smaller than
 beta, so for coupled draws that are close in C^1 the counts of the perturbed
 field at R -/+ 1 must sandwich the count of the reference field at R.  All
 gauges are grid minima/maxima (an upper estimate of the true min; h recorded).
+
+The sandwich builds only the grids it reads.  Its censuses read signs only,
+so with the filters off (beta = inf) both coupled grids are certified
+(``fields.evaluate_grid(..., certified=True)``) and every count is signed
+by ``topology.grid_signs``' one certificate.  With the filters on, the
+filters read float64 order-1 grids, and the censuses of the draws that
+pass read the same grids; the perturbed field's grid is built only for a
+draw whose reference field passes the stability filter.
 """
 
 from __future__ import annotations
@@ -197,6 +205,10 @@ class SandwichReport:
 def _subcensus(grid: ScalarGrid, R_inner: float) -> int:
     """Interior count on the centered subsquare of an already evaluated grid.
 
+    The subsquare is a strided view of the grid's values with its own
+    sliced axes, and keeps the grid's sample and bound: a subsquare of a
+    certified grid is certified, and the nodes and saddle centres its
+    bound leaves undecided are evaluated at the subsquare's own points.
     Raises DomainMismatch where the subsquare is not grid-aligned or does not
     fit in the grid.
     """
@@ -211,7 +223,8 @@ def _subcensus(grid: ScalarGrid, R_inner: float) -> int:
     sl = slice(k, grid.values.shape[0] - k)
     sub = ScalarGrid(domain=SquareDomain(R_inner), h=grid.h,
                      xs=grid.xs[sl], ys=grid.ys[sl],
-                     values=grid.values[sl, sl])
+                     values=grid.values[sl, sl],
+                     sample=grid.sample, bound=grid.bound)
     return count_components_plane(sub).interior_components
 
 
@@ -224,10 +237,14 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
     (stability) and grid C^1 distance below beta (closeness); beta = inf
     disables both filters.  Among filtered draws the perturbed counts at
     R -/+ 1 must bracket the reference count at R, all cut from one grid
-    on R + 1 whose spacing h divides 1: the default, the pair's finer
-    ``default_spacing``, is refined to 1/ceil(1/h) where it does not, and
-    any other h, or one whose lattice on R + 1 passes the node cap of
-    ``grid_axes``, raises ValueError before the first draw.
+    per field on R + 1.  At beta = inf both grids are certified, values
+    only.  At finite beta both are float64 order-1 grids, and f1's is
+    built only where f0's passes the stability filter, so GridTooCoarse
+    for f1's lattice warns only once such a draw comes.  The spacing h
+    divides 1: the default, the pair's finer ``default_spacing``, is
+    refined to 1/ceil(1/h) where it does not, and any other h, or one
+    whose lattice on R + 1 passes the node cap of ``grid_axes``, raises
+    ValueError before the first draw.
     """
     if R < 1:
         raise ValueError("need R >= 1")
@@ -241,7 +258,7 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
                 and abs(math.remainder(1 / h, 1)) <= 1e-9):
             raise ValueError(f"need a spacing h that divides 1, got {h}")
         grid_axes(outer, h)
-    # only the filters read derivative grids
+    # only the filters read derivative grids; the censuses alone read signs
     order = 1 if math.isfinite(beta) else 0
     filtered = violations = 0
     for i in range(M):
@@ -250,13 +267,12 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
             h = min(default_spacing(f0), default_spacing(f1))
             if abs(math.remainder(1 / h, 1)) > 1e-9:
                 h = 1 / math.ceil(1 / h)
-        g0 = evaluate_grid(f0, outer, h, order=order)
-        g1 = evaluate_grid(f1, outer, h, order=order)
-        if math.isfinite(beta):
-            if _minmax(g0) <= 2.0 * beta:
-                continue
-            if c1_distance(g0, g1) >= beta:
-                continue
+        g0 = evaluate_grid(f0, outer, h, order=order, certified=not order)
+        if order and _minmax(g0) <= 2.0 * beta:
+            continue
+        g1 = evaluate_grid(f1, outer, h, order=order, certified=not order)
+        if order and c1_distance(g0, g1) >= beta:
+            continue
         filtered += 1
         n0_R = _subcensus(g0, R)
         n1_lo = _subcensus(g1, R - 1.0)

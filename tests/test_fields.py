@@ -65,6 +65,23 @@ def test_injected_cilleruelo_values():
     assert np.allclose(grad, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_inject_sample_refuses_non_finite_coefficients(bad):
+    # refused before any grid is evaluated, naming the first bad pair or the
+    # origin; the pairs after it and a finite origin do not matter
+    rho = preset("uniform_circle", K=16)
+    coeffs = np.ones((8, 2))
+    coeffs[3, 1] = bad
+    coeffs[5, 0] = bad
+    with pytest.raises(ValueError, match=r"coefficient pair 3, \(1\.0, "):
+        inject_sample(rho, coeffs, origin_coeff=2.0)
+    with pytest.raises(ValueError, match=f"origin_coeff {bad} is not finite"):
+        inject_sample(rho, np.ones((8, 2)), origin_coeff=bad)
+    # the section 7 fields reach it through their perturbations
+    with pytest.raises(ValueError, match="coefficient pair 2"):
+        section7_field("g", perturbation=[0, 0, 0, 0, bad, 0])
+
+
 def test_analytic_derivatives_match_finite_differences():
     rng = np.random.default_rng(3)
     s = sample(preset("uniform_circle", K=16), seed=8)

@@ -11,6 +11,8 @@ diagonals, and each equals the digest of the same payload computed with the
 flood-fill oracle of tests/test_topology.py as the census.  The three
 sandwich digests were re-derived when the sandwich report began to carry
 its seed: each is the digest of the former payload with "seed": 1 added.
+The two stability CLI digests are of the whole stdout, taken while every
+sandwich grid was float64.
 Regenerate them only with a change that alters seeded output on purpose,
 and say so.
 """
@@ -25,6 +27,7 @@ import numpy as np
 import pytest
 
 from nodalfields.arithmetic import cilleruelo_torus_field, mu_n
+from nodalfields.cli import main
 from nodalfields.estimators import estimate_cns, torus_count_report
 from nodalfields.fields import cilleruelo_field, sample
 from nodalfields.measures import antipodal_pairs, preset
@@ -69,6 +72,21 @@ def test_workload_payload_digest(name):
 def test_finite_beta_sandwich_digest(K1, digest):
     rep = sandwich_check(_uniform(128), _uniform(K1), 8.0, 10, 0.05, 1)
     assert _payload_digest(rep.to_dict()) == digest
+
+
+@pytest.mark.parametrize("args,digest", [
+    # filters off: the censuses read certified grids
+    (["--beta", "inf", "--M", "10"],
+     "8750c9c72a3ce828b26e193f6c97e95d330b606d5f0d8297180e9c1c380cbfa1"),
+    # filters on: float64 order-1 grids
+    (["--beta", "0.05", "--M", "20"],
+     "79c2b0595f0223a717ad80adcebdcb8aedc5b721f3fe795c1aa613d81bd40353"),
+], ids=["beta_inf", "beta_0.05"])
+def test_stability_cli_stdout_digest(capsys, args, digest):
+    assert main(["stability", "--preset", "uniform:128", "--preset2",
+                 "uniform:256", "--R", "8", *args, "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_pair_tables_and_first_draws_digest():

@@ -380,10 +380,12 @@ def test_no_warning_is_silenced(path):
     assert not silenced, f"{path.name} silences warnings at lines {silenced}"
 
 
-def test_only_the_census_batch_asks_for_certified_grids():
+def test_only_the_census_loops_ask_for_certified_grids():
     # estimators._batch, the one loop of both censuses, always asks
-    # evaluate_grid for a certified grid, and nothing else asks: the flips,
-    # the portraits, stability and the CLI evaluate float64 grids
+    # evaluate_grid for a certified grid; stability.sandwich_check asks for
+    # its two grids exactly at order 0, where only its censuses read them.
+    # Nothing else asks: the flips, the portraits, the stability profile and
+    # the CLI evaluate float64 grids
     asks = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -400,8 +402,10 @@ def test_only_the_census_batch_asks_for_certified_grids():
                     asks.append((path.stem, getattr(node, "name", None),
                                  ast.unparse(call.func),
                                  [ast.unparse(k) for k in call.keywords]))
+    sandwich = ("stability", "sandwich_check", "evaluate_grid",
+                ["order=order", "certified=not order"])
     assert asks == [("estimators", "_batch", "evaluate_grid",
-                     ["certified=True"])]
+                     ["certified=True"]), sandwich, sandwich]
 
 
 def _sign_grid_calls():

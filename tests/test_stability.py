@@ -1,11 +1,13 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nodalfields.errors import DomainMismatch
 from nodalfields.fields import (
+    ScalarGrid,
     SquareDomain,
     default_spacing,
     evaluate_batch,
@@ -13,7 +15,7 @@ from nodalfields.fields import (
     inject_sample,
     sample,
 )
-from nodalfields import stability
+from nodalfields import stability, topology
 from nodalfields.measures import (
     SpectralMeasure,
     antipodal_pairs,
@@ -29,7 +31,12 @@ from nodalfields.stability import (
     section7_measure,
     stability_profile,
 )
-from nodalfields.topology import count_components_plane
+from nodalfields.topology import (
+    TIE_TOL,
+    count_components_plane,
+    grid_signs,
+    sign_grid,
+)
 
 
 def rotated_axis_measure(eps, kappa="one"):
@@ -116,6 +123,91 @@ def test_subcensus_needs_an_aligned_subsquare_that_fits():
             stability._subcensus(g, R)
     with pytest.raises(DomainMismatch, match="grid-aligned"):
         stability._subcensus(g, 8.0 + 1 / 32)
+
+
+def _sandwich_spacing(f0, f1):
+    """sandwich_check's default spacing for the draw (f0, f1)."""
+    h = min(default_spacing(f0), default_spacing(f1))
+    return h if abs(math.remainder(1 / h, 1)) <= 1e-9 else 1 / math.ceil(1 / h)
+
+
+@pytest.mark.parametrize("rho0,rho1,R", [
+    (preset("uniform_circle", K=128), preset("uniform_circle", K=256), 8.0),
+    (preset("uniform_circle", K=16), preset("uniform_circle", K=32), 3.0),
+    (preset("cilleruelo"), preset("uniform_circle", K=64), 6.0)],
+    ids=["K128-K256", "K16-K32", "cilleruelo-K64"])
+def test_certified_subcensus_counts_are_the_float64_counts(rho0, rho1, R):
+    # every window of the sandwich, on both fields of each coupled draw
+    outer = SquareDomain(R + 1.0)
+    for i in range(40):
+        f0, f1 = coupled_sample(rho0, rho1, seed=21, stream=i)
+        h = _sandwich_spacing(f0, f1)
+        for f in (f0, f1):
+            g32 = evaluate_grid(f, outer, h, certified=True)
+            g64 = evaluate_grid(f, outer, h)
+            assert g32.values.dtype == np.float32 and g32.bound is not None
+            for r in (R - 1.0, R, R + 1.0):
+                assert (stability._subcensus(g32, r)
+                        == stability._subcensus(g64, r))
+
+
+def test_certified_subsquare_signs_its_planted_nodes_exactly(monkeypatch):
+    # float32 values planted on the first and last rows and columns of the
+    # strided R - 1 window of a certified grid, on the other side of the
+    # tie threshold from the field there: those 0.75 bound from it are
+    # evaluated at the window's own points and get the field's sign, those
+    # 1.25 bound from it keep their own.  The corners of a zero-mean saddle
+    # cell, moved half a bound against the field's centre mean, keep their
+    # signs, and the cell is joined by that mean's sign
+    f = sample(preset("uniform_circle", K=256), seed=3)
+    g = evaluate_grid(f, SquareDomain(9.0), 1 / 16, certified=True)
+    g64 = evaluate_grid(f, SquareDomain(9.0), 1 / 16)
+    k, n = 32, 225                   # the R - 1 window's offset and side
+    tie, b = -TIE_TOL, g.bound
+    lines = np.array([0, n - 1])
+    along = np.array([17, 60, 111, 170, 31, 143])
+    ii = np.concatenate([np.repeat(lines, 6), np.tile(along, 2)])
+    jj = np.concatenate([np.tile(along, 2), np.repeat(lines, 6)])
+    near = np.tile(np.arange(6) < 4, 4)
+    pts = np.column_stack([g.xs[k + ii], g.ys[k + jj]])
+    side = np.where(sign_grid(evaluate_batch(f, pts)), -1.0, 1.0)
+    planted = g.values.copy()
+    reference = g64.values.copy()
+    put = tie + side * np.where(near, 0.75, 1.25) * b
+    planted[k + ii, k + jj] = put
+    reference[k + ii[~near], k + jj[~near]] = put[~near]
+    # the saddle cell (c, c) of the window: +a on one diagonal, -a on the other
+    c, a = 100, 0.1
+    ci, cj = c + np.array([0, 1, 0, 1]), c + np.array([0, 0, 1, 1])
+    corners = np.column_stack([g.xs[k + ci], g.ys[k + cj]])
+    centre = sign_grid(np.array([evaluate_batch(f, corners).mean()]))
+    move = 0.5 * b if centre[0] else -0.5 * b
+    sad = tie + a * np.array([1.0, -1.0, -1.0, 1.0])
+    planted[k + ci, k + cj] = sad - move
+    reference[k + ci, k + cj] = sad + move
+    outer = replace(g, values=planted)
+    subs = []
+
+    def recording(sub):
+        subs.append(sub)
+        return count_components_plane(sub)
+
+    monkeypatch.setattr(stability, "count_components_plane", recording)
+    count = stability._subcensus(outer, 7.0)
+    monkeypatch.undo()
+    (sub,) = subs
+    assert sub.values.shape == (n, n) and not sub.values.flags.c_contiguous
+    pos = grid_signs(sub)
+    assert np.array_equal(pos[ii, jj], np.where(near, side < 0, side > 0))
+    assert np.array_equal(pos[ci, cj], sad > tie)
+    assert sign_grid(sub.values[ci, cj].mean(keepdims=True)) != centre
+    assert np.array_equal(topology._centre_signs(sub, np.array([c]),
+                                                 np.array([c])), centre)
+    window = slice(k, k + n)
+    ref = ScalarGrid(SquareDomain(7.0), g.h, g.xs[window], g.ys[window],
+                     reference[window, window])
+    assert np.array_equal(pos, grid_signs(ref))
+    assert count == count_components_plane(ref).interior_components
 
 
 def test_coupled_sample_identical_measures():
@@ -218,16 +310,37 @@ def test_transport_plan_is_kept_per_measure_pair():
 @pytest.mark.parametrize("beta,order", [(math.inf, 0), (0.05, 1)])
 def test_sandwich_evaluates_derivatives_only_for_the_filters(monkeypatch, beta,
                                                              order):
-    orders = []
+    # the censuses read signs only: at beta = inf both grids of a draw are
+    # certified.  The filters read float64 order-1 grids, f1's only for a
+    # draw whose f0 passes the stability filter
+    draws, grids = [], []
 
-    def recording(s, domain, h=None, order=0):
-        orders.append(order)
-        return evaluate_grid(s, domain, h, order)
+    def drawing(*args, **kwargs):
+        draws.append(coupled_sample(*args, **kwargs))
+        return draws[-1]
 
+    def recording(s, domain, h=None, order=0, certified=False):
+        g = evaluate_grid(s, domain, h, order, certified)
+        grids.append((s, order, certified, g))
+        return g
+
+    monkeypatch.setattr(stability, "coupled_sample", drawing)
     monkeypatch.setattr(stability, "evaluate_grid", recording)
-    u = preset("uniform_circle", K=16)
-    sandwich_check(u, u, R=2.0, M=3, beta=beta, seed=1)
-    assert orders == [order] * 6
+    u = preset("uniform_circle", K=32)
+    sandwich_check(u, u, R=3.0, M=3, beta=beta, seed=1)
+    label = {id(f): (i, k) for i, pair in enumerate(draws)
+             for k, f in enumerate(pair)}
+    got = [(label[id(s)], o, c) for s, o, c, _ in grids]
+    if order == 0:
+        want = [((i, k), 0, True) for i in range(3) for k in (0, 1)]
+        assert all(g.bound is not None for *_, g in grids)
+    else:
+        stable = [stability._minmax(g) > 2 * beta
+                  for s, *_, g in grids if label[id(s)][1] == 0]
+        assert len(stable) == 3 and 0 < sum(stable) < 3
+        want = [((i, k), 1, False) for i, ok in enumerate(stable)
+                for k in (0, 1)[:1 + ok]]
+    assert got == want
 
 
 def test_coupled_sample_marginal_law():

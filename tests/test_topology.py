@@ -11,6 +11,7 @@ from nodalfields.arithmetic import (cilleruelo_torus_field, mu_n,
                                    sample_torus_wave, torus_spacing)
 from nodalfields.errors import EmptyGrid, GridTooCoarse
 from nodalfields.fields import (
+    FieldSample,
     ScalarGrid,
     SquareDomain,
     TorusDomain,
@@ -1442,6 +1443,14 @@ def test_flip_count_matches_newton_oracle():
     assert n_port == n_oracle
 
 
+def _unchecked_sample(rho, coeffs, origin_coeff=0.0):
+    """A FieldSample of the given pairs, built without inject_sample's
+    finiteness check, so that the readers' own checks can be tested."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    return FieldSample(measure=rho, coeff_a=coeffs[:, 0].copy(),
+                       coeff_b=coeffs[:, 1].copy(), origin_coeff=origin_coeff)
+
+
 def test_curve_intersections_sine():
     # f = sin(x1) via the two-point measure with injected coefficients
     tp = preset("two_point", theta=0.0, kappa="one")
@@ -1465,7 +1474,7 @@ def test_curve_intersections_sine():
     # f itself must be finite where it is sampled
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="not finite on the segment"):
-            count_curve_intersections(inject_sample(tp, [(0.0, bad)]),
+            count_curve_intersections(_unchecked_sample(tp, [(0.0, bad)]),
                                       (0.1, 0.3), (2.0, 0.3))
 
 
@@ -1752,9 +1761,9 @@ def test_certified_grid_of_non_finite_coefficients_is_empty(bad):
     previous = signal.signal(signal.SIGALRM, hang)
     signal.setitimer(signal.ITIMER_REAL, 10.0)
     try:
-        for t in (inject_sample(rho, np.where(np.eye(len(coeffs), 2), bad,
-                                              coeffs)),
-                  inject_sample(rho, coeffs, origin_coeff=bad)):
+        for t in (_unchecked_sample(rho, np.where(np.eye(len(coeffs), 2),
+                                                  bad, coeffs)),
+                  _unchecked_sample(rho, coeffs, origin_coeff=bad)):
             with pytest.raises(EmptyGrid):
                 count_components_plane(
                     evaluate_grid(t, SquareDomain(2.0), certified=True))
