@@ -78,8 +78,8 @@ def estimate_mean_count(rho: SpectralMeasure, R: float, M: int,
     """(mean, stderr) of the interior component count on [-R, R]^2."""
     if M < 10:
         raise ValueError("need M >= 10")
-    if R < 1:
-        raise ValueError("need R >= 1")
+    if not (math.isfinite(R) and R >= 1):
+        raise ValueError(f"need R >= 1 and finite, got {R}")
     counts = interior_counts(rho, R, M, h, seed, stream_base)
     return float(counts.mean()), float(counts.std(ddof=1) / math.sqrt(M))
 
@@ -168,8 +168,8 @@ def estimate_dns(rho: SpectralMeasure, R: float, M: int, seed: int,
     """
     if M < 1:
         raise ValueError("need M >= 1")
-    if R < 1:
-        raise ValueError("need R >= 1")
+    if not (math.isfinite(R) and R >= 1):
+        raise ValueError(f"need R >= 1 and finite, got {R}")
     if not math.isfinite(cns_estimate):
         raise ValueError(f"plug-in c must be finite, got {cns_estimate}")
     counts = interior_counts(rho, R, M, h, seed)

@@ -24,7 +24,10 @@ A reader of signs only, such as a census, takes a certified grid: a float32
 product whose rounding error has a bound (N. J. Higham, Accuracy and
 Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 3.1).  This
 module certifies no sign: ``topology.grid_signs`` gives each node the sign
-of a float64 value, from ``evaluate_batch`` where the bound cannot decide.
+of a float64 value, from the grid's own float64 tables where the bound
+cannot decide.  A certified grid carries read-only views of the tables its
+float32 factors were cast from, so such a value is the float64 product's
+formula at that node, with no trigonometry and no copy.
 """
 
 from __future__ import annotations
@@ -133,10 +136,14 @@ class ScalarGrid:
     its derivatives there, or None.  Grids from evaluate_grid share their
     read-only axes with every grid of the same lattice.  A certified grid
     (``evaluate_grid(..., certified=True)``) has float32 values within
-    bound of the float64 grid's, and keeps its sample, from which its
-    signs are read (``topology.grid_signs``): a node's float32 value may
-    sit on the other side of the tie threshold, its sign may not.  Both
-    are None on a float64 grid.
+    bound of the float64 values of its sample, and keeps that sample and
+    tables = (U, cy, sy), read-only views of the float64 x table (nx, 2m)
+    and y tables (m, ny) its product was cast from, from which its signs
+    are read (``topology.grid_signs``): a node's float32 value may sit on
+    the other side of the tie threshold, its sign may not.  The tables
+    are the measure's slot arrays, or slices of them with the grid's
+    axes (``stability._subcensus``).  sample, bound and tables are None
+    on a float64 grid.
     """
 
     domain: object
@@ -151,6 +158,7 @@ class ScalarGrid:
     d22: np.ndarray | None = None
     sample: FieldSample | None = None
     bound: float | None = None
+    tables: tuple | None = None
 
     @property
     def periodic(self) -> bool:
@@ -313,26 +321,47 @@ def _axis_tables(s: FieldSample, domain, h: float):
 def _float32_bound(s: FieldSample, origin: float) -> float | None:
     """The bound of a certified grid of s, or None where s has none.
 
-    With |U| <= 1, by Cauchy-Schwarz over each pair's (cos, sin) entries
-    the terms of a node's product sum to at most A = sum_k sqrt(W_k)
-    |(a_k, b_k)|.  A float32 product of the 2m-term dot products, casts of
-    U and V included, then errs by at most about (2m + 2) 2^-24 A, and
-    adding origin by 2^-24 (A + 2 |origin|), so
+    The reference is the float64 product of the same tables: U[i] . V[:, j]
+    plus origin, V folded in float64 from the y tables, the value
+    ``topology._node_values`` gives node (i, j).  With |U| <= 1, by
+    Cauchy-Schwarz over each pair's (cos, sin) entries the terms of a
+    node's product sum to at most A = sum_k sqrt(W_k) |(a_k, b_k)|.  A
+    float32 product of the 2m-term dot products, casts of U and V
+    included, then errs from the exact product of those float64 factors
+    by at most about (2m + 2) 2^-24 A, and adding origin by
+    2^-24 (A + 2 |origin|), so
 
         bound = (2m + 4) (2^-23 (A + |origin|) + 2^-124)
 
-    is about twice that.  The slack covers the float64 grid's own rounding
-    and terms of order 2^-48, and the last term float32 underflow, where
-    each operation may err by 2^-126 absolute.  Coefficients that are not
-    finite, or whose A + |origin| passes MAX_FLOAT32_SCALE, get None: their
-    grid is float64, and ``topology.grid_signs`` checks it for non-finite
-    values where its signs are read.  A grid with a bound is not checked.
+    is about twice that.  The slack covers the float64 reference's own
+    rounding, about 2m 2^-53 A in any summation order, and terms of order
+    2^-48, and the last term float32 underflow, where each operation may
+    err by 2^-126 absolute.  Coefficients that are not finite, or whose
+    A + |origin| passes MAX_FLOAT32_SCALE, get None: their grid is
+    float64, and ``topology.grid_signs`` checks it for non-finite values
+    where its signs are read.  A grid with a bound is not checked.
     """
     scale = (float(s.amplitudes() @ np.hypot(s.coeff_a, s.coeff_b))
              + abs(origin))
     if not scale <= MAX_FLOAT32_SCALE:
         return None
     return (2 * len(s.coeff_a) + 4) * (scale * 2.0**-23 + 2.0**-124)
+
+
+def _fold_pairs(t: FieldSample, cy: np.ndarray, sy: np.ndarray,
+               S1: np.ndarray, S2: np.ndarray) -> None:
+    """Fill S1 = wa cy + wb sy and S2 = wb cy - wa sy, the right factor of
+    a product with U = [cos, sin](xs c1), for the weighted pairs wa, wb of
+    t: cos(c1 x + c2 y) = cos(c1 x) cos(c2 y) - sin(c1 x) sin(c2 y), and
+    sin alike.  cy, sy are (m, n), one row per pair, at any n columns of
+    the y tables; an entry's bits do not depend on the columns taken or
+    on the layout of S1 and S2."""
+    amp = t.amplitudes()
+    wa, wb = (amp * t.coeff_a)[:, None], (amp * t.coeff_b)[:, None]
+    np.multiply(wa, cy, out=S1)
+    S1 += wb * sy
+    np.multiply(wb, cy, out=S2)
+    S2 -= wa * sy
 
 
 def evaluate_grid(s: FieldSample, domain, h: float | None = None,
@@ -356,8 +385,9 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
     certified=True, for order 0 only, asks for a certified grid (see
     ScalarGrid): V is folded in float64 and cast, and the product takes
     the float32 copy of U, about twice as fast as float64 on one core.
-    The grid carries its float32 values, their bound (``_float32_bound``)
-    and s; its signs come from ``topology.grid_signs``.  Coefficients with
+    The grid carries its float32 values, their bound (``_float32_bound``),
+    s, and the float64 tables U, cy, sy, read-only and not copied; its
+    signs come from ``topology.grid_signs``.  Coefficients with
     no bound (not finite, or too large for float32) give a float64 grid.
     """
     if order not in (0, 1, 2):
@@ -375,6 +405,7 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
                       stacklevel=2)
     origin = s.origin_coeff * math.sqrt(s.origin_weight)
     bound = _float32_bound(s, origin) if certified else None
+    tables = U, cy, sy                      # before U turns float32
     samples = [s]
     if order >= 1:
         e1, e2 = np.eye(2)
@@ -393,12 +424,7 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
     S1, S2 = V[:m], V[m:]                   # pairs along rows
     grids = []
     for t in samples:
-        amp = t.amplitudes()
-        wa, wb = (amp * t.coeff_a)[:, None], (amp * t.coeff_b)[:, None]
-        np.multiply(wa, cy, out=S1)
-        S1 += wb * sy
-        np.multiply(wb, cy, out=S2)
-        S2 -= wa * sy
+        _fold_pairs(t, cy, sy, S1, S2)
         if bound is not None:               # the one grid, in float32
             U, V = U32, V.astype(np.float32)
         grids.append(U @ V)
@@ -406,8 +432,10 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
         # a zero constant could only turn a -0.0 node into +0.0, which the
         # tie rule and every reader treat alike
         grids[0] += origin
-    return ScalarGrid(domain, h_eff, xs, ys, *grids, bound=bound,
-                      sample=None if bound is None else s)
+    if bound is None:
+        return ScalarGrid(domain, h_eff, xs, ys, *grids)
+    return ScalarGrid(domain, h_eff, xs, ys, *grids, sample=s, bound=bound,
+                      tables=tables)
 
 
 def cilleruelo_field(seed: int, stream: int = 0) -> FieldSample:

@@ -207,8 +207,9 @@ def _subcensus(grid: ScalarGrid, R_inner: float) -> int:
 
     The subsquare is a strided view of the grid's values with its own
     sliced axes, and keeps the grid's sample and bound: a subsquare of a
-    certified grid is certified, and the nodes and saddle centres its
-    bound leaves undecided are evaluated at the subsquare's own points.
+    certified grid is certified.  Its tables are the grid's, sliced with
+    it (views, no copy), so the nodes and saddle centres its bound leaves
+    undecided are valued at the subsquare's own nodes.
     Raises DomainMismatch where the subsquare is not grid-aligned or does not
     fit in the grid.
     """
@@ -221,10 +222,14 @@ def _subcensus(grid: ScalarGrid, R_inner: float) -> int:
         raise DomainMismatch(f"subsquare R={R_inner:g} does not fit in the "
                              f"grid's square R={R_outer:g}")
     sl = slice(k, grid.values.shape[0] - k)
+    tables = grid.tables
+    if tables is not None:
+        U, cy, sy = tables
+        tables = U[sl], cy[:, sl], sy[:, sl]
     sub = ScalarGrid(domain=SquareDomain(R_inner), h=grid.h,
                      xs=grid.xs[sl], ys=grid.ys[sl],
                      values=grid.values[sl, sl],
-                     sample=grid.sample, bound=grid.bound)
+                     sample=grid.sample, bound=grid.bound, tables=tables)
     return count_components_plane(sub).interior_components
 
 
@@ -246,8 +251,8 @@ def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,
     whose lattice on R + 1 passes the node cap of ``grid_axes``, raises
     ValueError before the first draw.
     """
-    if R < 1:
-        raise ValueError("need R >= 1")
+    if not (math.isfinite(R) and R >= 1):
+        raise ValueError(f"need R >= 1 and finite, got {R}")
     if M < 1:
         raise ValueError("need M >= 1")
     if not beta > 0:

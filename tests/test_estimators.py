@@ -92,6 +92,20 @@ def test_bad_schedule_radii_fail_before_the_first_draw(monkeypatch,
     assert cli.main(argv) == 2
 
 
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_non_finite_radius_fails_before_the_first_draw(monkeypatch, R):
+    # NaN passed the former guard R < 1, and NaN and inf alike failed only
+    # in grid_axes, after the first draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sample called before R was checked")
+
+    monkeypatch.setattr(estimators, "sample", no_draw)
+    with pytest.raises(ValueError, match="need R >= 1 and finite"):
+        estimate_mean_count(U32, R, M=10, seed=1)
+    with pytest.raises(ValueError, match="need R >= 1 and finite"):
+        estimate_dns(U32, R, M=3, seed=1, cns_estimate=0.1)
+
+
 def test_determinism():
     r1 = estimate_mean_count(U32, R=6.0, M=16, seed=9)
     r2 = estimate_mean_count(U32, R=6.0, M=16, seed=9)

@@ -12,7 +12,9 @@ flood-fill oracle of tests/test_topology.py as the census.  The three
 sandwich digests were re-derived when the sandwich report began to carry
 its seed: each is the digest of the former payload with "seed": 1 added.
 The two stability CLI digests are of the whole stdout, taken while every
-sandwich grid was float64.
+sandwich grid was float64.  The certificate digests were taken while the
+certificate valued its undecided nodes with ``evaluate_batch``, before it
+read them from the grid's own float64 tables.
 Regenerate them only with a change that alters seeded output on purpose,
 and say so.
 """
@@ -26,6 +28,7 @@ import math
 import numpy as np
 import pytest
 
+from nodalfields import topology
 from nodalfields.arithmetic import cilleruelo_torus_field, mu_n
 from nodalfields.cli import main
 from nodalfields.estimators import estimate_cns, torus_count_report
@@ -61,6 +64,37 @@ WORKLOADS = {
 def test_workload_payload_digest(name):
     run, want = WORKLOADS[name]
     assert _payload_digest(run().to_dict()) == want
+
+
+# certified grids on which the bound leaves many nodes and saddle centres
+# undecided, so that their payloads pin the float64 values that sign them
+CERTIFICATE_WORKLOADS = {
+    "sandwich_K128_K256": (
+        lambda: sandwich_check(_uniform(128), _uniform(256), 8.0, 10,
+                               math.inf, 2),
+        "14fdc8e38c502a8091943eb4254d2f96eafca59e95cce04ab7b0ce86bea5ef20"),
+    "cns_K256": (
+        lambda: estimate_cns(_uniform(256), [4, 6, 8], 10, 3),
+        "58acf0959be6768b7cef4b5a017376302a136371879d5b601690610cf00ca6dd"),
+    "torus_1105": (
+        lambda: torus_count_report(1105, 2, seed=3, planar_M=10),
+        "38d874cd17e043bbd84814c695b15892e7189ba7dd30f200c5b954b7295fff9b"),
+}
+
+
+def test_certificate_payload_digests(monkeypatch):
+    valued = []
+    node_values = topology._node_values
+
+    def recording(g, flat):
+        valued.append(len(flat))
+        return node_values(g, flat)
+
+    monkeypatch.setattr(topology, "_node_values", recording)
+    for name, (run, want) in CERTIFICATE_WORKLOADS.items():
+        assert _payload_digest(run().to_dict()) == want, name
+    # the pins exercise the valuation of undecided nodes
+    assert sum(valued) >= 300
 
 
 @pytest.mark.parametrize("K1,digest", [

@@ -155,7 +155,7 @@ def test_certified_subsquare_signs_its_planted_nodes_exactly(monkeypatch):
     # float32 values planted on the first and last rows and columns of the
     # strided R - 1 window of a certified grid, on the other side of the
     # tie threshold from the field there: those 0.75 bound from it are
-    # evaluated at the window's own points and get the field's sign, those
+    # valued at the window's own nodes and get the field's sign, those
     # 1.25 bound from it keep their own.  The corners of a zero-mean saddle
     # cell, moved half a bound against the field's centre mean, keep their
     # signs, and the cell is joined by that mean's sign
@@ -414,6 +414,19 @@ def test_sandwich_needs_unit_radius():
     u = preset("uniform_circle", K=16)
     with pytest.raises(ValueError, match="need R >= 1"):
         sandwich_check(u, u, R=0.5, M=2, beta=math.inf, seed=1)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_sandwich_rejects_a_non_finite_radius_before_drawing(monkeypatch, R):
+    # NaN passed the former guard R < 1: the plan was built and a coupled
+    # draw made before grid_axes refused the outer square
+    def no_draw(*args, **kwargs):
+        raise AssertionError("coupled_sample called before R was checked")
+
+    monkeypatch.setattr(stability, "coupled_sample", no_draw)
+    u16, u32 = (preset("uniform_circle", K=K) for K in (16, 32))
+    with pytest.raises(ValueError, match="need R >= 1 and finite"):
+        sandwich_check(u16, u32, R, 2, math.inf, 1)
 
 
 def test_sandwich_needs_a_draw():

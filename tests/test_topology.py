@@ -1630,9 +1630,9 @@ def _planted_nodes(monkeypatch, g, flat):
     float32 values 1 but at the nodes flat, the first half a quarter of the
     bound inside it and the second a quarter outside, on alternate sides of
     the tie threshold; reference is the float64 grid of the same values but
-    at the inside nodes, which hold their float64 values.  Asserts that
-    grid_signs evaluates exactly the inside nodes, in one call, and gives
-    planted the signs of reference."""
+    at the inside nodes, which hold their float64 values from g's tables.
+    Asserts that grid_signs values exactly the inside nodes from the
+    tables, in one call, and gives planted the signs of reference."""
     half = len(flat) // 2
     inside, outside = np.sort(flat[:half]), flat[half:]
     side = np.where(np.arange(len(outside)) % 2, 1.0, -1.0)
@@ -1641,30 +1641,31 @@ def _planted_nodes(monkeypatch, g, flat):
     values.flat[outside] = tie + side * 1.25 * g.bound
     planted = replace(g, values=values.astype(np.float32))
     planted.values.flat[inside] = tie + side[:half] * 0.75 * g.bound
-    evaluated = []
+    valued = []
+    node_values = topology._node_values
 
-    def batch(s, pts):
-        evaluated.append(pts)
-        return evaluate_batch(s, pts)
+    def tabled(grid, k):
+        valued.append(k.copy())
+        return node_values(grid, k)
 
-    monkeypatch.setattr(topology, "evaluate_batch", batch)
+    monkeypatch.setattr(topology, "_node_values", tabled)
     pos = grid_signs(planted)
     monkeypatch.undo()
-    (pts,) = evaluated
-    i, j = np.divmod(inside, values.shape[1])
-    assert np.array_equal(pts, np.column_stack([g.xs[i], g.ys[j]]))
-    values.flat[inside] = evaluate_batch(g.sample, pts)
-    reference = replace(g, values=values, bound=None, sample=None)
+    (k,) = valued
+    assert np.array_equal(k, inside)
+    values.flat[inside] = node_values(g, inside)
+    reference = replace(g, values=values, bound=None, sample=None,
+                        tables=None)
     assert np.array_equal(pos, grid_signs(reference))
     assert np.array_equal(pos.flat[outside], side > 0)
     return planted, reference
 
 
 def test_certified_nodes_just_inside_and_just_outside_the_bound(monkeypatch):
-    # planted float32 values a quarter of the bound inside it are
-    # evaluated and get the float64 sign, those a quarter outside are not;
-    # the grid spans several strips of the certificate, and nodes are
-    # planted on either side of the first strips' ends
+    # planted float32 values a quarter of the bound inside it are valued
+    # from the grid's tables and get the float64 sign, those a quarter
+    # outside are not; the grid spans several strips of the certificate,
+    # and nodes are planted on either side of the first strips' ends
     s = sample(preset("uniform_circle", K=16), 8, 0)
     g = evaluate_grid(s, SquareDomain(12.0), 1 / 32, certified=True)
     assert g.bound == pytest.approx(_stated_bound(s), rel=1e-12)
@@ -1812,8 +1813,8 @@ def test_certified_torus_counts_are_the_float64_counts(draw, h):
 
 def test_certified_torus_nodes_on_the_last_row_and_column(monkeypatch):
     # planted values the bound cannot sign, on the last row and column of
-    # a torus grid, are evaluated at their own nodes, and the torus census
-    # counts the components of their float64 values
+    # a torus grid, are valued at their own nodes from the grid's tables,
+    # and the torus census counts the components of their float64 values
     s = sample_torus_wave(65, 3, 0)
     g = evaluate_grid(s, TorusDomain(), torus_spacing(65), certified=True)
     nx, ny = g.values.shape
@@ -1855,3 +1856,142 @@ def test_certified_torus_saddle_centre_across_the_seams():
                           topology._centre_signs(g64, i, i))
     assert np.array_equal(marching_segments(g32), marching_segments(g64))
     _assert_certified_census(g32, g64)
+
+
+# the certificate's float64 values: a certified grid carries the float64
+# tables its float32 product was cast from, and an undecided node is valued
+# from them, the same formula as the float64 grid's product
+
+def _subsquare(monkeypatch, g, R):
+    """The sub-square of g that ``stability._subcensus`` counts on [-R, R]^2."""
+    subs = []
+
+    def recording(sub):
+        subs.append(sub)
+        return count_components_plane(sub)
+
+    with monkeypatch.context() as m:
+        m.setattr(stability, "count_components_plane", recording)
+        stability._subcensus(g, R)
+    (sub,) = subs
+    return sub
+
+
+def _origin_atom_measure():
+    return make_atomic([((0.0, 0.0), 0.2), ((0.6, 0.8), 0.2),
+                        ((-0.6, -0.8), 0.2), ((1.0, 0.0), 0.2),
+                        ((-1.0, 0.0), 0.2)])
+
+
+NODE_VALUE_GRIDS = {
+    "K16": lambda mp: evaluate_grid(sample(preset("uniform_circle", K=16), 9),
+                                    SquareDomain(6.0), certified=True),
+    "K64": lambda mp: evaluate_grid(sample(preset("uniform_circle", K=64), 9),
+                                    SquareDomain(5.0), certified=True),
+    "K256": lambda mp: evaluate_grid(
+        sample(preset("uniform_circle", K=256), 9), SquareDomain(4.0),
+        certified=True),
+    "mu65": lambda mp: evaluate_grid(sample_torus_wave(65, 9, 0),
+                                     TorusDomain(), torus_spacing(65),
+                                     certified=True),
+    "mu1105": lambda mp: evaluate_grid(sample_torus_wave(1105, 9, 0),
+                                       TorusDomain(), torus_spacing(1105),
+                                       certified=True),
+    "origin-atom": lambda mp: evaluate_grid(sample(_origin_atom_measure(), 4),
+                                            SquareDomain(4.0), certified=True),
+    "section7-f": lambda mp: evaluate_grid(stability.section7_field("f"),
+                                           SquareDomain(6.0), certified=True),
+    # the strided R - 1 window of the sandwich at R = 8
+    "subsquare-K128": lambda mp: _subsquare(mp, evaluate_grid(
+        sample(preset("uniform_circle", K=128), 9), SquareDomain(9.0), 1 / 16,
+        certified=True), 7.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_VALUE_GRIDS))
+def test_node_values_are_the_exact_values_at_the_nodes(monkeypatch, name):
+    # within 2^-40 (A + |origin|) of evaluate_batch at the node's point,
+    # A = sum_k sqrt(W_k) |(a_k, b_k)|: far below the bound of about
+    # 2^-23 (2m + 4) (A + |origin|), so the certificate signs a float64
+    # value of the field at every node, the last row and column included
+    g = NODE_VALUE_GRIDS[name](monkeypatch)
+    s = g.sample
+    assert g.values.dtype == np.float32 and g.bound is not None
+    if name == "origin-atom":
+        assert s.origin_coeff * s.origin_weight != 0.0
+    nx, ny = g.values.shape
+    rng = np.random.default_rng(11)
+    flat = np.concatenate([rng.choice(nx * ny, 300, replace=False),
+                           (nx - 1) * ny + np.arange(ny),
+                           np.arange(nx) * ny + ny - 1])
+    i, j = np.divmod(flat, ny)
+    exact = evaluate_batch(s, np.column_stack([g.xs[i], g.ys[j]]))
+    origin = abs(s.origin_coeff) * math.sqrt(s.origin_weight)
+    A = float(np.sqrt(s.pair_weights) @ np.hypot(s.coeff_a, s.coeff_b))
+    tol = 2.0**-40 * (A + origin)
+    assert tol < 1e-6 * g.bound
+    assert np.abs(topology._node_values(g, flat) - exact).max() <= tol
+
+
+def test_node_values_do_not_depend_on_the_batch():
+    g = evaluate_grid(sample(preset("uniform_circle", K=256), 5),
+                      SquareDomain(4.0), certified=True)
+    flat = np.random.default_rng(2).choice(g.values.size, 400, replace=False)
+    alone = np.concatenate([topology._node_values(g, flat[k:k + 1])
+                            for k in range(len(flat))])
+    for n in (7, 37, 400):
+        batched = np.concatenate([topology._node_values(g, flat[k:k + n])
+                                  for k in range(0, len(flat), n)])
+        assert batched.tobytes() == alone.tobytes()
+
+
+def test_certified_grid_tables_are_the_measure_tables(monkeypatch):
+    # no copy: a certified grid's tables are the read-only float64 tables
+    # of the measure's slot, and a sub-square's are views of its grid's
+    s = sample(preset("uniform_circle", K=128), 9)
+    g = evaluate_grid(s, SquareDomain(9.0), 1 / 16, certified=True)
+    _, (_, _, _, U, _, cy, sy) = s.measure.__dict__["_axis_tables"]
+    for got, kept in zip(g.tables, (U, cy, sy)):
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert np.shares_memory(got, kept)
+    sub = _subsquare(monkeypatch, g, 7.0)
+    assert sub.tables[0].shape == (len(sub.xs), U.shape[1])
+    assert sub.tables[1].shape == sub.tables[2].shape == (len(cy), len(sub.ys))
+    for got, parent in zip(sub.tables, g.tables):
+        assert np.shares_memory(got, parent)
+    # a float64 grid carries none
+    assert evaluate_grid(s, SquareDomain(9.0), 1 / 16).tables is None
+
+
+def test_census_certificates_evaluate_no_point(monkeypatch):
+    # the estimates' and the sandwich's censuses value their undecided
+    # nodes from the grids' tables; the flips still evaluate their ports
+    # and midpoints off the lattice
+    from nodalfields.estimators import estimate_cns, torus_count_report
+
+    batches, valued = [], []
+    node_values = topology._node_values
+
+    def batch(s, pts):
+        batches.append(len(pts))
+        return evaluate_batch(s, pts)
+
+    def tabled(g, flat):
+        valued.append(len(flat))
+        return node_values(g, flat)
+
+    def uniform(K):
+        return preset("uniform_circle", K=K)
+
+    monkeypatch.setattr(topology, "evaluate_batch", batch)
+    monkeypatch.setattr(topology, "_node_values", tabled)
+    for run in (lambda: estimate_cns(uniform(64), [2.5, 5, 10], 10, 1),
+                lambda: torus_count_report(65, 2, seed=1, planar_M=10),
+                lambda: stability.sandwich_check(uniform(128), uniform(256),
+                                                 8.0, 3, math.inf, 1)):
+        batches.clear()
+        valued.clear()
+        run()
+        assert batches == [] and sum(valued) > 0
+    count_flips(sample(U64, 2, 0), SquareDomain(10.0))
+    assert sum(batches) > 0
