@@ -124,9 +124,11 @@ def cmd_dns(args) -> int:
     from .estimators import estimate_cns, estimate_dns
 
     rho = _resolve_measure(args)
-    if args.cns is not None:
-        c = args.cns
-    else:
+    c = args.cns
+    if c is None:
+        if not (math.isfinite(args.R) and args.R >= 4):
+            raise NodalError(f"without --cns, c is fit over R/4, R/2 and R: "
+                             f"--R must be finite and >= 4, got {args.R:g}")
         schedule = [args.R / 4.0, args.R / 2.0, float(args.R)]
         c = estimate_cns(rho, schedule, args.M, args.seed, args.h).cns_estimate
     d = estimate_dns(rho, args.R, args.M, args.seed, c, args.h)

@@ -24,10 +24,10 @@ A reader of signs only, such as a census, takes a certified grid: a float32
 product whose rounding error has a bound (N. J. Higham, Accuracy and
 Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 3.1).  This
 module certifies no sign: ``topology.grid_signs`` gives each node the sign
-of a float64 value, from the grid's own float64 tables where the bound
-cannot decide.  A certified grid carries read-only views of the tables its
-float32 factors were cast from, so such a value is the float64 product's
-formula at that node, with no trigonometry and no copy.
+of a float64 value where the bound cannot decide.  A certified grid carries
+read-only views of the float64 tables its float32 factors were cast from;
+only ``ScalarGrid`` reads them, to value a node with the float64 product's
+formula, with no trigonometry and no copy, and to cut a sub-square.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse
+from .errors import DomainMismatch, GridTooCoarse
 from .measures import SpectralMeasure, _slot, antipodal_pairs, preset
 
 # Resolution rule: at least this many grid nodes per minimal wavelength before
@@ -115,6 +115,10 @@ class FieldSample:
         return self.measure.pair_table[2]
 
     @property
+    def origin_term(self) -> float:
+        return self.origin_coeff * math.sqrt(self.origin_weight)
+
+    @property
     def frequencies(self) -> np.ndarray:
         """(m, 2) angular frequency vectors kappa * freq_scale * xi_k."""
         return self.measure.kappa_value * self.freq_scale * self.reps
@@ -138,12 +142,12 @@ class ScalarGrid:
     (``evaluate_grid(..., certified=True)``) has float32 values within
     bound of the float64 values of its sample, and keeps that sample and
     tables = (U, cy, sy), read-only views of the float64 x table (nx, 2m)
-    and y tables (m, ny) its product was cast from, from which its signs
-    are read (``topology.grid_signs``): a node's float32 value may sit on
-    the other side of the tie threshold, its sign may not.  The tables
-    are the measure's slot arrays, or slices of them with the grid's
-    axes (``stability._subcensus``).  sample, bound and tables are None
-    on a float64 grid.
+    and y tables (m, ny) its product was cast from: a node's float32
+    value may sit on the other side of the tie threshold, its sign
+    (``topology.grid_signs``) may not, being that of ``node_values``
+    where the bound cannot decide.  The tables are the measure's slot
+    arrays, or slices of them with the grid's axes (``window``); no other
+    module reads them.  sample, bound and tables are None on a float64 grid.
     """
 
     domain: object
@@ -163,6 +167,44 @@ class ScalarGrid:
     @property
     def periodic(self) -> bool:
         return isinstance(self.domain, TorusDomain)
+
+    def node_values(self, flat: np.ndarray) -> np.ndarray:
+        """The float64 values of this certified grid at the nodes of flat
+        indices flat, from its tables: node (i, j) is U[i] . V[:, j] plus
+        the origin term, its column V[:, j] folded from the y tables as
+        ``evaluate_grid`` folds V.  That is the float64 grid's product
+        summed in another order, and no phase is taken.  Each node's 2m
+        terms are one row, summed on its own, so a node's value does not
+        depend on the batch it comes in."""
+        i, j = np.divmod(flat, len(self.ys))
+        U, cy, sy = self.tables
+        m = len(cy)
+        terms = np.empty((len(flat), 2 * m))
+        # the y columns are gathered as rows, so the fold runs along the pairs
+        _fold_pairs(self.sample, cy.T[j].T, sy.T[j].T, terms[:, :m].T,
+                    terms[:, m:].T)
+        terms *= U[i]
+        return terms.sum(axis=1) + self.sample.origin_term
+
+    def window(self, R: float) -> ScalarGrid:
+        """The centred sub-square [-R, R]^2 of this square grid, values
+        only: views of its values, axes and tables, with its sample and
+        bound.  DomainMismatch, naming R and the domain, where none fits
+        (on a torus, or R NaN or infinite) or R is off the lattice."""
+        if not (isinstance(self.domain, SquareDomain)
+                and 0 <= R <= self.domain.R):
+            raise DomainMismatch(f"sub-square R={R} does not fit in the "
+                                 f"{self.domain.descriptor()} grid")
+        k = int(round((self.domain.R - R) / self.h))
+        if abs(k * self.h - (self.domain.R - R)) > 1e-9:
+            raise DomainMismatch(f"sub-square R={R} is not grid-aligned")
+        sl = slice(k, len(self.xs) - k)
+        tables = self.tables                # U, cy, sy
+        if tables is not None:
+            tables = tables[0][sl], tables[1][:, sl], tables[2][:, sl]
+        return ScalarGrid(SquareDomain(R), self.h, self.xs[sl], self.ys[sl],
+                          self.values[sl, sl], sample=self.sample,
+                          bound=self.bound, tables=tables)
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
@@ -228,7 +270,7 @@ def evaluate_batch(s: FieldSample, pts) -> np.ndarray:
     np.sin(ph, out=ph)
     ph *= amp * s.coeff_b
     terms += ph
-    return terms.sum(axis=1) + s.origin_coeff * math.sqrt(s.origin_weight)
+    return terms.sum(axis=1) + s.origin_term
 
 
 def _slope_sample(s: FieldSample, d: np.ndarray) -> FieldSample:
@@ -318,12 +360,12 @@ def _axis_tables(s: FieldSample, domain, h: float):
     return _slot(s.measure, "_axis_tables", (s.freq_scale, domain, h), build)
 
 
-def _float32_bound(s: FieldSample, origin: float) -> float | None:
+def _float32_bound(s: FieldSample) -> float | None:
     """The bound of a certified grid of s, or None where s has none.
 
     The reference is the float64 product of the same tables: U[i] . V[:, j]
-    plus origin, V folded in float64 from the y tables, the value
-    ``topology._node_values`` gives node (i, j).  With |U| <= 1, by
+    plus origin = s.origin_term, V folded in float64 from the y tables,
+    the value ``ScalarGrid.node_values`` gives node (i, j).  With |U| <= 1, by
     Cauchy-Schwarz over each pair's (cos, sin) entries the terms of a
     node's product sum to at most A = sum_k sqrt(W_k) |(a_k, b_k)|.  A
     float32 product of the 2m-term dot products, casts of U and V
@@ -342,7 +384,7 @@ def _float32_bound(s: FieldSample, origin: float) -> float | None:
     where its signs are read.  A grid with a bound is not checked.
     """
     scale = (float(s.amplitudes() @ np.hypot(s.coeff_a, s.coeff_b))
-             + abs(origin))
+             + abs(s.origin_term))
     if not scale <= MAX_FLOAT32_SCALE:
         return None
     return (2 * len(s.coeff_a) + 4) * (scale * 2.0**-23 + 2.0**-124)
@@ -403,8 +445,8 @@ def evaluate_grid(s: FieldSample, domain, h: float | None = None,
                       f"{MIN_POINTS_PER_WAVELENGTH} points per minimal "
                       f"wavelength {s.min_wavelength():.4g}", GridTooCoarse,
                       stacklevel=2)
-    origin = s.origin_coeff * math.sqrt(s.origin_weight)
-    bound = _float32_bound(s, origin) if certified else None
+    origin = s.origin_term
+    bound = _float32_bound(s) if certified else None
     tables = U, cy, sy                      # before U turns float32
     samples = [s]
     if order >= 1:

@@ -12,7 +12,8 @@ so with the filters off (beta = inf) both coupled grids are certified
 by ``topology.grid_signs``' one certificate.  With the filters on, the
 filters read float64 order-1 grids, and the censuses of the draws that
 pass read the same grids; the perturbed field's grid is built only for a
-draw whose reference field passes the stability filter.
+draw whose reference field passes the stability filter.  Each census
+counts a ``ScalarGrid.window`` of its field's one grid.
 """
 
 from __future__ import annotations
@@ -203,34 +204,9 @@ class SandwichReport:
 
 
 def _subcensus(grid: ScalarGrid, R_inner: float) -> int:
-    """Interior count on the centered subsquare of an already evaluated grid.
-
-    The subsquare is a strided view of the grid's values with its own
-    sliced axes, and keeps the grid's sample and bound: a subsquare of a
-    certified grid is certified.  Its tables are the grid's, sliced with
-    it (views, no copy), so the nodes and saddle centres its bound leaves
-    undecided are valued at the subsquare's own nodes.
-    Raises DomainMismatch where the subsquare is not grid-aligned or does not
-    fit in the grid.
-    """
-    R_outer = grid.domain.R
-    k = int(round((R_outer - R_inner) / grid.h))
-    if abs(k * grid.h - (R_outer - R_inner)) > 1e-9:
-        raise DomainMismatch("subsquare is not grid-aligned")
-    if k < 0:
-        # slice(k, n - k) would take the grid's last |k| rows and columns
-        raise DomainMismatch(f"subsquare R={R_inner:g} does not fit in the "
-                             f"grid's square R={R_outer:g}")
-    sl = slice(k, grid.values.shape[0] - k)
-    tables = grid.tables
-    if tables is not None:
-        U, cy, sy = tables
-        tables = U[sl], cy[:, sl], sy[:, sl]
-    sub = ScalarGrid(domain=SquareDomain(R_inner), h=grid.h,
-                     xs=grid.xs[sl], ys=grid.ys[sl],
-                     values=grid.values[sl, sl],
-                     sample=grid.sample, bound=grid.bound, tables=tables)
-    return count_components_plane(sub).interior_components
+    """Interior count on the ``ScalarGrid.window`` [-R_inner, R_inner]^2 of
+    an already evaluated grid, certified if the grid is."""
+    return count_components_plane(grid.window(R_inner)).interior_components
 
 
 def sandwich_check(rho0: SpectralMeasure, rho1: SpectralMeasure, R: float,

@@ -25,10 +25,10 @@ A certified grid (float32 values within a bound of the float64 ones, see
 ``fields``), the censuses' grid in estimates, is finite by construction;
 its nodes and saddle-cell centres (``_centre_signs``) are signed by the
 one sign certificate, ``_certified_signs``, so every sign and count is
-that of float64 values.  The nodes the bound leaves undecided are valued
-from the grid's own float64 tables (``_node_values``), with no
-trigonometry; ``evaluate_batch`` values the points off the lattice, the
-flips' ports and midpoints and the line samples of intersections.
+that of float64 values.  The grid values the nodes the bound leaves
+undecided from its own float64 tables (``ScalarGrid.node_values``);
+``evaluate_batch`` values the points off the lattice, the flips' ports
+and midpoints and the line samples of intersections.
 On the torus, zero-set components are counted directly from the marching
 segments: every port there has degree 2, so components are cycles.  The
 segments of a cycle follow each other one way round it, and every crossed
@@ -67,7 +67,6 @@ from .fields import (
     FieldSample,
     ScalarGrid,
     SquareDomain,
-    _fold_pairs,
     _slope_sample,
     default_spacing,
     evaluate_batch,
@@ -127,10 +126,10 @@ def _certified_signs(est: np.ndarray, bound: float, exact) -> np.ndarray:
     sign_grid(est, -bound) agree, every value within bound has their sign,
     the exact one included.  exact(k) gives the exact values at the flat
     indices k of the other entries, in one call, or is not called: float64
-    values, from the grid's tables (``_node_values``) on a certified grid,
-    from ``evaluate_batch`` off the lattice.  This is the package's one
-    sign certificate, for the nodes of a certified grid (``grid_signs``),
-    its saddle-cell centres (``_centre_signs``) and the flips' ports and
+    values, from a certified grid's ``node_values`` on its lattice, from
+    ``evaluate_batch`` off it.  This is the package's one sign
+    certificate, for the nodes of a certified grid (``grid_signs``), its
+    saddle-cell centres (``_centre_signs``) and the flips' ports and
     bisection midpoints.  On a grid larger than _STRIP the comparisons run
     in strips that stay in the L2 cache between them.
     """
@@ -151,45 +150,26 @@ def _certified_signs(est: np.ndarray, bound: float, exact) -> np.ndarray:
     return sg.reshape(est.shape)
 
 
-def _node_values(g: ScalarGrid, flat: np.ndarray) -> np.ndarray:
-    """The float64 values of certified grid g at the nodes of flat indices
-    flat, from its tables (U, cy, sy): node (i, j) is U[i] . V[:, j] plus
-    the origin term, its column V[:, j] folded from the y tables as
-    ``evaluate_grid`` folds V.  That is the float64 grid's product summed
-    in another order, and no phase is taken.  Each node's 2m terms are
-    one row, summed on its own, so a node's value does not depend on the
-    batch it comes in."""
-    i, j = np.divmod(flat, len(g.ys))
-    U, cy, sy = g.tables
-    s = g.sample
-    m = len(cy)
-    terms = np.empty((len(flat), 2 * m))
-    # the y columns are gathered as rows, so the fold runs along the pairs
-    _fold_pairs(s, cy.T[j].T, sy.T[j].T, terms[:, :m].T, terms[:, m:].T)
-    terms *= U[i]
-    return terms.sum(axis=1) + s.origin_coeff * math.sqrt(s.origin_weight)
-
-
 def grid_signs(g: ScalarGrid) -> np.ndarray:
     """sign_grid of g's node values, or EmptyGrid where they are absent or
     not all finite: the one reader of a grid's signs, and the one check.
 
     Finiteness comes from the row sums values @ ones, one pass that BLAS
-    makes over strided views too, such as ``stability._subcensus``'s
-    sub-squares: a sum of finite terms can be non-finite only by overflow,
-    so only where a sum is not finite does np.isfinite read every value.
-    A certified grid (``fields.evaluate_grid(..., certified=True)``) is
-    finite by construction and takes no pass: its float32 values lie
-    within g.bound of the float64 ones, and ``_certified_signs`` values
-    the few nodes the bound leaves undecided (a few in 10^4 at 16 points
-    per wavelength) from g's float64 tables (``_node_values``), so a
-    node's sign is that of a float64 value.
+    makes over strided views too, such as ``ScalarGrid.window``'s: a sum
+    of finite terms can be non-finite only by overflow, so only where a
+    sum is not finite does np.isfinite read every value.  A certified
+    grid (``fields.evaluate_grid(..., certified=True)``) is finite by
+    construction and takes no pass: its float32 values lie within
+    g.bound of the float64 ones, and ``_certified_signs`` takes the few
+    nodes the bound leaves undecided (a few in 10^4 at 16 points per
+    wavelength) from ``g.node_values``, so a node's sign is that of a
+    float64 value.
     """
     values = g.values
     if values is None or values.size == 0:
         raise EmptyGrid("no values")
     if g.bound is not None:
-        return _certified_signs(values, g.bound, lambda k: _node_values(g, k))
+        return _certified_signs(values, g.bound, g.node_values)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = values @ np.ones(values.shape[1])
     if not (np.all(np.isfinite(sums)) or np.all(np.isfinite(values))):
@@ -207,8 +187,8 @@ def _centre_signs(g: ScalarGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     on every grid.  On a certified grid each corner errs by at most
     g.bound, and the float32 mean's three additions by less than that
     again, so ``_certified_signs`` signs the mean at twice the bound,
-    averaging the corners' float64 table values (``_node_values``) where
-    that cannot decide.
+    averaging the corners' float64 values (``g.node_values``) where that
+    cannot decide.
     """
     values = g.values
     nx, ny = values.shape
@@ -220,7 +200,7 @@ def _centre_signs(g: ScalarGrid, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
     def exact(k):
         flat = [p[k] * ny + q[k] for q in (j, j1) for p in (i, i1)]
-        c00, c10, c01, c11 = np.split(_node_values(g, np.concatenate(flat)), 4)
+        c00, c10, c01, c11 = np.split(g.node_values(np.concatenate(flat)), 4)
         return 0.25 * (c00 + c10 + c01 + c11)
 
     return _certified_signs(center, 2.0 * g.bound, exact)

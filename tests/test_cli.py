@@ -150,6 +150,17 @@ def test_dns_report(tmp_path):
     assert payload["dns_estimate"] == 0.0
 
 
+def test_dns_without_cns_needs_radii_it_can_fit(capsys):
+    # without --cns, c is fit over R/4, R/2 and R: an R below 4, or one not
+    # finite, is refused up front, naming the flags that fix it
+    dns = ["dns", "--preset", "uniform:16", "--M", "10"]
+    for R in ("3.5", "inf", "nan"):
+        assert main(dns + ["--R", R]) == 2
+        err = capsys.readouterr().err
+        assert "--R" in err and "--cns" in err and "schedule" not in err
+    assert main(dns + ["--R", "3.5", "--cns", "0.18"]) == 0
+
+
 def test_torus_planar_m_zero_fails(monkeypatch):
     # planar_M is checked before mu_n is built or any torus draw is made
     import nodalfields.arithmetic as arithmetic

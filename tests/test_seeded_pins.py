@@ -28,11 +28,10 @@ import math
 import numpy as np
 import pytest
 
-from nodalfields import topology
 from nodalfields.arithmetic import cilleruelo_torus_field, mu_n
 from nodalfields.cli import main
 from nodalfields.estimators import estimate_cns, torus_count_report
-from nodalfields.fields import cilleruelo_field, sample
+from nodalfields.fields import ScalarGrid, cilleruelo_field, sample
 from nodalfields.measures import antipodal_pairs, preset
 from nodalfields.stability import sandwich_check
 
@@ -84,13 +83,13 @@ CERTIFICATE_WORKLOADS = {
 
 def test_certificate_payload_digests(monkeypatch):
     valued = []
-    node_values = topology._node_values
+    node_values = ScalarGrid.node_values
 
     def recording(g, flat):
         valued.append(len(flat))
         return node_values(g, flat)
 
-    monkeypatch.setattr(topology, "_node_values", recording)
+    monkeypatch.setattr(ScalarGrid, "node_values", recording)
     for name, (run, want) in CERTIFICATE_WORKLOADS.items():
         assert _payload_digest(run().to_dict()) == want, name
     # the pins exercise the valuation of undecided nodes

@@ -221,6 +221,25 @@ def test_rule_has_one_reader(name, owner):
     assert sorted(set(_readers(name))) == [owner]
 
 
+def test_only_fields_reads_a_certified_grids_tables():
+    # the layout of a certified grid's float64 tables (U, cy, sy) has one
+    # owner: ScalarGrid values its nodes and cuts its windows, so no other
+    # module reads the tables or folds them, builds a grid of its own, or
+    # takes a private name from fields but the slope sample
+    for name in ("tables", "_fold_pairs"):
+        assert {stem for stem, _ in _readers(name)} == {"fields"}, name
+    builders = {p.stem for p in MODULES
+                for call in ast.walk(ast.parse(p.read_text()))
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "ScalarGrid"}
+    assert builders == {"fields"}
+    tree = ast.parse((PACKAGE / "topology.py").read_text())
+    private = {a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+               and node.module == "fields" for a in node.names
+               if a.name.startswith("_")}
+    assert private == {"_slope_sample"}
+
+
 def test_torus_census_and_portraits_share_the_edge_table():
     # both walk the oriented marching segments through one edge table
     assert sorted(set(_readers("edge_table"))) == [

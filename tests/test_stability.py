@@ -9,6 +9,7 @@ from nodalfields.errors import DomainMismatch
 from nodalfields.fields import (
     ScalarGrid,
     SquareDomain,
+    TorusDomain,
     default_spacing,
     evaluate_batch,
     evaluate_grid,
@@ -123,6 +124,15 @@ def test_subcensus_needs_an_aligned_subsquare_that_fits():
             stability._subcensus(g, R)
     with pytest.raises(DomainMismatch, match="grid-aligned"):
         stability._subcensus(g, 8.0 + 1 / 32)
+    # a torus grid has no centred sub-square, and no square fits a NaN or
+    # an infinite R: each is refused by name, not by an unrelated error
+    torus = evaluate_grid(s, TorusDomain(), 1 / 32)
+    with pytest.raises(DomainMismatch, match="torus"):
+        stability._subcensus(torus, 0.25)
+    with pytest.raises(DomainMismatch, match="R=nan does not fit"):
+        stability._subcensus(g, math.nan)
+    with pytest.raises(DomainMismatch, match="R=inf does not fit"):
+        stability._subcensus(g, math.inf)
 
 
 def _sandwich_spacing(f0, f1):

@@ -1642,18 +1642,18 @@ def _planted_nodes(monkeypatch, g, flat):
     planted = replace(g, values=values.astype(np.float32))
     planted.values.flat[inside] = tie + side[:half] * 0.75 * g.bound
     valued = []
-    node_values = topology._node_values
+    node_values = ScalarGrid.node_values
 
     def tabled(grid, k):
         valued.append(k.copy())
         return node_values(grid, k)
 
-    monkeypatch.setattr(topology, "_node_values", tabled)
+    monkeypatch.setattr(ScalarGrid, "node_values", tabled)
     pos = grid_signs(planted)
     monkeypatch.undo()
     (k,) = valued
     assert np.array_equal(k, inside)
-    values.flat[inside] = node_values(g, inside)
+    values.flat[inside] = g.node_values(inside)
     reference = replace(g, values=values, bound=None, sample=None,
                         tables=None)
     assert np.array_equal(pos, grid_signs(reference))
@@ -1930,17 +1930,17 @@ def test_node_values_are_the_exact_values_at_the_nodes(monkeypatch, name):
     A = float(np.sqrt(s.pair_weights) @ np.hypot(s.coeff_a, s.coeff_b))
     tol = 2.0**-40 * (A + origin)
     assert tol < 1e-6 * g.bound
-    assert np.abs(topology._node_values(g, flat) - exact).max() <= tol
+    assert np.abs(g.node_values(flat) - exact).max() <= tol
 
 
 def test_node_values_do_not_depend_on_the_batch():
     g = evaluate_grid(sample(preset("uniform_circle", K=256), 5),
                       SquareDomain(4.0), certified=True)
     flat = np.random.default_rng(2).choice(g.values.size, 400, replace=False)
-    alone = np.concatenate([topology._node_values(g, flat[k:k + 1])
+    alone = np.concatenate([g.node_values(flat[k:k + 1])
                             for k in range(len(flat))])
     for n in (7, 37, 400):
-        batched = np.concatenate([topology._node_values(g, flat[k:k + n])
+        batched = np.concatenate([g.node_values(flat[k:k + n])
                                   for k in range(0, len(flat), n)])
         assert batched.tobytes() == alone.tobytes()
 
@@ -1961,6 +1961,16 @@ def test_certified_grid_tables_are_the_measure_tables(monkeypatch):
         assert np.shares_memory(got, parent)
     # a float64 grid carries none
     assert evaluate_grid(s, SquareDomain(9.0), 1 / 16).tables is None
+    # sample, bound and tables come together or not at all, on every grid
+    # and every window of it; a window has values only
+    d64 = evaluate_grid(s, SquareDomain(9.0), 1 / 16, order=1)
+    for grid in (g, evaluate_grid(s, SquareDomain(9.0), 1 / 16), d64,
+                 evaluate_grid(s, TorusDomain(), 1 / 32, certified=True)):
+        windows = [grid] if grid.periodic else [grid, grid.window(7.0)]
+        for w in windows:
+            assert len({x is None for x in (w.sample, w.bound, w.tables)}) == 1
+    w = d64.window(7.0)
+    assert w.sample is w.bound is w.tables is w.d1 is w.d2 is None
 
 
 def test_census_certificates_evaluate_no_point(monkeypatch):
@@ -1970,7 +1980,7 @@ def test_census_certificates_evaluate_no_point(monkeypatch):
     from nodalfields.estimators import estimate_cns, torus_count_report
 
     batches, valued = [], []
-    node_values = topology._node_values
+    node_values = ScalarGrid.node_values
 
     def batch(s, pts):
         batches.append(len(pts))
@@ -1984,7 +1994,7 @@ def test_census_certificates_evaluate_no_point(monkeypatch):
         return preset("uniform_circle", K=K)
 
     monkeypatch.setattr(topology, "evaluate_batch", batch)
-    monkeypatch.setattr(topology, "_node_values", tabled)
+    monkeypatch.setattr(ScalarGrid, "node_values", tabled)
     for run in (lambda: estimate_cns(uniform(64), [2.5, 5, 10], 10, 1),
                 lambda: torus_count_report(65, 2, seed=1, planar_M=10),
                 lambda: stability.sandwich_check(uniform(128), uniform(256),
